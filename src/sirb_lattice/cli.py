@@ -63,7 +63,7 @@ import numpy as np
 from . import __version__
 from . import io as run_io
 from .deterministic import DeterministicState, ReactionField, homogeneous_ode, integrate
-from .diagnostics import compensator_check, lln_experiment, martingale_residual
+from .diagnostics import compensator_check, lln_experiment, martingale_residual, pool_size
 from .lattice import TransportCoefficients
 from .stochastic import EpidemicParams, ScalingParams, SystemState, simulate_ssa
 
@@ -399,8 +399,9 @@ def _run_simulate(cfg: RunConfig) -> None:
     for rep in range(cfg.replicas):
         directory = cfg.out if cfg.replicas == 1 else cfg.out / f"replica_{rep:03d}"
         jobs.append((cfg, rep, directory))
-    if cfg.workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+    size = pool_size(cfg.workers, len(jobs))
+    if size > 1:
+        with ProcessPoolExecutor(max_workers=size) as pool:
             list(pool.map(_one_simulation, jobs))
     else:
         for job in jobs:
@@ -460,8 +461,9 @@ def _one_diagnose_replica(args):
 
 def _run_diagnose(cfg: RunConfig) -> None:
     jobs = [(cfg, rep) for rep in range(cfg.replicas)]
-    if cfg.workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+    size = pool_size(cfg.workers, len(jobs))
+    if size > 1:
+        with ProcessPoolExecutor(max_workers=size) as pool:
             trajs = list(pool.map(_one_diagnose_replica, jobs))
     else:
         trajs = [_one_diagnose_replica(j) for j in jobs]

@@ -134,16 +134,16 @@ def reaction(y: np.ndarray, rf: ReactionField) -> np.ndarray:
 
 
 def reaction_stack(y: np.ndarray, rf: ReactionField) -> np.ndarray:
-    """Vectorized reaction terms on a (4, n) stack.  No domain check: the
+    """Vectorized reaction terms on a (..., 4, n) stack.  No domain check: the
     integrator may probe infinitesimally negative values inside RK stages."""
     p = rf.params
-    s, i, r, b = y
+    s, i, r, b = (y[..., c, :] for c in range(4))
     infection = p.beta * (b / (1.0 + b)) * s
     out = np.empty_like(y)
-    out[0] = p.mu * i + (p.mu + p.rho) * r - infection
-    out[1] = infection - (p.gamma + p.alpha + p.mu) * i
-    out[2] = p.gamma * i - (p.mu + p.rho) * r
-    out[3] = -p.mu_b * b + rf.contamination_coeff * i
+    out[..., 0, :] = p.mu * i + (p.mu + p.rho) * r - infection
+    out[..., 1, :] = infection - (p.gamma + p.alpha + p.mu) * i
+    out[..., 2, :] = p.gamma * i - (p.mu + p.rho) * r
+    out[..., 3, :] = -p.mu_b * b + rf.contamination_coeff * i
     return out
 
 
@@ -166,9 +166,10 @@ def growth_constant(rf: ReactionField) -> float:
 
 
 def _transport_stencil(b: np.ndarray, tc: TransportCoefficients) -> np.ndarray:
-    n = b.shape[0]
-    up = np.roll(b, -1)
-    dn = np.roll(b, 1)
+    """Transport of bacteria fields laid out along the last axis."""
+    n = b.shape[-1]
+    up = np.roll(b, -1, axis=-1)
+    dn = np.roll(b, 1, axis=-1)
     return tc.diffusion * n**2 * (up - 2.0 * b + dn) - tc.nu * 0.5 * n * (up - dn)
 
 

@@ -17,6 +17,7 @@ Three layers of checks, in increasing strength:
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -36,10 +37,13 @@ from .stochastic import (
     EVENT_DELTAS,
     EpidemicParams,
     EventKind,
+    EventLog,
     ScalingParams,
     SystemState,
     Trajectory,
+    _entry_table,
     all_rates,
+    log_entries,
     simulate_ssa,
 )
 
@@ -64,6 +68,42 @@ _COMP_INDEX = {"S": 0, "I": 1, "R": 2, "B": 3}
 _COMP_KEY = {"s": 0, "i": 1, "r": 2, "b": 3}
 SQUARE_FAMILIES = ("S", "I", "R", "B")
 CROSS_FAMILIES = ("B_cross_plus", "B_cross_minus")
+_FAMILIES = SQUARE_FAMILIES + CROSS_FAMILIES
+
+# Per-state integrands of the sweep: drift (4 rows) and the square and
+# cross amplitudes (one row per family).
+_N_INTEGRANDS = 4 + len(_FAMILIES)
+# Byte budget of one (events, _N_INTEGRANDS, n) float buffer of the sweep;
+# its other per-chunk buffers are no larger.  Small enough to stay in cache
+# and to keep the sweep's memory flat in the log length.
+_SWEEP_CHUNK_BYTES = 1 << 16
+
+
+def _sweep_chunk(n_sites: int) -> int:
+    """Events per chunk of the sweep on an n_sites lattice."""
+    return max(1, _SWEEP_CHUNK_BYTES // (8 * _N_INTEGRANDS * n_sites))
+
+
+def _jump_products() -> np.ndarray:
+    """Entry table of the jump products each kind makes, derived from
+    EVENT_DELTAS.  Rows index _FAMILIES: a square family gets the squared
+    count jump at each touched site; a cross family gets, at site j, the
+    product of the bacteria jumps at j and j + 1 (plus) or j - 1 (minus)."""
+    rows = []
+    for kind in EventKind:
+        deltas = EVENT_DELTAS[kind]
+        entries = [(_COMP_KEY[c], off, d * d) for c, off, d in deltas]
+        b_deltas = [(off, d) for c, off, d in deltas if c == "b"]
+        for o1, d1 in b_deltas:
+            for o2, d2 in b_deltas:
+                if abs(o2 - o1) == 1:
+                    family = "B_cross_plus" if o2 == o1 + 1 else "B_cross_minus"
+                    entries.append((_FAMILIES.index(family), o1, d1 * d2))
+        rows.append(entries)
+    return _entry_table(rows)
+
+
+_JUMP_PRODUCTS = _jump_products()
 
 
 # ---------------------------------------------------------------------------
@@ -103,11 +143,11 @@ def sup_distance(
 # Drift and square amplitudes (closed form and brute force)
 
 def _drift_stack(u: np.ndarray, params: EpidemicParams, hk_ratio: float) -> np.ndarray:
-    """Operator-form drift on a (4, n) density stack: F(u) plus transport on
-    the bacteria row."""
+    """Operator-form drift on a (..., 4, n) density stack: F(u) plus
+    transport on the bacteria row."""
     rf = ReactionField(params, hk_ratio=hk_ratio, mode="coupled")
     out = reaction_stack(u, rf)
-    out[3] += _transport_stencil(u[3], params.transport)
+    out[..., 3, :] += _transport_stencil(u[..., 3, :], params.transport)
     return out
 
 
@@ -137,7 +177,8 @@ def event_table_drift(
 
 
 def _amp_stack(u: np.ndarray, params: EpidemicParams, hk_ratio: float) -> np.ndarray:
-    """Closed-form square amplitudes on a density stack; rows (S, I, R, B).
+    """Closed-form square amplitudes on a (..., 4, n) density stack; rows
+    (S, I, R, B).
 
     Per site: the S amplitude is 2 mu u_S + mu u_I + (mu+rho) u_R plus the
     infection term; the B amplitude splits into the local-reaction part
@@ -145,28 +186,28 @@ def _amp_stack(u: np.ndarray, params: EpidemicParams, hk_ratio: float) -> np.nda
     ell (p_in u_B[j+1] + u_B[j] + p_out u_B[j-1]).
     """
     p = params
-    s, i, r, b = u
+    s, i, r, b = (u[..., c, :] for c in range(4))
     dose = b / (1.0 + b)
     tc = p.transport
     out = np.empty_like(u)
-    out[0] = 2.0 * p.mu * s + p.mu * i + (p.mu + p.rho) * r + p.beta * dose * s
-    out[1] = p.beta * dose * s + (p.mu + p.alpha + p.gamma) * i
-    out[2] = p.gamma * i + (p.mu + p.rho) * r
-    out[3] = (
+    out[..., 0, :] = 2.0 * p.mu * s + p.mu * i + (p.mu + p.rho) * r + p.beta * dose * s
+    out[..., 1, :] = p.beta * dose * s + (p.mu + p.alpha + p.gamma) * i
+    out[..., 2, :] = p.gamma * i + (p.mu + p.rho) * r
+    out[..., 3, :] = (
         p.mu_b * b
         + hk_ratio * p.p_over_w * i
-        + tc.ell * (tc.p_in * np.roll(b, -1) + b + tc.p_out * np.roll(b, 1))
+        + tc.ell * (tc.p_in * np.roll(b, -1, axis=-1) + b + tc.p_out * np.roll(b, 1, axis=-1))
     )
     return out
 
 
 def _cross_stacks(u: np.ndarray, params: EpidemicParams) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form cross amplitudes for the simultaneous bacteria jumps on
-    neighbouring sites: (pair j,j+1), (pair j,j-1)."""
-    b = u[3]
+    neighbouring sites: (pair j,j+1), (pair j,j-1).  ``u`` is (..., 4, n)."""
+    b = u[..., 3, :]
     tc = params.transport
-    plus = -tc.ell * (tc.p_out * b + tc.p_in * np.roll(b, -1))
-    minus = -tc.ell * (tc.p_in * b + tc.p_out * np.roll(b, 1))
+    plus = -tc.ell * (tc.p_out * b + tc.p_in * np.roll(b, -1, axis=-1))
+    minus = -tc.ell * (tc.p_in * b + tc.p_out * np.roll(b, 1, axis=-1))
     return plus, minus
 
 
@@ -242,16 +283,35 @@ def _sweep_log(
     params: EpidemicParams,
     scaling: ScalingParams,
 ) -> tuple[np.ndarray, dict[str, np.ndarray], dict[str, np.ndarray]]:
-    """Single pass over an event log.
+    """Prefix-sum pass over an event log.
 
     Returns (z, observed, predicted):
       z: (n_times, 4, n) residual fields,
       observed: family -> (n_times, n) accumulated squared/crossed jumps,
       predicted: family -> (n_times, n) accumulated compensator integrals.
 
-    The integrals are exact sums over inter-event intervals on which the
-    state is constant; samples coinciding with a jump record the post-jump
-    value (right-continuous convention, same as the simulator).
+    The state is constant between events, so every quantity is a prefix sum
+    over the log.  State c is the initial counts plus the deltas of events
+    0..c-1 and holds on [t_{c-1}, t_c) (t_{-1} = 0).  Sample k sees state
+    c_k = searchsorted(times, grid[k], "right"): a sample coinciding with a
+    jump records the post-jump value (right-continuous convention, same as
+    the simulator), and events after the last sample time are ignored.
+
+    States are taken in chunks of ``_sweep_chunk(n)``, carrying the counts,
+    the integrals and the time of the last event from chunk to chunk, so the
+    working memory does not grow with the log.  Within a chunk:
+
+    * the counts of every state are the carry plus an exclusive cumsum of
+      the chunk's deltas, scattered from ``log_entries`` by one bincount;
+    * drift, square and cross amplitudes of all those states come from one
+      batched call of the closed forms;
+    * the integrals up to each state's start are a cumsum of integrand times
+      the state's duration, seeded with the carried integrals;
+    * a sample that sees state c adds c's integrand times the time since
+      c began.
+
+    The observed sums are the jump products of ``_JUMP_PRODUCTS``, binned by
+    (first sample that sees the event, cell) and cumulated over samples.
     """
     if traj.event_log is None:
         raise ValueError("trajectory has no event log; rerun with record_events=True")
@@ -261,101 +321,71 @@ def _sweep_log(
     h = float(scaling.h)
     k = float(scaling.k)
     hk = scaling.h / scaling.k
-    inv_h2 = 1.0 / h**2
-    inv_k2 = 1.0 / k**2
+    scale = np.array([h, h, h, k])[:, None]
+    family_scale = 1.0 / np.array([h, h, h, k, k, k])[:, None] ** 2
 
-    u = traj.initial.rescaled(scaling)  # mutated in place as events apply
-    u0 = u.copy()
-    int_psi = np.zeros((4, n))
-    families = list(SQUARE_FAMILIES) + list(CROSS_FAMILIES)
-    int_amp = {f: np.zeros(n) for f in families}
-    obs = {f: np.zeros(n) for f in families}
-
-    z_out = np.zeros((n_times, 4, n))
-    obs_out = {f: np.zeros((n_times, n)) for f in families}
-    pred_out = {f: np.zeros((n_times, n)) for f in families}
-
-    # Inlined drift/amplitude evaluation: this runs once per event, so avoid
-    # rebuilding parameter objects (identical algebra to _drift_stack,
-    # _amp_stack and _cross_stacks, which the tests pin against brute force).
-    p = params
-    tc = p.transport
-    mu, al, ga, rho, beta = p.mu, p.alpha, p.gamma, p.rho, p.beta
-    mu_b, c_cont = p.mu_b, hk * p.p_over_w
-    ell, po, pi = tc.ell, tc.p_out, tc.p_in
-    diff_c, nu_c = tc.diffusion * n**2, tc.nu * 0.5 * n
-
-    def evaluate() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        s_, i_, r_, b_ = u
-        dose = beta * (b_ / (1.0 + b_)) * s_
-        up, dn = np.roll(b_, -1), np.roll(b_, 1)
-        psi = np.empty((4, n))
-        psi[0] = mu * i_ + (mu + rho) * r_ - dose
-        psi[1] = dose - (ga + al + mu) * i_
-        psi[2] = ga * i_ - (mu + rho) * r_
-        psi[3] = (-mu_b * b_ + c_cont * i_
-                  + diff_c * (up - 2.0 * b_ + dn) - nu_c * (up - dn))
-        amp = np.empty((4, n))
-        amp[0] = 2.0 * mu * s_ + mu * i_ + (mu + rho) * r_ + dose
-        amp[1] = dose + (mu + al + ga) * i_
-        amp[2] = ga * i_ + (mu + rho) * r_
-        amp[3] = mu_b * b_ + c_cont * i_ + ell * (pi * up + b_ + po * dn)
-        cross_p = -ell * (po * b_ + pi * up)
-        cross_m = -ell * (pi * b_ + po * dn)
-        return psi, amp, cross_p, cross_m
-
-    psi, amp, cross_p, cross_m = evaluate()
-
-    def advance(to_t: float, t_from: float):
-        nonlocal int_psi
-        dt = to_t - t_from
-        if dt > 0.0:
-            int_psi = int_psi + psi * dt
-            for f in SQUARE_FAMILIES:
-                scale = h if f != "B" else k
-                int_amp[f] += amp[_COMP_INDEX[f]] * (dt / scale)
-            int_amp["B_cross_plus"] += cross_p * (dt / k)
-            int_amp["B_cross_minus"] += cross_m * (dt / k)
-
-    t_cursor = 0.0
-    k_sample = 0
     log = traj.event_log
-    n_events = len(log)
-    ev_idx = 0
-    while True:
-        t_event = log.times[ev_idx] if ev_idx < n_events else math.inf
-        while k_sample < n_times and grid[k_sample] < t_event:
-            advance(grid[k_sample], t_cursor)
-            t_cursor = grid[k_sample]
-            z_out[k_sample] = u - u0 - int_psi
-            for f in families:
-                obs_out[f][k_sample] = obs[f]
-                pred_out[f][k_sample] = int_amp[f]
-            k_sample += 1
-        if ev_idx >= n_events or k_sample >= n_times:
-            break
-        advance(t_event, t_cursor)
-        t_cursor = t_event
-        kind = EventKind(int(log.kinds[ev_idx]))
-        j = int(log.sites[ev_idx])
-        for comp, off, d in EVENT_DELTAS[kind]:
-            jj = (j + off) % n
-            row = _COMP_KEY[comp]
-            if comp == "b":
-                u[row, jj] += d / k
-                obs["B"][jj] += inv_k2
-            else:
-                u[row, jj] += d / h
-                obs[COMPARTMENTS[row]][jj] += inv_h2
-        if kind == EventKind.TRANSPORT_OUT:
-            obs["B_cross_plus"][j] -= inv_k2
-            obs["B_cross_minus"][(j + 1) % n] -= inv_k2
-        elif kind == EventKind.TRANSPORT_IN:
-            obs["B_cross_plus"][(j - 1) % n] -= inv_k2
-            obs["B_cross_minus"][j] -= inv_k2
-        psi, amp, cross_p, cross_m = evaluate()
-        ev_idx += 1
+    seen = np.searchsorted(log.times, grid, side="right")
+    n_events = int(seen[-1])
 
+    counts = np.concatenate([traj.initial.counts(c) for c in "sirb"]).astype(float)
+    u0 = counts.reshape(4, n) / scale
+    integral = np.zeros((_N_INTEGRANDS, n))
+    t_last = 0.0
+    z_out = np.empty((n_times, 4, n))
+    pred = np.empty((n_times, len(_FAMILIES), n))
+    jumps = np.zeros((n_times, len(_FAMILIES) * n))
+
+    chunk = _sweep_chunk(n)
+    for a in range(0, n_events + 1, chunk):
+        b = min(a + chunk, n_events + 1)
+        m = b - a
+        e = min(b, n_events)
+        part = EventLog(log.times[a:e], log.kinds[a:e], log.sites[a:e])
+        # state c holds from the event before it to event c; the state after
+        # the last event ends where it starts
+        starts = np.concatenate(([t_last], part.times))[:m]
+        ends = np.append(part.times, starts[-1])[:m]
+        t_last = ends[-1]
+        ev, cell, delta = log_entries(part, n)
+        deltas = np.bincount(ev * 4 * n + cell, weights=delta, minlength=m * 4 * n)
+        deltas = deltas.reshape(m, 4 * n)
+        states = counts + np.cumsum(deltas, axis=0) - deltas
+        counts = states[-1] + deltas[-1]
+
+        u = states.reshape(m, 4, n) / scale
+        f = np.empty((m, _N_INTEGRANDS, n))
+        f[:, :4] = _drift_stack(u, params, hk)
+        f[:, 4:8] = _amp_stack(u, params, hk) / scale
+        plus, minus = _cross_stacks(u, params)
+        f[:, 8] = plus / k
+        f[:, 9] = minus / k
+        step = f * (ends - starts)[:, None, None]
+        before = np.empty_like(step)
+        before[0] = integral
+        before[1:] = step[:-1]
+        np.cumsum(before, axis=0, out=before)
+        integral = before[-1] + step[-1]
+
+        lo, hi = np.searchsorted(seen, (a, b))
+        if hi > lo:
+            rows = seen[lo:hi] - a
+            at = before[rows] + f[rows] * (grid[lo:hi] - starts[rows])[:, None, None]
+            z_out[lo:hi] = u[rows] - u0 - at[:, :4]
+            pred[lo:hi] = at[:, 4:]
+
+        ev, cell, product = log_entries(part, n, _JUMP_PRODUCTS)
+        if ev.size:
+            first = np.searchsorted(grid, part.times, side="left")
+            lo, hi = first[0], first[-1] + 1
+            key = (first[ev] - lo) * len(_FAMILIES) * n + cell
+            jumps[lo:hi] += np.bincount(
+                key, weights=product, minlength=(hi - lo) * len(_FAMILIES) * n
+            ).reshape(hi - lo, -1)
+
+    obs = np.cumsum(jumps, axis=0).reshape(n_times, len(_FAMILIES), n) * family_scale
+    obs_out = {f: obs[:, i] for i, f in enumerate(_FAMILIES)}
+    pred_out = {f: pred[:, i] for i, f in enumerate(_FAMILIES)}
     return z_out, obs_out, pred_out
 
 
@@ -514,6 +544,14 @@ def _validate_ladder(ladder: Sequence[tuple[int, int, int]], mode: str):
                 )
 
 
+def pool_size(workers: int, jobs: int) -> int:
+    """Worker processes for a pool running ``jobs`` tasks: the requested
+    count, capped by the task count and the machine's CPU count.  The cap
+    matters because a fork-based pool starts all its workers at the first
+    submit."""
+    return max(1, min(workers, jobs, os.cpu_count() or 1))
+
+
 def _replica_distance(payload) -> tuple[float, float]:
     """One replica of one rung: (sup distance, sup density).  Top level so a
     process pool can ship it."""
@@ -586,8 +624,9 @@ def lln_experiment(
             (state0, horizon, grid, prm, scaling, seed, (rung_idx << 32) + rep, det, comps)
             for rep in range(replicas)
         ]
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+        size = pool_size(workers, replicas)
+        if size > 1:
+            with ProcessPoolExecutor(max_workers=size) as pool:
                 results = list(pool.map(_replica_distance, payloads))
         else:
             results = [_replica_distance(p) for p in payloads]

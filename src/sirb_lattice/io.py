@@ -25,6 +25,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
@@ -37,14 +38,15 @@ from . import __version__
 from .deterministic import DeterministicState
 from .diagnostics import CompensatorCheck, ConvergenceReport, MartingaleResidual
 from .stochastic import (
+    N_EVENT_KINDS,
+    SOURCES,
     EpidemicParams,
-    Event,
     EventKind,
     EventLog,
     ScalingParams,
     SystemState,
     Trajectory,
-    apply_event,
+    log_entries,
 )
 
 __all__ = [
@@ -98,7 +100,10 @@ class RunManifest:
 
     @classmethod
     def from_json(cls, text: str) -> "RunManifest":
-        return cls(**json.loads(text))
+        try:
+            return cls(**json.loads(text))
+        except (json.JSONDecodeError, TypeError) as exc:
+            raise CorruptFileError(f"manifest does not match the manifest schema: {exc}") from exc
 
     def verify(self, directory: Path):
         """Check every recorded hash against the file on disk."""
@@ -201,6 +206,12 @@ def _read_events_bin(path: Path) -> EventLog:
     if body % _EVENT_DTYPE.itemsize != 0:
         raise CorruptFileError(f"{path} is truncated (partial event frame)")
     arr = np.frombuffer(raw, dtype=_EVENT_DTYPE, offset=head)
+    bad = np.flatnonzero(arr["kind"] >= N_EVENT_KINDS)
+    if bad.size:
+        raise CorruptFileError(
+            f"{path} holds kind byte {arr['kind'][bad[0]]} at event {bad[0]}; "
+            f"kinds run 0..{N_EVENT_KINDS - 1}"
+        )
     return EventLog(
         times=arr["time"].astype(np.float64),
         kinds=arr["kind"].astype(np.uint8),
@@ -344,33 +355,75 @@ def write_compensator_csv(path, check: CompensatorCheck, sigma: float = 3.0):
 # ---------------------------------------------------------------------------
 # Replay
 
+# Events per chunk of the replay: its working arrays take about a hundred
+# bytes per event, so chunking keeps its memory flat in the log length.
+_REPLAY_CHUNK = 2048
+
+
+def _check_sources(
+    counts: np.ndarray, part: EventLog, n: int,
+    event: np.ndarray, cell: np.ndarray, delta: np.ndarray,
+):
+    """Raise ValueError, as apply_event would, unless every source cell of
+    every event in ``part`` holds at least one count just before the event.
+    ``counts`` are the flat (4n,) counts before the first event of ``part``
+    and (event, cell, delta) its ``log_entries``.
+
+    Source queries and count deltas are sorted by (cell, event), each
+    event's queries ahead of its own deltas, so the exclusive prefix sum of
+    the deltas within a cell is the count each query sees."""
+    q_event, q_cell, need = log_entries(part, n, SOURCES)
+    all_event = np.concatenate([q_event, event])
+    all_cell = np.concatenate([q_cell, cell])
+    is_query = np.arange(all_cell.size) < q_cell.size
+    order = np.argsort((all_cell * len(part) + all_event) * 2 + ~is_query)
+    all_event, all_cell, is_query = all_event[order], all_cell[order], is_query[order]
+    step = np.concatenate([np.zeros_like(need), delta])[order]
+    before = np.cumsum(step) - step
+    first = np.flatnonzero(np.diff(all_cell, prepend=-1))
+    before -= np.repeat(before[first], np.diff(first, append=all_cell.size))
+    seen = counts[all_cell] + before
+    needed = np.concatenate([need, np.zeros_like(delta)])[order]
+    short = np.flatnonzero(is_query & (seen < needed))
+    if short.size:
+        bad = short[np.argmin(all_event[short])]
+        kind = EventKind(int(part.kinds[all_event[bad]]))
+        comp, site = divmod(int(all_cell[bad]), n)
+        raise ValueError(
+            f"{kind.name} at site {site} requires {'sirb'[comp]}_counts >= 1 "
+            f"(got {int(seen[bad])}); zero-propensity event applied"
+        )
+
+
 def replay(initial: SystemState, log: EventLog) -> SystemState:
     """Fold the event log over the initial state; equals the simulator's
     terminal state exactly.  Raises if the log does not fit the state."""
-    state = initial.copy()
-    n = state.n_sites
-    for k, j in zip(log.kinds, log.sites):
-        if j >= n:
-            raise ValueError(f"event site {j} outside lattice of {n} sites")
-        state = apply_event(state, Event(EventKind(int(k)), int(j)))
-    return state
+    return replay_trajectory(initial, log, [math.inf])[0]
 
 
 def replay_trajectory(
     initial: SystemState, log: EventLog, sample_times: Sequence[float]
 ) -> list[SystemState]:
     """Replay with snapshots at the given times (right-continuous, matching
-    the simulator's convention)."""
+    the simulator's convention): each snapshot is the initial counts plus
+    the deltas of every event at or before its time.
+
+    Checks what apply_event checks, for every event: a known kind, a site
+    on the lattice, and a source count of at least one just before it.
+    """
     grid = np.asarray(sample_times, dtype=float)
-    state = initial.copy()
-    out: list[SystemState] = []
-    k_sample = 0
-    for t, k, j in zip(log.times, log.kinds, log.sites):
-        while k_sample < grid.size and grid[k_sample] < t:
-            out.append(state.copy())
-            k_sample += 1
-        state = apply_event(state, Event(EventKind(int(k)), int(j)))
-    while k_sample < grid.size:
-        out.append(state.copy())
-        k_sample += 1
-    return out
+    n = initial.n_sites
+    initial_counts = np.concatenate([initial.counts(c) for c in "sirb"]).astype(np.int64)
+    counts = initial_counts.copy()
+    # row g: deltas of the events that snapshot g is the first to see
+    binned = np.zeros((grid.size + 1, counts.size), dtype=np.int64)
+    for a in range(0, len(log), _REPLAY_CHUNK):
+        b = a + _REPLAY_CHUNK
+        part = EventLog(log.times[a:b], log.kinds[a:b], log.sites[a:b])
+        event, cell, delta = log_entries(part, n)
+        _check_sources(counts, part, n, event, cell, delta)
+        np.add.at(counts, cell, delta)
+        segment = np.searchsorted(grid, part.times, side="left")[event]
+        np.add.at(binned, (segment, cell), delta)
+    snaps = initial_counts + np.cumsum(binned[: grid.size], axis=0)
+    return [SystemState(*row.reshape(4, -1).copy()) for row in snaps]

@@ -41,6 +41,8 @@ __all__ = [
     "EventKind",
     "EVENT_DELTAS",
     "N_EVENT_KINDS",
+    "STOICHIOMETRY",
+    "SOURCES",
     "EpidemicParams",
     "ScalingParams",
     "SystemState",
@@ -51,6 +53,7 @@ __all__ = [
     "event_rate",
     "all_rates",
     "apply_event",
+    "log_entries",
     "step_ssa",
     "simulate_ssa",
     "simulate_tau_leap",
@@ -118,6 +121,29 @@ _EVENT_SOURCE: dict[EventKind, tuple[str, ...]] = {
     EventKind.TRANSPORT_IN: ("b",),
 }
 
+_COMPARTMENTS = ("s", "i", "r", "b")
+
+
+def _entry_table(rows: Sequence[Sequence[tuple[int, int, int]]]) -> np.ndarray:
+    """Pack per-kind (row, site offset, value) entries into an integer table
+    of shape (N_EVENT_KINDS, slots, 3); unused slots hold value 0."""
+    table = np.zeros((len(rows), max(len(r) for r in rows), 3), dtype=np.int64)
+    for kind, entries in enumerate(rows):
+        table[kind, : len(entries)] = entries
+    return table
+
+
+# The reaction table as integer arrays, derived from the two dicts above.
+# STOICHIOMETRY entries are (compartment, offset, count delta); SOURCES
+# entries are (compartment, 0, least count the event needs at its site).
+STOICHIOMETRY = _entry_table([
+    [(_COMPARTMENTS.index(c), off, d) for c, off, d in EVENT_DELTAS[kind]]
+    for kind in EventKind
+])
+SOURCES = _entry_table([
+    [(_COMPARTMENTS.index(c), 0, 1) for c in _EVENT_SOURCE[kind]] for kind in EventKind
+])
+
 
 @dataclass(frozen=True)
 class EpidemicParams:
@@ -168,9 +194,6 @@ class ScalingParams:
             v = getattr(self, name)
             if not isinstance(v, (int, np.integer)) or v < lo:
                 raise ValueError(f"{name} must be an integer >= {lo}, got {v!r}")
-
-
-_COMPARTMENTS = ("s", "i", "r", "b")
 
 
 @dataclass
@@ -403,6 +426,34 @@ def apply_event(state: SystemState, e: Event) -> SystemState:
     for comp, offset, delta in EVENT_DELTAS[e.kind]:
         out.counts(comp)[(j + offset) % n] += delta
     return out
+
+
+def log_entries(
+    log: EventLog, n_sites: int, table: np.ndarray = STOICHIOMETRY
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Expand an event log through an entry table such as STOICHIOMETRY.
+
+    Returns int64 arrays (event index, flat cell, value) with one element
+    per used slot of each event's table row, in event order.  The entry
+    (row, offset, value) of an event at site j lands in flat cell
+    row * n_sites + (j + offset) % n_sites of a raveled (rows, n_sites) array.
+
+    Raises ValueError on a kind outside the table or a site outside the
+    lattice.
+    """
+    kinds = log.kinds.astype(np.intp)
+    sites = log.sites.astype(np.int64)
+    if kinds.size:
+        if kinds.max() >= table.shape[0]:
+            bad = int(kinds[kinds >= table.shape[0]][0])
+            raise ValueError(f"event kind {bad} is not one of the {table.shape[0]} kinds")
+        if sites.max() >= n_sites:
+            bad = int(sites[sites >= n_sites][0])
+            raise ValueError(f"event site {bad} outside lattice of {n_sites} sites")
+    rows = table[kinds]
+    event, slot = np.nonzero(rows[:, :, 2])
+    row, offset, value = rows[event, slot].T
+    return event, row * n_sites + (sites[event] + offset) % n_sites, value
 
 
 # ---------------------------------------------------------------------------

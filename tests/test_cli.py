@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from sirb_lattice import diagnostics
 from sirb_lattice.cli import ConfigError, main, parse_config, run
 
 BASE_CONFIG = """
@@ -285,3 +286,15 @@ def test_main_converge_mode_flag(tmp_path):
     assert code == 0
     summary = (tmp_path / "t2" / "report_summary.csv").read_text().splitlines()
     assert len(summary) == 3
+
+
+@pytest.mark.parametrize("mode", ["simulate", "diagnose"])
+@pytest.mark.parametrize("replicas, expected", [(2, 2), (5, 3)])
+def test_worker_count_capped_by_jobs_and_cpus(
+    tmp_path, monkeypatch, pool_sizes, mode, replicas, expected
+):
+    monkeypatch.setattr(diagnostics.os, "cpu_count", lambda: 3)
+    path = write_config(tmp_path)
+    argv = [mode, "--config", str(path), "--replicas", str(replicas), "--workers", "10000"]
+    assert main(argv) == 0
+    assert pool_sizes == [expected]

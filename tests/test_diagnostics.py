@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from sirb_lattice import diagnostics
 from sirb_lattice.deterministic import DeterministicState
 from sirb_lattice.diagnostics import (
+    _sweep_chunk,
     compensator_check,
     drift_fields,
     event_table_drift,
@@ -14,6 +16,7 @@ from sirb_lattice.diagnostics import (
     lln_experiment,
     martingale_residual,
     mean_zero_pass_fraction,
+    pool_size,
     square_amplitudes,
     sup_distance,
 )
@@ -26,6 +29,7 @@ from sirb_lattice.stochastic import (
     ScalingParams,
     SystemState,
     Trajectory,
+    apply_event,
     simulate_ssa,
 )
 
@@ -237,6 +241,96 @@ def test_residual_mean_zero_across_replicas():
 
 
 # ---------------------------------------------------------------------------
+# The sweep against a per-event reference
+
+FAMILIES = ("S", "I", "R", "B", "B_cross_plus", "B_cross_minus")
+
+
+def reference_sweep(traj, params, scaling):
+    """Event-by-event sweep: apply_event for the counts, the closed forms
+    (pinned against the event table above) for the integrands, and the
+    observed jump products taken from each event's count change."""
+    h, k = float(scaling.h), float(scaling.k)
+    renorm = np.array([h, h, h, k, k, k])[:, None]
+
+    def integrands(state):
+        drift = drift_fields(state, params, scaling)
+        amps = square_amplitudes(state, params, scaling)
+        return (np.stack([drift[c].values for c in "SIRB"]),
+                np.stack([amps[f].values for f in FAMILIES]) / renorm)
+
+    def count_stack(state):
+        return np.stack([state.counts(c) for c in "sirb"])
+
+    state, t = traj.initial, 0.0
+    u0 = state.rescaled(scaling)
+    int_drift = np.zeros((4, state.n_sites))
+    int_amp = np.zeros((6, state.n_sites))
+    jumps = np.zeros((6, state.n_sites))
+    events = list(traj.event_log)
+    e = 0
+    z_out, obs_out, pred_out = [], [], []
+    for g in traj.sample_times:
+        while e < len(events) and events[e][0] <= g:
+            t_event, event = events[e]
+            drift, amp = integrands(state)
+            int_drift += drift * (t_event - t)
+            int_amp += amp * (t_event - t)
+            new = apply_event(state, event)
+            du = count_stack(new) - count_stack(state)
+            db = du[3]
+            jumps[:4] += du**2
+            jumps[4] += db * np.roll(db, -1)
+            jumps[5] += db * np.roll(db, 1)
+            state, t, e = new, t_event, e + 1
+        drift, amp = integrands(state)
+        z_out.append(state.rescaled(scaling) - u0 - (int_drift + drift * (g - t)))
+        obs_out.append(jumps / renorm**2)
+        pred_out.append(int_amp + amp * (g - t))
+    return np.stack(z_out), np.stack(obs_out), np.stack(pred_out)
+
+
+def test_sweep_matches_per_event_reference():
+    rng = np.random.default_rng(21)
+    n = 3
+    chunk = _sweep_chunk(n)
+    for trial in range(4):
+        params = make_params(
+            n=n, mu=rng.uniform(0.1, 1), alpha=rng.uniform(0.1, 1),
+            gamma=rng.uniform(0.1, 1), rho=rng.uniform(0.1, 1),
+            beta=rng.uniform(0.5, 2), p_over_w=rng.uniform(0.1, 1),
+            mu_b=rng.uniform(0.1, 1), ell=rng.uniform(0.5, 2), p_out=rng.uniform(0, 1),
+        )
+        scaling = ScalingParams(n, int(rng.integers(20, 60)), int(rng.integers(20, 60)))
+        state = random_state(rng, n, hi=60)
+        horizon = 1.5
+        trajs = [simulate_ssa(state, horizon, [0.0, horizon], params, scaling,
+                              seed=trial, stream=r, record_events=True) for r in range(2)]
+        log = trajs[0].event_log
+        assert len(log) > 2 * chunk  # spans several chunks
+        # sample times include one event time exactly, and the grid stops
+        # well before the horizon, so later events must be ignored
+        grid = np.sort(np.append(rng.uniform(0.0, 1.0, 6), [0.0, log.times[len(log) // 3]]))
+        assert log.times[-1] > grid[-1]
+        empty = EventLog(np.empty(0), np.empty(0, dtype=np.uint8),
+                         np.empty(0, dtype=np.uint32))
+        replicas = [Trajectory(grid, [t.initial], t.event_log, seed=0) for t in trajs]
+        replicas.append(Trajectory(grid, [state], empty, seed=0))
+        checks = compensator_check(replicas, params, scaling)
+        for r, traj in enumerate(replicas):
+            z_ref, obs_ref, pred_ref = reference_sweep(traj, params, scaling)
+            res = martingale_residual(traj, params, scaling)
+            z = np.stack([res.component(c) for c in "SIRB"], axis=1)
+            assert np.all(z[0] == 0.0)
+            np.testing.assert_allclose(z, z_ref, rtol=1e-12, atol=1e-12)
+            for i, fam in enumerate(FAMILIES):
+                np.testing.assert_allclose(checks.observed[fam][r], obs_ref[:, i],
+                                           rtol=1e-12, atol=1e-12)
+                np.testing.assert_allclose(checks.predicted[fam][r], pred_ref[:, i],
+                                           rtol=1e-12, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
 # Compensators
 
 def test_compensator_zero_rate_system():
@@ -384,3 +478,22 @@ def test_lln_distance_shrinks_along_small_ladder():
                             params, horizon=0.5, replicas=6, seed=3,
                             mode="theorem1", n_samples=6)
     assert report.rungs[1].median < report.rungs[0].median
+
+
+def test_pool_size_caps_workers(monkeypatch):
+    monkeypatch.setattr(diagnostics.os, "cpu_count", lambda: 4)
+    assert pool_size(10000, 10**6) == 4
+    assert pool_size(10000, 3) == 3
+    assert pool_size(2, 100) == 2
+    assert pool_size(1, 100) == 1
+    assert pool_size(8, 0) == 1
+    monkeypatch.setattr(diagnostics.os, "cpu_count", lambda: None)
+    assert pool_size(8, 8) == 1
+
+
+def test_lln_pool_is_capped(monkeypatch, pool_sizes):
+    monkeypatch.setattr(diagnostics.os, "cpu_count", lambda: 2)
+    lln_experiment([(4, 20, 20), (4, 40, 40)], initial_profiles(), make_params(n=4),
+                   horizon=0.1, replicas=3, seed=2, mode="theorem1",
+                   n_samples=3, workers=10000)
+    assert pool_sizes == [2, 2]

@@ -1,15 +1,18 @@
 """Round trips, corruption detection, replay, and a pinned regression run."""
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
 
 from sirb_lattice.io import (
+    _REPLAY_CHUNK,
     CorruptFileError,
     read_trajectory,
     replay,
     replay_trajectory,
+    sha256_file,
     write_trajectory,
 )
 from sirb_lattice.lattice import TransportCoefficients
@@ -122,6 +125,45 @@ def test_wrong_magic_detected(tmp_path):
         read_trajectory(tmp_path)
 
 
+def rehash(directory):
+    """Record the current hash of every listed file, so that a corruption
+    passes the hash check and reaches the parser."""
+    path = directory / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["file_hashes"] = {
+        name: sha256_file(directory / name) for name in manifest["file_hashes"]
+    }
+    path.write_text(json.dumps(manifest))
+
+
+def test_out_of_range_kind_byte_detected(tmp_path):
+    traj, params, scaling = sample_run()
+    write_trajectory(tmp_path, traj, params, scaling)
+    path = tmp_path / "events.bin"
+    raw = bytearray(path.read_bytes())
+    raw[9 + 13 * 3 + 8] = 14  # kind byte of the fourth frame
+    path.write_bytes(bytes(raw))
+    rehash(tmp_path)
+    with pytest.raises(CorruptFileError, match="kind byte 14"):
+        read_trajectory(tmp_path)
+
+
+@pytest.mark.parametrize("edit", ["unknown", "missing"])
+def test_manifest_schema_mismatch_detected(tmp_path, edit):
+    traj, params, scaling = sample_run()
+    write_trajectory(tmp_path, traj, params, scaling)
+    path = tmp_path / "manifest.json"
+    manifest = json.loads(path.read_text())
+    if edit == "unknown":
+        manifest["bogus"] = 1
+    else:
+        del manifest["seed"]
+    path.write_text(json.dumps(manifest))
+    rehash(tmp_path)
+    with pytest.raises(CorruptFileError, match="manifest"):
+        read_trajectory(tmp_path)
+
+
 def test_event_frame_layout(tmp_path):
     # magic (8 bytes) + version (1) + 13-byte frames
     traj, params, scaling = sample_run()
@@ -169,6 +211,67 @@ def test_replay_detects_mismatched_log():
                    np.array([0], dtype=np.uint32))
     with pytest.raises(ValueError):
         replay(state, log)
+
+
+@pytest.mark.parametrize("kind, site", [(14, 0), (255, 0), (0, 4), (12, 2**32 - 1)])
+def test_replay_rejects_unknown_kind_or_site(kind, site):
+    state = SystemState.from_counts(*(np.full(4, 3) for _ in range(4)))
+    log = EventLog(np.array([0.1, 0.2]),
+                   np.array([0, kind], dtype=np.uint8),
+                   np.array([1, site], dtype=np.uint32))
+    with pytest.raises(ValueError, match="kind" if kind >= 14 else "site"):
+        replay(state, log)
+    with pytest.raises(ValueError):
+        replay_trajectory(state, log, [0.0, 0.3])
+
+
+@pytest.mark.parametrize("padding", [0, _REPLAY_CHUNK - 1])
+def test_replay_detects_source_emptied_then_refilled(padding):
+    # After ``padding`` harmless births, one event empties I at site 0, the
+    # next needs I there (its propensity is zero), the third refills it.
+    # Every running count stays nonnegative and the terminal state is valid,
+    # so only a check of each event's source just before it can catch the
+    # log.  With padding, the emptying event closes a replay chunk and the
+    # bad one opens the next.
+    state = SystemState.from_counts(
+        np.array([3, 3, 3, 3]), np.array([1, 0, 0, 0]),
+        np.zeros(4, int), np.array([2, 0, 0, 0]),
+    )
+    kinds = [EventKind.BIRTH_FROM_S] * padding + [
+        EventKind.DEATH_I_NATURAL, EventKind.CONTAMINATION, EventKind.INFECTION]
+    log = EventLog(np.linspace(0.1, 0.3, len(kinds)),
+                   np.array([int(k) for k in kinds], dtype=np.uint8),
+                   np.array([1] * padding + [0, 0, 0], dtype=np.uint32))
+    message = r"CONTAMINATION at site 0 requires i_counts >= 1 \(got 0\)"
+    oracle = state
+    with pytest.raises(ValueError, match=message):
+        for _, event in log:
+            oracle = apply_event(oracle, event)
+    with pytest.raises(ValueError, match=message):
+        replay(state, log)
+    with pytest.raises(ValueError, match=message):
+        replay_trajectory(state, log, [0.0, 0.5])
+
+
+def test_replay_trajectory_bit_identical_on_wide_lattice():
+    n = 256
+    params = make_params(n)
+    scaling = ScalingParams(n, 100, 100)
+    rng = np.random.default_rng(256)
+    state = SystemState.from_counts(
+        rng.integers(50, 100, n), rng.integers(0, 20, n),
+        rng.integers(0, 5, n), rng.integers(0, 100, n),
+    )
+    grid = np.linspace(0.0, 0.1, 11)
+    traj = simulate_ssa(state, 0.1, grid, params, scaling, seed=17, record_events=True)
+    assert len(traj.event_log) > _REPLAY_CHUNK
+    snaps = replay_trajectory(traj.initial, traj.event_log, grid)
+    assert len(snaps) == len(traj.states)
+    for a, b in zip(snaps, traj.states):
+        for c in "sirb":
+            assert a.counts(c).dtype == b.counts(c).dtype
+            assert np.array_equal(a.counts(c), b.counts(c))
+    assert replay(traj.initial, traj.event_log) == traj.final
 
 
 def test_replayed_round_trip_matches_terminal_state(tmp_path):
