@@ -1,5 +1,6 @@
 """Event rates, jump bookkeeping, and the exact/tau-leap simulators."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from sirb_lattice.stochastic import (
     EpidemicParams,
     Event,
     EventKind,
+    EventLog,
     ScalingParams,
     SystemState,
     all_rates,
@@ -294,6 +296,102 @@ def test_simulate_matches_manual_step_loop():
         t += wait
         state = apply_event(state, event)
     assert state == traj.final
+
+
+# Pinned event logs of the two shapes below: the sha256 of times, kinds,
+# sites and every snapshot's counts.  They fix the draw order and the
+# floating-point operations of the engine, not only where it ends up.
+GOLDEN_EVENT_LOG_SHA256 = (
+    "a53f35459bf1145f3d0df651311c498a4270b0d6a97e08d7996f5239dec329b6"
+)
+GOLDEN_ABSORBED_LOG_SHA256 = (
+    "9378f75beec36d9474025000edb9656d663ce4d75f5381557fe8b409a09ea0f7"
+)
+
+
+def wrapping_run_args():
+    """n = 16 with heavy reservoirs at sites 0 and n - 1, so transport wraps
+    around both ends of the lattice."""
+    n = 16
+    b = np.full(n, 4)
+    b[0] = b[-1] = 20
+    state = SystemState.from_counts(np.full(n, 18), np.full(n, 2), np.zeros(n, int), b)
+    return (state, 1.0, np.linspace(0, 1, 6), make_params(n=n, p_out=0.6),
+            ScalingParams(n, 20, 20), 2024, 3)
+
+
+def absorbed_run_args():
+    """n = 3 with H = K = 2: every count reaches zero long before the horizon."""
+    state = SystemState.from_counts([2, 1, 0], [1, 0, 1], [0, 1, 0], [1, 0, 2])
+    return (state, 40.0, np.linspace(0, 40, 9), make_params(n=3),
+            ScalingParams(3, 2, 2), 0, 0)
+
+
+def event_log_digest(traj):
+    log = traj.event_log
+    h = hashlib.sha256()
+    h.update(log.times.astype("<f8").tobytes())
+    h.update(log.kinds.astype("u1").tobytes())
+    h.update(log.sites.astype("<u4").tobytes())
+    for st in traj.states:
+        for c in "sirb":
+            h.update(st.counts(c).astype("<i8").tobytes())
+    return h.hexdigest()
+
+
+def manual_run(state, horizon, grid, params, scaling, seed, stream):
+    """Iterate step_ssa + apply_event on the run's stream: (log, snapshots)."""
+    rng = replica_rng(seed, stream)
+    t = 0.0
+    times, kinds, sites, snapshots = [], [], [], []
+    k = 0
+    while True:
+        event, wait = step_ssa(state, params, scaling, rng)
+        t_next = t + wait
+        while k < len(grid) and grid[k] < t_next:
+            snapshots.append(state)
+            k += 1
+        if event is None or t_next > horizon:
+            break
+        t = t_next
+        state = apply_event(state, event)
+        times.append(t)
+        kinds.append(int(event.kind))
+        sites.append(event.site)
+    log = EventLog(np.array(times), np.array(kinds, np.uint8), np.array(sites, np.uint32))
+    return log, snapshots
+
+
+def test_golden_event_log_with_wrapping_transport():
+    state, horizon, grid, params, scaling, seed, stream = wrapping_run_args()
+    traj = simulate_ssa(state, horizon, grid, params, scaling, seed=seed,
+                        stream=stream, record_events=True)
+    log = traj.event_log
+    n = traj.final.n_sites
+    assert np.any((log.kinds == EventKind.TRANSPORT_OUT) & (log.sites == n - 1))
+    assert np.any((log.kinds == EventKind.TRANSPORT_IN) & (log.sites == 0))
+    assert event_log_digest(traj) == GOLDEN_EVENT_LOG_SHA256
+
+
+def test_golden_event_log_reaching_absorption():
+    state, horizon, grid, params, scaling, seed, stream = absorbed_run_args()
+    traj = simulate_ssa(state, horizon, grid, params, scaling, seed=seed,
+                        stream=stream, record_events=True)
+    assert traj.event_log.times[-1] < grid[-2]
+    assert all(not np.any(traj.final.counts(c)) for c in "sirb")
+    assert traj.states[-1] == traj.states[-2]
+    assert event_log_digest(traj) == GOLDEN_ABSORBED_LOG_SHA256
+
+
+@pytest.mark.parametrize("run_args", [wrapping_run_args, absorbed_run_args])
+def test_simulate_matches_manual_step_loop_event_by_event(run_args):
+    state, horizon, grid, params, scaling, seed, stream = run_args()
+    traj = simulate_ssa(state, horizon, grid, params, scaling, seed=seed,
+                        stream=stream, record_events=True)
+    log, snapshots = manual_run(state, horizon, grid, params, scaling, seed, stream)
+    assert len(log) > 0
+    assert traj.event_log == log
+    assert traj.states == snapshots
 
 
 def test_simulate_counts_stay_nonnegative_and_on_grid():
