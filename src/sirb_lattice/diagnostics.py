@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -607,37 +608,36 @@ def lln_experiment(
     grid = np.linspace(0.0, horizon, n_samples) if horizon > 0 else np.array([0.0])
     comps = COMPARTMENTS if mode == "theorem1" else ("B",)
     rungs: list[LadderRung] = []
-    for rung_idx, (n, h, k) in enumerate(ladder):
-        scaling = ScalingParams(int(n), int(h), int(k))
-        prm = params.with_lattice(int(n))
-        fields0 = [project(f, int(n), quadrature_points) for f in initial_fns]
-        v0 = DeterministicState(*fields0)
-        state0 = SystemState.from_densities(*fields0, scaling=scaling)
-        rounding = float(np.max(np.abs(state0.rescaled(scaling) - v0.stack())))
-        rf = ReactionField(
-            prm, hk_ratio=h / k, mode="coupled" if mode == "theorem1" else "decoupled"
-        )
-        det = integrate(v0, horizon, rf, prm.transport, sample_times=grid)
-        c0 = float(np.max(np.abs(v0.stack())))
-        ball = c0 * math.exp(growth_constant(rf) * horizon)
-        payloads = [
-            (state0, horizon, grid, prm, scaling, seed, (rung_idx << 32) + rep, det, comps)
-            for rep in range(replicas)
-        ]
-        size = pool_size(workers, replicas)
-        if size > 1:
-            with ProcessPoolExecutor(max_workers=size) as pool:
-                results = list(pool.map(_replica_distance, payloads))
-        else:
-            results = [_replica_distance(p) for p in payloads]
-        distances = np.array([d for d, _ in results])
-        exits = sum(1 for _, sup_u in results if sup_u > ball)
-        rungs.append(
-            LadderRung(
-                n_sites=int(n), h=int(h), k=int(k),
-                distances=distances, rounding_error=rounding, ball_exits=exits,
+    # One pool serves every rung: its workers start once, at the first rung.
+    size = pool_size(workers, replicas)
+    with ProcessPoolExecutor(max_workers=size) if size > 1 else nullcontext() as pool:
+        run = pool.map if pool is not None else map
+        for rung_idx, (n, h, k) in enumerate(ladder):
+            scaling = ScalingParams(int(n), int(h), int(k))
+            prm = params.with_lattice(int(n))
+            fields0 = [project(f, int(n), quadrature_points) for f in initial_fns]
+            v0 = DeterministicState(*fields0)
+            state0 = SystemState.from_densities(*fields0, scaling=scaling)
+            rounding = float(np.max(np.abs(state0.rescaled(scaling) - v0.stack())))
+            rf = ReactionField(
+                prm, hk_ratio=h / k, mode="coupled" if mode == "theorem1" else "decoupled"
             )
-        )
+            det = integrate(v0, horizon, rf, prm.transport, sample_times=grid)
+            c0 = float(np.max(np.abs(v0.stack())))
+            ball = c0 * math.exp(growth_constant(rf) * horizon)
+            payloads = [
+                (state0, horizon, grid, prm, scaling, seed, (rung_idx << 32) + rep, det, comps)
+                for rep in range(replicas)
+            ]
+            results = list(run(_replica_distance, payloads))
+            distances = np.array([d for d, _ in results])
+            exits = sum(1 for _, sup_u in results if sup_u > ball)
+            rungs.append(
+                LadderRung(
+                    n_sites=int(n), h=int(h), k=int(k),
+                    distances=distances, rounding_error=rounding, ball_exits=exits,
+                )
+            )
     return ConvergenceReport(
         mode=mode, horizon=horizon, replicas=replicas, seed=seed, rungs=rungs
     )

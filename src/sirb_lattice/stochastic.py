@@ -29,6 +29,8 @@ rates):
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from enum import IntEnum
 from typing import Iterator, Optional, Sequence
@@ -143,6 +145,10 @@ STOICHIOMETRY = _entry_table([
 SOURCES = _entry_table([
     [(_COMPARTMENTS.index(c), 0, 1) for c in _EVENT_SOURCE[kind]] for kind in EventKind
 ])
+# The compartment each kind's rate is proportional to (its first source),
+# and the compartments the nonlinear infection rate reads.
+_RATE_SOURCE = tuple(SOURCES[:, 0, 0].tolist())
+_INFECTION_READS = tuple(SOURCES[EventKind.INFECTION, :, 0].tolist())
 
 
 @dataclass(frozen=True)
@@ -367,31 +373,27 @@ def event_rate(
     raise ValueError(f"unknown event kind {kind!r}")
 
 
+def _rate_coefficients(params: EpidemicParams) -> tuple[float, ...]:
+    """Rate coefficient of each kind, in EventKind order.  The rate of a kind
+    at site j is its coefficient times the count of its source compartment
+    ``_RATE_SOURCE[kind]`` at j; infection's beta * s_j is further multiplied
+    by b_j / (K + b_j)."""
+    p, tc = params, params.transport
+    return (
+        p.mu, p.mu, p.mu, p.mu, p.beta, p.mu, p.alpha, p.gamma, p.mu, p.rho,
+        p.mu_b, p.p_over_w, tc.ell * tc.p_out, tc.ell * tc.p_in,
+    )
+
+
 def all_rates(
     state: SystemState, params: EpidemicParams, scaling: ScalingParams
 ) -> np.ndarray:
     """All propensities as a (14, n_sites) array indexed by EventKind."""
     _check_compatible(state.n_sites, params, scaling)
-    s = state.s_counts.astype(float)
-    i = state.i_counts.astype(float)
-    r = state.r_counts.astype(float)
-    b = state.b_counts.astype(float)
-    p = params
-    out = np.empty((N_EVENT_KINDS, state.n_sites))
-    out[EventKind.BIRTH_FROM_S] = p.mu * s
-    out[EventKind.BIRTH_FROM_I] = p.mu * i
-    out[EventKind.BIRTH_FROM_R] = p.mu * r
-    out[EventKind.DEATH_S] = p.mu * s
-    out[EventKind.INFECTION] = p.beta * s * b / (scaling.k + b)
-    out[EventKind.DEATH_I_NATURAL] = p.mu * i
-    out[EventKind.DEATH_I_CHOLERA] = p.alpha * i
-    out[EventKind.RECOVERY] = p.gamma * i
-    out[EventKind.DEATH_R] = p.mu * r
-    out[EventKind.IMMUNITY_LOSS] = p.rho * r
-    out[EventKind.BACTERIA_DEATH] = p.mu_b * b
-    out[EventKind.CONTAMINATION] = p.p_over_w * i
-    out[EventKind.TRANSPORT_OUT] = p.transport.ell * p.transport.p_out * b
-    out[EventKind.TRANSPORT_IN] = p.transport.ell * p.transport.p_in * b
+    counts = np.stack([state.counts(c) for c in _COMPARTMENTS]).astype(float)
+    out = np.array(_rate_coefficients(params))[:, None] * counts[list(_RATE_SOURCE)]
+    b = counts[_COMPARTMENTS.index("b")]
+    out[EventKind.INFECTION] = out[EventKind.INFECTION] * b / (scaling.k + b)
     return out
 
 
@@ -467,9 +469,13 @@ def step_ssa(
 ) -> tuple[Optional[Event], float]:
     """Draw one jump of the exact chain: (event, waiting time).
 
-    Returns (None, inf) from an absorbing state (total propensity zero).
-    The waiting time is exponential with the total propensity as rate, and
-    the event is chosen with probability proportional to its propensity.
+    Returns (None, inf) from an absorbing state (total propensity zero),
+    without drawing.  Otherwise it draws one ``standard_exponential()``,
+    divided by the total propensity, for the wait, then one ``random()``
+    times the total as the selection point; the event is the right-sided
+    search of that point in the sequential cumsum of the rates laid out
+    kind-major, ``kind * n_sites + site``.  ``simulate_ssa`` draws in the
+    same order, so iterating this on the same stream reproduces its runs.
     """
     rates = all_rates(state, params, scaling)
     flat = rates.reshape(-1)
@@ -501,31 +507,6 @@ def _validate_grid(sample_times, horizon: float) -> np.ndarray:
     return grid
 
 
-class _LogBuffer:
-    """Append-only growable columnar event buffer."""
-
-    def __init__(self, capacity: int = 1024):
-        self.t = np.empty(capacity)
-        self.k = np.empty(capacity, dtype=np.uint8)
-        self.j = np.empty(capacity, dtype=np.uint32)
-        self.size = 0
-
-    def append(self, t: float, kind: int, site: int):
-        if self.size == self.t.shape[0]:
-            grow = self.size * 2
-            self.t = np.resize(self.t, grow)
-            self.k = np.resize(self.k, grow)
-            self.j = np.resize(self.j, grow)
-        self.t[self.size] = t
-        self.k[self.size] = kind
-        self.j[self.size] = site
-        self.size += 1
-
-    def freeze(self) -> EventLog:
-        n = self.size
-        return EventLog(self.t[:n].copy(), self.k[:n].copy(), self.j[:n].copy())
-
-
 def simulate_ssa(
     initial: SystemState,
     horizon: float,
@@ -544,7 +525,13 @@ def simulate_ssa(
     zero the chain is absorbed and the clock jumps to the horizon.
 
     The trajectory is a deterministic function of
-    (initial, seed, stream, params, scaling).
+    (initial, seed, stream, params, scaling).  Draw order: while the total
+    propensity is positive, each event draws one ``standard_exponential()``
+    for the wait (divided by the total), then one ``random()`` times the
+    total as the selection point; the event is the right-sided search of
+    that point in the sequential cumsum of the rates laid out kind-major,
+    ``kind * n_sites + site``.  An absorbed chain draws nothing.  This is
+    the order of ``step_ssa``.
 
     Args:
         initial: starting counts; not modified.
@@ -555,154 +542,97 @@ def simulate_ssa(
         record_events: keep the full (time, kind, site) log.
 
     Returns:
-        Trajectory with one state per sample time.
+        Trajectory with one state per sample time; ``stats`` holds
+        ``n_events``, ``stream`` and ``events_by_kind`` (14 counts indexed
+        by EventKind).
     """
     grid = _validate_grid(sample_times, horizon)
     _check_compatible(initial.n_sites, params, scaling)
     n = initial.n_sites
     rng = replica_rng(seed, stream)
+    exponential = rng.standard_exponential
+    uniform = rng.random
+    accumulate = np.add.accumulate
 
-    s = initial.s_counts.astype(np.int64).copy()
-    i = initial.i_counts.astype(np.int64).copy()
-    r = initial.r_counts.astype(np.int64).copy()
-    b = initial.b_counts.astype(np.int64).copy()
-    state_now = SystemState(s, i, r, b)
-    rates = all_rates(state_now, params, scaling)
-    flat = rates.reshape(-1)
+    flat = all_rates(initial, params, scaling).reshape(-1)
+    cum = np.empty_like(flat)
+    rates, cum_view = memoryview(flat), memoryview(cum)
+    # Counts as one list of 4n cells, compartment * n + site.
+    counts = np.concatenate([initial.counts(c) for c in _COMPARTMENTS]).tolist()
 
-    mu = params.mu
-    alpha = params.alpha
-    gamma = params.gamma
-    rho = params.rho
-    beta = params.beta
-    pw = params.p_over_w
-    mu_b = params.mu_b
+    # What each cell's count feeds: the flat index and coefficient of every
+    # linear rate it sources, and (flat index, s cell, b cell) of the
+    # infection rate when infection reads it.  Every rate reads counts at its
+    # own site only, so rewriting these after each count update keeps `flat`
+    # equal, bit for bit, to all_rates of the current state.
+    coefficients = _rate_coefficients(params)
+    beta = coefficients[EventKind.INFECTION]
     kcap = float(scaling.k)
-    lpo = params.transport.ell * params.transport.p_out
-    lpi = params.transport.ell * params.transport.p_in
-
-    INF = int(EventKind.INFECTION)
-    REC = int(EventKind.RECOVERY)
-    IMM = int(EventKind.IMMUNITY_LOSS)
-    DS = int(EventKind.DEATH_S)
-    DIN = int(EventKind.DEATH_I_NATURAL)
-    DIC = int(EventKind.DEATH_I_CHOLERA)
-    DR = int(EventKind.DEATH_R)
-    BD = int(EventKind.BACTERIA_DEATH)
-    CON = int(EventKind.CONTAMINATION)
-    TO = int(EventKind.TRANSPORT_OUT)
-    TI = int(EventKind.TRANSPORT_IN)
-
-    def refresh_s(j):
-        sj = s[j]
-        rates[0, j] = mu * sj
-        rates[3, j] = mu * sj
-        rates[4, j] = beta * sj * b[j] / (kcap + b[j])
-
-    def refresh_i(j):
-        ij = i[j]
-        v = mu * ij
-        rates[1, j] = v
-        rates[5, j] = v
-        rates[6, j] = alpha * ij
-        rates[7, j] = gamma * ij
-        rates[11, j] = pw * ij
-
-    def refresh_r(j):
-        rj = r[j]
-        v = mu * rj
-        rates[2, j] = v
-        rates[8, j] = v
-        rates[9, j] = rho * rj
-
-    def refresh_b(j):
-        bj = b[j]
-        rates[4, j] = beta * s[j] * bj / (kcap + bj)
-        rates[10, j] = mu_b * bj
-        rates[12, j] = lpo * bj
-        rates[13, j] = lpi * bj
+    feeds = [
+        (
+            tuple((kind * n + j, coefficients[kind]) for kind in range(N_EVENT_KINDS)
+                  if _RATE_SOURCE[kind] == c and kind != EventKind.INFECTION),
+            (EventKind.INFECTION * n + j, j, 3 * n + j) if c in _INFECTION_READS else None,
+        )
+        for c in range(len(_COMPARTMENTS)) for j in range(n)
+    ]
+    # The count updates of the event at flat index kind * n + site, each as
+    # (cell, delta, *feeds of the cell).
+    plans = []
+    for row in STOICHIOMETRY.tolist():
+        for j in range(n):
+            cells = [(c * n + (j + off) % n, d) for c, off, d in row if d]
+            plans.append(tuple((cell, d, *feeds[cell]) for cell, d in cells))
 
     snapshots: list[SystemState] = []
-    log = _LogBuffer() if record_events else None
-    n_grid = grid.shape[0]
+    times, indices = array("d"), array("q")
+    n_rates = flat.size
+    fired = [0] * n_rates
+    samples = grid.tolist() + [math.inf]
     k_sample = 0
     t = 0.0
-    n_events = 0
 
     while True:
-        cum = np.cumsum(flat)
-        total = float(cum[-1])
-        if total > 0.0:
-            t_next = t + rng.standard_exponential() / total
-        else:
-            t_next = math.inf
-        while k_sample < n_grid and grid[k_sample] < t_next:
-            snapshots.append(SystemState(s.copy(), i.copy(), r.copy(), b.copy()))
+        accumulate(flat, out=cum)
+        total = cum_view[-1]
+        t_next = t + exponential() / total if total > 0.0 else math.inf
+        while samples[k_sample] < t_next:
+            snapshots.append(SystemState(*np.array(counts, dtype=np.int64).reshape(4, n)))
             k_sample += 1
         if t_next > horizon:
             break
         t = t_next
-        x = rng.random() * total
-        idx = int(np.searchsorted(cum, x, side="right"))
-        if idx >= flat.size:
+        idx = bisect_right(cum_view, uniform() * total)
+        if idx == n_rates:  # the point landed on the last cumsum boundary
             idx = int(flat.nonzero()[0][-1])
-        kind, j = divmod(idx, n)
 
-        if kind == INF:
-            s[j] -= 1
-            i[j] += 1
-            refresh_s(j)
-            refresh_i(j)
-        elif kind <= 3:  # births into S and natural S death
-            s[j] += 1 if kind != DS else -1
-            refresh_s(j)
-        elif kind in (DIN, DIC):
-            i[j] -= 1
-            refresh_i(j)
-        elif kind == REC:
-            i[j] -= 1
-            r[j] += 1
-            refresh_i(j)
-            refresh_r(j)
-        elif kind == DR:
-            r[j] -= 1
-            refresh_r(j)
-        elif kind == IMM:
-            r[j] -= 1
-            s[j] += 1
-            refresh_r(j)
-            refresh_s(j)
-        elif kind == BD:
-            b[j] -= 1
-            refresh_b(j)
-        elif kind == CON:
-            b[j] += 1
-            refresh_b(j)
-        elif kind == TO:
-            jn = j + 1 if j + 1 < n else 0
-            b[j] -= 1
-            b[jn] += 1
-            refresh_b(j)
-            refresh_b(jn)
-        elif kind == TI:
-            jn = j - 1 if j > 0 else n - 1
-            b[j] -= 1
-            b[jn] += 1
-            refresh_b(j)
-            refresh_b(jn)
-        else:  # pragma: no cover - kinds are exhaustive
-            raise AssertionError(f"unhandled kind {kind}")
+        for cell, delta, linear, infection in plans[idx]:
+            v = counts[cell] + delta
+            counts[cell] = v
+            for at, coefficient in linear:
+                rates[at] = coefficient * v
+            if infection:
+                at, s_cell, b_cell = infection
+                b = counts[b_cell]
+                rates[at] = beta * counts[s_cell] * b / (kcap + b)
 
-        n_events += 1
-        if log is not None:
-            log.append(t, kind, j)
+        fired[idx] += 1
+        if record_events:
+            times.append(t)
+            indices.append(idx)
 
+    event_log = None
+    if record_events:
+        kinds, sites = np.divmod(np.array(indices, dtype=np.int64), n)
+        event_log = EventLog(np.array(times, dtype=np.float64),
+                             kinds.astype(np.uint8), sites.astype(np.uint32))
+    by_kind = np.array(fired).reshape(N_EVENT_KINDS, n).sum(axis=1).tolist()
     return Trajectory(
         sample_times=grid,
         states=snapshots,
-        event_log=log.freeze() if log is not None else None,
+        event_log=event_log,
         seed=seed,
-        stats={"n_events": n_events, "stream": stream},
+        stats={"n_events": sum(by_kind), "stream": stream, "events_by_kind": by_kind},
     )
 
 

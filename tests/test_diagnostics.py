@@ -496,4 +496,18 @@ def test_lln_pool_is_capped(monkeypatch, pool_sizes):
     lln_experiment([(4, 20, 20), (4, 40, 40)], initial_profiles(), make_params(n=4),
                    horizon=0.1, replicas=3, seed=2, mode="theorem1",
                    n_samples=3, workers=10000)
-    assert pool_sizes == [2, 2]
+    assert pool_sizes == [2]
+
+
+def test_lln_builds_one_pool_for_the_whole_ladder(monkeypatch, pool_sizes):
+    monkeypatch.setattr(diagnostics.os, "cpu_count", lambda: 2)
+    ladder = [(4, 20, 20), (4, 40, 40), (4, 80, 80)]
+    kwargs = dict(horizon=0.2, replicas=3, seed=5, mode="theorem1", n_samples=3)
+    pooled = lln_experiment(ladder, initial_profiles(), make_params(n=4), workers=2,
+                            **kwargs)
+    assert pool_sizes == [2]
+    serial = lln_experiment(ladder, initial_profiles(), make_params(n=4), workers=1,
+                            **kwargs)
+    assert pool_sizes == [2]
+    for a, b in zip(pooled.rungs, serial.rungs):
+        assert np.array_equal(a.distances, b.distances)

@@ -394,6 +394,21 @@ def test_simulate_matches_manual_step_loop_event_by_event(run_args):
     assert traj.states == snapshots
 
 
+@pytest.mark.parametrize("run_args", [wrapping_run_args, absorbed_run_args])
+def test_events_by_kind_counts_the_log(run_args):
+    state, horizon, grid, params, scaling, seed, stream = run_args()
+    recorded, unrecorded = (
+        simulate_ssa(state, horizon, grid, params, scaling, seed=seed, stream=stream,
+                     record_events=record)
+        for record in (True, False)
+    )
+    by_kind = recorded.stats["events_by_kind"]
+    assert len(by_kind) == len(EventKind)
+    assert sum(by_kind) == recorded.stats["n_events"] == len(recorded.event_log)
+    assert by_kind == np.bincount(recorded.event_log.kinds, minlength=14).tolist()
+    assert unrecorded.stats["events_by_kind"] == by_kind
+
+
 def test_simulate_counts_stay_nonnegative_and_on_grid():
     rng = np.random.default_rng(17)
     for trial in range(10):
