@@ -34,7 +34,6 @@ from .stochastic import (  # noqa: F401
     event_rate,
     replica_rng,
     simulate_ssa,
-    simulate_tau_leap,
     step_ssa,
 )
 from .deterministic import (  # noqa: F401

@@ -58,7 +58,6 @@ __all__ = [
     "log_entries",
     "step_ssa",
     "simulate_ssa",
-    "simulate_tau_leap",
 ]
 
 RNG_ALGORITHM = "philox4x64"
@@ -633,119 +632,4 @@ def simulate_ssa(
         event_log=event_log,
         seed=seed,
         stats={"n_events": sum(by_kind), "stream": stream, "events_by_kind": by_kind},
-    )
-
-
-# ---------------------------------------------------------------------------
-# Tau-leaping accelerator
-
-def simulate_tau_leap(
-    initial: SystemState,
-    horizon: float,
-    tau: float,
-    params: EpidemicParams,
-    scaling: ScalingParams,
-    seed: int,
-    stream: int = 0,
-    sample_times: Optional[Sequence[float]] = None,
-) -> Trajectory:
-    """Approximate simulation: each (kind, site) fires Poisson(rate * tau)
-    times per step.
-
-    Step boundaries are forced at sample times, so snapshots are unbiased.
-    A step that would drive any count negative is rejected and retried with
-    the step halved (that step only); the number of halvings is reported in
-    ``Trajectory.stats["n_halvings"]``.  Converges in distribution to the
-    exact chain as tau -> 0.
-    """
-    if not np.isfinite(tau) or tau <= 0:
-        raise ValueError(f"tau must be finite and > 0, got {tau}")
-    if sample_times is None:
-        sample_times = [0.0, horizon] if horizon > 0 else [0.0]
-    grid = _validate_grid(sample_times, horizon)
-    _check_compatible(initial.n_sites, params, scaling)
-    rng = replica_rng(seed, stream)
-
-    state = initial.copy()
-    snapshots: list[SystemState] = [state.copy()]
-    t = 0.0
-    n_halvings = 0
-    n_steps = 0
-    min_tau = tau * 2.0**-40  # halving below this signals pathological rates
-
-    TO = int(EventKind.TRANSPORT_OUT)
-    TI = int(EventKind.TRANSPORT_IN)
-
-    # Segment boundaries at every sample time plus the horizon, so snapshots
-    # land exactly and the final chunk of each segment snaps to the boundary.
-    boundaries = list(grid[1:])
-    if horizon > (boundaries[-1] if boundaries else 0.0):
-        boundaries.append(horizon)
-
-    for t_stop in boundaries:
-        while t < t_stop:
-            remaining = t_stop - t
-            final_chunk = remaining <= tau
-            step = remaining if final_chunk else tau
-            rates = all_rates(state, params, scaling)
-            halved = False
-            while True:
-                fires = rng.poisson(rates * step)
-                ds = (
-                    fires[EventKind.BIRTH_FROM_S]
-                    + fires[EventKind.BIRTH_FROM_I]
-                    + fires[EventKind.BIRTH_FROM_R]
-                    - fires[EventKind.DEATH_S]
-                    - fires[EventKind.INFECTION]
-                    + fires[EventKind.IMMUNITY_LOSS]
-                )
-                di = (
-                    fires[EventKind.INFECTION]
-                    - fires[EventKind.DEATH_I_NATURAL]
-                    - fires[EventKind.DEATH_I_CHOLERA]
-                    - fires[EventKind.RECOVERY]
-                )
-                dr = (
-                    fires[EventKind.RECOVERY]
-                    - fires[EventKind.DEATH_R]
-                    - fires[EventKind.IMMUNITY_LOSS]
-                )
-                db = (
-                    fires[EventKind.CONTAMINATION]
-                    - fires[EventKind.BACTERIA_DEATH]
-                    - fires[TO]
-                    - fires[TI]
-                    + np.roll(fires[TO], 1)
-                    + np.roll(fires[TI], -1)
-                )
-                s_new = state.s_counts + ds
-                i_new = state.i_counts + di
-                r_new = state.r_counts + dr
-                b_new = state.b_counts + db
-                if (
-                    s_new.min() >= 0
-                    and i_new.min() >= 0
-                    and r_new.min() >= 0
-                    and b_new.min() >= 0
-                ):
-                    break
-                step *= 0.5
-                halved = True
-                n_halvings += 1
-                if step < min_tau:
-                    raise RuntimeError(
-                        "tau-leap step collapsed below tau * 2^-40; rates are too stiff"
-                    )
-            state = SystemState(s_new, i_new, r_new, b_new)
-            t = t_stop if (final_chunk and not halved) else t + step
-            n_steps += 1
-        if t_stop in grid:
-            snapshots.append(state.copy())
-
-    return Trajectory(
-        sample_times=grid,
-        states=snapshots,
-        event_log=None,
-        seed=seed,
-        stats={"n_steps": n_steps, "n_halvings": n_halvings, "stream": stream},
     )

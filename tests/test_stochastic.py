@@ -1,4 +1,4 @@
-"""Event rates, jump bookkeeping, and the exact/tau-leap simulators."""
+"""Event rates, jump bookkeeping, and the exact simulator."""
 
 import hashlib
 import math
@@ -6,8 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from sirb_lattice.deterministic import DeterministicState, ReactionField, integrate
-from sirb_lattice.lattice import LatticeField, TransportCoefficients
+from sirb_lattice.lattice import TransportCoefficients
 from sirb_lattice.stochastic import (
     EVENT_DELTAS,
     EpidemicParams,
@@ -21,7 +20,6 @@ from sirb_lattice.stochastic import (
     event_rate,
     replica_rng,
     simulate_ssa,
-    simulate_tau_leap,
     step_ssa,
 )
 
@@ -451,79 +449,6 @@ def test_nonfinite_parameters_rejected():
         make_params(beta=math.inf)
     with pytest.raises(ValueError):
         make_params(gamma=-0.1)
-
-
-# ---------------------------------------------------------------------------
-# tau-leaping
-
-def test_tau_leap_zero_rates_identical_state():
-    params = EpidemicParams(
-        mu=0, alpha=0, gamma=0, rho=0, beta=0, p_over_w=0, mu_b=0,
-        transport=TransportCoefficients(0.0, 0.5, 4),
-    )
-    scaling = ScalingParams(4, 10, 10)
-    state = uniform_state(4)
-    traj = simulate_tau_leap(state, 1.0, 0.1, params, scaling, seed=3,
-                             sample_times=[0.0, 0.5, 1.0])
-    assert all(st == state for st in traj.states)
-
-
-def test_tau_leap_horizon_zero():
-    params = make_params()
-    scaling = ScalingParams(4, 10, 10)
-    state = uniform_state(4)
-    traj = simulate_tau_leap(state, 0.0, 0.1, params, scaling, seed=3)
-    assert len(traj.states) == 1 and traj.states[0] == state
-
-
-def test_tau_leap_matches_ssa_mean():
-    # Small tau: terminal infected-density means agree with the exact chain
-    # within Monte-Carlo error.
-    params = make_params(n=3)
-    scaling = ScalingParams(3, 60, 60)
-    state = SystemState.from_counts(
-        np.full(3, 50), np.full(3, 6), np.zeros(3, int), np.full(3, 30)
-    )
-    horizon, reps = 0.5, 300
-    ssa = np.array([
-        simulate_ssa(state, horizon, [0.0, horizon], params, scaling,
-                     seed=31, stream=r).final.i_counts.sum()
-        for r in range(reps)
-    ]) / scaling.h
-    leap = np.array([
-        simulate_tau_leap(state, horizon, 0.01, params, scaling,
-                          seed=32, stream=r).final.i_counts.sum()
-        for r in range(reps)
-    ]) / scaling.h
-    se = math.sqrt(ssa.var(ddof=1) / reps + leap.var(ddof=1) / reps)
-    assert abs(ssa.mean() - leap.mean()) <= 4 * se + 1e-12
-
-
-def test_tau_leap_tracks_deterministic_limit():
-    # Large populations: one tau-leap path stays near the lattice ODE.
-    n, h = 4, 10_000
-    params = make_params(n=n)
-    scaling = ScalingParams(n, h, h)
-    fields = [np.full(n, 0.9), np.full(n, 0.1), np.zeros(n), np.full(n, 0.5)]
-    state = SystemState.from_densities(*fields, scaling=scaling)
-    grid = np.linspace(0.0, 1.0, 6)
-    traj = simulate_tau_leap(state, 1.0, 0.005, params, scaling, seed=77,
-                             sample_times=grid)
-    rf = ReactionField(params, hk_ratio=1.0)
-    v0 = DeterministicState(*(LatticeField(f) for f in fields))
-    det = integrate(v0, 1.0, rf, params.transport, sample_times=grid)
-    worst = max(
-        float(np.max(np.abs(st.rescaled(scaling) - v.stack())))
-        for st, v in zip(traj.states, det)
-    )
-    assert worst < 0.05
-
-
-def test_tau_leap_rejects_bad_tau():
-    params = make_params()
-    scaling = ScalingParams(4, 10, 10)
-    with pytest.raises(ValueError):
-        simulate_tau_leap(uniform_state(4), 1.0, 0.0, params, scaling, seed=1)
 
 
 # ---------------------------------------------------------------------------
