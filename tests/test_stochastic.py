@@ -204,6 +204,32 @@ def test_step_ssa_category_frequencies():
     assert stat < 13.8155
 
 
+def test_step_ssa_event_frequencies_match_all_rates():
+    # Non-uniform counts, a live infection rate and empty compartments:
+    # every (kind, site) pair fires in proportion to its all_rates entry,
+    # and a pair whose rate is zero never fires.
+    params = make_params(n=4)
+    scaling = ScalingParams(4, 10, 10)
+    state = SystemState.from_counts([9, 0, 4, 2], [2, 3, 0, 1], [0, 2, 1, 0], [5, 1, 0, 7])
+    rates = all_rates(state, params, scaling)
+    live = rates > 0
+    assert live[EventKind.INFECTION].any() and not live.all()
+    rng = replica_rng(4096)
+    draws = 60_000
+    counts = np.zeros_like(rates)
+    for _ in range(draws):
+        event, _ = step_ssa(state, params, scaling, rng)
+        counts[event.kind, event.site] += 1
+    assert not counts[~live].any()
+    expected = draws * rates[live] / rates.sum()
+    assert expected.min() >= 5
+    stat = float(((counts[live] - expected) ** 2 / expected).sum())
+    # 99.9% point of chi-square with df degrees of freedom (Wilson-Hilferty).
+    df = int(live.sum()) - 1
+    bound = df * (1 - 2 / (9 * df) + 3.0902 * math.sqrt(2 / (9 * df))) ** 3
+    assert stat < bound
+
+
 def test_step_ssa_mean_waiting_time():
     params = make_params()
     scaling = ScalingParams(4, 20, 20)
