@@ -40,6 +40,7 @@ import numpy as np
 from .lattice import MIN_SITES, LatticeField, TransportCoefficients
 
 __all__ = [
+    "RNG_ALGORITHM",
     "EventKind",
     "EVENT_DELTAS",
     "N_EVENT_KINDS",
@@ -60,7 +61,7 @@ __all__ = [
     "simulate_ssa",
 ]
 
-RNG_ALGORITHM = "philox4x64"
+RNG_ALGORITHM = "philox4x64/site-major-2u"
 
 
 class EventKind(IntEnum):
@@ -144,10 +145,8 @@ STOICHIOMETRY = _entry_table([
 SOURCES = _entry_table([
     [(_COMPARTMENTS.index(c), 0, 1) for c in _EVENT_SOURCE[kind]] for kind in EventKind
 ])
-# The compartment each kind's rate is proportional to (its first source),
-# and the compartments the nonlinear infection rate reads.
+# The compartment each kind's rate is proportional to (its first source).
 _RATE_SOURCE = tuple(SOURCES[:, 0, 0].tolist())
-_INFECTION_READS = tuple(SOURCES[EventKind.INFECTION, :, 0].tolist())
 
 
 @dataclass(frozen=True)
@@ -396,6 +395,27 @@ def all_rates(
     return out
 
 
+def _site_weights(params: EpidemicParams) -> tuple[tuple[float, ...], float]:
+    """(A_c for each compartment c, beta).  A_c is the correctly rounded sum
+    (``math.fsum``) of the coefficients of the linear kinds whose rate source
+    is c, so a site's total propensity is sum_c A_c * count_c plus infection."""
+    coefficients = _rate_coefficients(params)
+    weights = tuple(
+        math.fsum(coefficients[kind] for kind in range(N_EVENT_KINDS)
+                  if _RATE_SOURCE[kind] == c and kind != EventKind.INFECTION)
+        for c in range(len(_COMPARTMENTS))
+    )
+    return weights, coefficients[EventKind.INFECTION]
+
+
+def _site_total(weights, beta: float, kcap: float, s, i, r, b):
+    """Total propensity of a site, A_s*s + A_i*i + A_r*r + A_b*b + beta*s*b/(K+b),
+    left to right.  Count arrays give the totals of all sites elementwise,
+    with the bits the same expression gives on Python ints."""
+    a_s, a_i, a_r, a_b = weights
+    return a_s * s + a_i * i + a_r * r + a_b * b + beta * s * b / (kcap + b)
+
+
 def _check_compatible(n_sites: int, params: EpidemicParams, scaling: ScalingParams):
     if scaling.n_sites != n_sites:
         raise ValueError(f"state has {n_sites} sites but scaling expects {scaling.n_sites}")
@@ -469,26 +489,35 @@ def step_ssa(
     """Draw one jump of the exact chain: (event, waiting time).
 
     Returns (None, inf) from an absorbing state (total propensity zero),
-    without drawing.  Otherwise it draws one ``standard_exponential()``,
-    divided by the total propensity, for the wait, then one ``random()``
-    times the total as the selection point; the event is the right-sided
-    search of that point in the sequential cumsum of the rates laid out
-    kind-major, ``kind * n_sites + site``.  ``simulate_ssa`` draws in the
+    without drawing.  Otherwise it takes two ``random()`` draws u1, u2:
+    the wait is ``-log1p(-u1) / total``, where ``total`` is the last element
+    of the sequential cumsum of the site totals; the site is the right-sided
+    search of ``u2 * total`` in that cumsum (past the last boundary: the
+    last site with a positive total); the kind is the right-sided search
+    of the residual, ``u2 * total`` minus the cumsum before the site, in the
+    sequential cumsum of the site's 14 rates in EventKind order (past the
+    end: the last kind with a positive rate).  ``simulate_ssa`` draws in the
     same order, so iterating this on the same stream reproduces its runs.
     """
-    rates = all_rates(state, params, scaling)
-    flat = rates.reshape(-1)
-    cum = np.cumsum(flat)
+    _check_compatible(state.n_sites, params, scaling)
+    weights, beta = _site_weights(params)
+    totals = _site_total(weights, beta, float(scaling.k),
+                         *(state.counts(c) for c in _COMPARTMENTS))
+    cum = np.cumsum(totals)
     total = float(cum[-1])
     if total <= 0.0:
         return None, math.inf
-    wait = rng.standard_exponential() / total
-    x = rng.random() * total
-    idx = int(np.searchsorted(cum, x, side="right"))
-    if idx >= flat.size:  # x landed on the last cumsum boundary
-        idx = int(flat.nonzero()[0][-1])
-    kind, site = divmod(idx, state.n_sites)
-    return Event(EventKind(kind), site), wait
+    u1, u2 = rng.random(), rng.random()
+    x = u2 * total
+    site = int(np.searchsorted(cum, x, side="right"))
+    if site == state.n_sites:
+        site = int(np.flatnonzero(totals > 0.0)[-1])
+    rates = all_rates(state, params, scaling)[:, site]
+    residual = x - float(cum[site - 1]) if site else x
+    kind = int(np.searchsorted(np.cumsum(rates), residual, side="right"))
+    if kind == N_EVENT_KINDS:
+        kind = int(np.flatnonzero(rates > 0.0)[-1])
+    return Event(EventKind(kind), site), -math.log1p(-u1) / total
 
 
 def _validate_grid(sample_times, horizon: float) -> np.ndarray:
@@ -504,6 +533,18 @@ def _validate_grid(sample_times, horizon: float) -> np.ndarray:
     if grid[-1] > horizon:
         raise ValueError("sample grid must lie within [0, horizon]")
     return grid
+
+
+# Events per block of uniforms the simulator draws at once.
+_UNIFORM_BLOCK = 256
+
+
+def _uniform_pairs(rng: np.random.Generator) -> Iterator[tuple[float, float]]:
+    """(u1, u2) per event, drawn in blocks: a block of ``random()`` holds the
+    same doubles as that many successive ``random()`` calls."""
+    while True:
+        block = iter(rng.random(2 * _UNIFORM_BLOCK).tolist())
+        yield from zip(block, block)
 
 
 def simulate_ssa(
@@ -524,13 +565,21 @@ def simulate_ssa(
     zero the chain is absorbed and the clock jumps to the horizon.
 
     The trajectory is a deterministic function of
-    (initial, seed, stream, params, scaling).  Draw order: while the total
-    propensity is positive, each event draws one ``standard_exponential()``
-    for the wait (divided by the total), then one ``random()`` times the
-    total as the selection point; the event is the right-sided search of
-    that point in the sequential cumsum of the rates laid out kind-major,
-    ``kind * n_sites + site``.  An absorbed chain draws nothing.  This is
-    the order of ``step_ssa``.
+    (initial, seed, stream, params, scaling).  Draw order
+    (``RNG_ALGORITHM``): while the total propensity is positive, each event
+    takes two ``random()`` draws u1, u2.  The wait is ``-log1p(-u1) / total``,
+    where ``total`` is the last element of the sequential cumsum of the n
+    site totals.  The site is the right-sided search of ``u2 * total`` in
+    that cumsum; a point past the last boundary takes the last site with a
+    positive total.  The kind is the right-sided search of the residual,
+    ``u2 * total`` minus the cumsum before the site, in the sequential
+    cumsum of the site's 14 rates in EventKind order; past the end it takes
+    the last kind with a positive rate.  An absorbed chain draws nothing.
+    This is the order of ``step_ssa``.  The uniforms are drawn in blocks,
+    which give the same doubles as single calls.
+
+    The loop keeps the n site totals, not the 14n rates: an event rewrites
+    the totals of the (at most two) sites it touches.
 
     Args:
         initial: starting counts; not modified.
@@ -548,73 +597,81 @@ def simulate_ssa(
     grid = _validate_grid(sample_times, horizon)
     _check_compatible(initial.n_sites, params, scaling)
     n = initial.n_sites
-    rng = replica_rng(seed, stream)
-    exponential = rng.standard_exponential
-    uniform = rng.random
-    accumulate = np.add.accumulate
+    uniforms = _uniform_pairs(replica_rng(seed, stream))
+    cumulate = np.add.accumulate
+    log1p = math.log1p
 
-    flat = all_rates(initial, params, scaling).reshape(-1)
-    cum = np.empty_like(flat)
-    rates, cum_view = memoryview(flat), memoryview(cum)
+    weights, beta = _site_weights(params)
+    kcap = float(scaling.k)
+    totals = _site_total(weights, beta, kcap, *(initial.counts(c) for c in _COMPARTMENTS))
+    cum = np.empty_like(totals)
+    site_totals, cum_view = memoryview(totals), memoryview(cum)
     # Counts as one list of 4n cells, compartment * n + site.
     counts = np.concatenate([initial.counts(c) for c in _COMPARTMENTS]).tolist()
+    b_row = 3 * n
 
-    # What each cell's count feeds: the flat index and coefficient of every
-    # linear rate it sources, and (flat index, s cell, b cell) of the
-    # infection rate when infection reads it.  Every rate reads counts at its
-    # own site only, so rewriting these after each count update keeps `flat`
-    # equal, bit for bit, to all_rates of the current state.
-    coefficients = _rate_coefficients(params)
-    beta = coefficients[EventKind.INFECTION]
-    kcap = float(scaling.k)
-    feeds = [
-        (
-            tuple((kind * n + j, coefficients[kind]) for kind in range(N_EVENT_KINDS)
-                  if _RATE_SOURCE[kind] == c and kind != EventKind.INFECTION),
-            (EventKind.INFECTION * n + j, j, 3 * n + j) if c in _INFECTION_READS else None,
-        )
-        for c in range(len(_COMPARTMENTS)) for j in range(n)
-    ]
-    # The count updates of the event at flat index kind * n + site, each as
-    # (cell, delta, *feeds of the cell).
+    # Each kind's coefficient and the row of its source compartment, in
+    # EventKind order, and the count updates of the event at flat index
+    # kind * n + site with the sites whose totals they change.
+    walk = tuple(zip(range(N_EVENT_KINDS), _rate_coefficients(params),
+                     (c * n for c in _RATE_SOURCE)))
+    infection = int(EventKind.INFECTION)
     plans = []
     for row in STOICHIOMETRY.tolist():
         for j in range(n):
-            cells = [(c * n + (j + off) % n, d) for c, off, d in row if d]
-            plans.append(tuple((cell, d, *feeds[cell]) for cell, d in cells))
+            cells = tuple((c * n + (j + off) % n, d) for c, off, d in row if d)
+            plans.append((cells, tuple(dict.fromkeys(cell % n for cell, _ in cells))))
 
     snapshots: list[SystemState] = []
     times, indices = array("d"), array("q")
-    n_rates = flat.size
-    fired = [0] * n_rates
+    fired = [0] * (N_EVENT_KINDS * n)
     samples = grid.tolist() + [math.inf]
     k_sample = 0
     t = 0.0
 
     while True:
-        accumulate(flat, out=cum)
+        cumulate(totals, out=cum)
         total = cum_view[-1]
-        t_next = t + exponential() / total if total > 0.0 else math.inf
+        if total > 0.0:
+            u1, u2 = next(uniforms)
+            t_next = t + -log1p(-u1) / total
+        else:
+            t_next = math.inf
         while samples[k_sample] < t_next:
             snapshots.append(SystemState(*np.array(counts, dtype=np.int64).reshape(4, n)))
             k_sample += 1
         if t_next > horizon:
             break
         t = t_next
-        idx = bisect_right(cum_view, uniform() * total)
-        if idx == n_rates:  # the point landed on the last cumsum boundary
-            idx = int(flat.nonzero()[0][-1])
 
-        for cell, delta, linear, infection in plans[idx]:
-            v = counts[cell] + delta
-            counts[cell] = v
-            for at, coefficient in linear:
-                rates[at] = coefficient * v
-            if infection:
-                at, s_cell, b_cell = infection
-                b = counts[b_cell]
-                rates[at] = beta * counts[s_cell] * b / (kcap + b)
+        x = u2 * total
+        site = bisect_right(cum_view, x)
+        if site == n:  # u2 * total rounded up to total (a subnormal total)
+            site = int(np.flatnonzero(totals > 0.0)[-1])
+        # Walk the site's rates, as all_rates computes them, skipping zeros:
+        # adding a zero rate leaves the running sum as it was.
+        residual = x - cum_view[site - 1] if site else x
+        acc = 0.0
+        for kind, coefficient, row in walk:
+            rate = coefficient * counts[row + site]
+            if kind == infection:
+                b = counts[b_row + site]
+                rate = rate * b / (kcap + b)
+            if rate > 0.0:
+                acc += rate
+                last = kind
+                if residual < acc:
+                    break
+        else:  # the walk ran past the end
+            kind = last
 
+        idx = kind * n + site
+        cells, touched = plans[idx]
+        for cell, delta in cells:
+            counts[cell] += delta
+        for j in touched:
+            site_totals[j] = _site_total(weights, beta, kcap, counts[j], counts[n + j],
+                                         counts[2 * n + j], counts[b_row + j])
         fired[idx] += 1
         if record_events:
             times.append(t)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from sirb_lattice import stochastic
 from sirb_lattice.lattice import TransportCoefficients
 from sirb_lattice.stochastic import (
     EVENT_DELTAS,
@@ -230,6 +231,61 @@ def test_step_ssa_event_frequencies_match_all_rates():
     assert stat < bound
 
 
+TOP_UNIFORM = 1 - 2**-53  # the largest double random() can return
+
+
+class Uniforms:
+    """A generator stand-in whose random() cycles through fixed values."""
+
+    def __init__(self, *values):
+        self.values = values
+        self.drawn = 0
+
+    def random(self, size=None):
+        if size is not None:
+            return np.array([self.random() for _ in range(size)])
+        self.drawn += 1
+        return self.values[(self.drawn - 1) % len(self.values)]
+
+
+def test_step_ssa_top_uniform_selects_a_live_event():
+    # The selection point at the top of the cumsum, with empty sites after
+    # the last live one: the event is one with a positive rate there.
+    params = make_params(n=5)
+    scaling = ScalingParams(5, 10, 10)
+    state = SystemState.from_counts([9, 3, 4, 0, 0], [2, 0, 1, 0, 0],
+                                    [0, 2, 0, 0, 0], [5, 1, 7, 0, 0])
+    event, _ = step_ssa(state, params, scaling, Uniforms(TOP_UNIFORM))
+    assert event.site == 2
+    assert all_rates(state, params, scaling)[event.kind, event.site] > 0
+
+
+@pytest.mark.parametrize("engine", ["step_ssa", "simulate_ssa"])
+def test_selection_fallbacks_at_a_subnormal_total(engine, monkeypatch):
+    # One bacterium at site 1 dying at the least subnormal rate: the top
+    # uniform times the total rounds to the total itself, so the point lies
+    # past the last site boundary (site fallback) and its residual equals
+    # the site's only rate (kind fallback).
+    tiny = 5e-324
+    assert TOP_UNIFORM * tiny == tiny
+    params = make_params(n=3, mu=0, alpha=0, gamma=0, rho=0, beta=0, p_over_w=0,
+                         mu_b=tiny, ell=0.0)
+    scaling = ScalingParams(3, 10, 10)
+    zeros = np.zeros(3, int)
+    state = SystemState.from_counts(zeros, zeros, zeros, [0, 1, 0])
+    uniforms = Uniforms(0.0, TOP_UNIFORM)
+    if engine == "step_ssa":
+        event, wait = step_ssa(state, params, scaling, uniforms)
+        assert wait == 0.0 and uniforms.drawn == 2
+    else:
+        monkeypatch.setattr(stochastic, "replica_rng", lambda seed, stream=0: uniforms)
+        traj = simulate_ssa(state, 1.0, [0.0, 1.0], params, scaling, seed=0,
+                            record_events=True)
+        assert len(traj.event_log) == 1 and not traj.final.b_counts.any()
+        _, event = next(iter(traj.event_log))
+    assert event == Event(EventKind.BACTERIA_DEATH, 1)
+
+
 def test_step_ssa_mean_waiting_time():
     params = make_params()
     scaling = ScalingParams(4, 20, 20)
@@ -323,13 +379,14 @@ def test_simulate_matches_manual_step_loop():
 
 
 # Pinned event logs of the two shapes below: the sha256 of times, kinds,
-# sites and every snapshot's counts.  They fix the draw order and the
-# floating-point operations of the engine, not only where it ends up.
+# sites and every snapshot's counts.  They fix the draw order (the one
+# RNG_ALGORITHM names) and the floating-point operations of the engine, not
+# only where it ends up.
 GOLDEN_EVENT_LOG_SHA256 = (
-    "a53f35459bf1145f3d0df651311c498a4270b0d6a97e08d7996f5239dec329b6"
+    "96aa008774bd33a11d331951bdcc32eeb0e612449d8703c0edc2f723985c4447"
 )
 GOLDEN_ABSORBED_LOG_SHA256 = (
-    "9378f75beec36d9474025000edb9656d663ce4d75f5381557fe8b409a09ea0f7"
+    "18c1baaffeb1579b80d980eb5431afa20aafef6739090a05dd46e387d7dbdd85"
 )
 
 
@@ -345,10 +402,11 @@ def wrapping_run_args():
 
 
 def absorbed_run_args():
-    """n = 3 with H = K = 2: every count reaches zero long before the horizon."""
+    """n = 3 with H = K = 2: on this stream every count reaches zero long
+    before the horizon (t = 23.6 of 40)."""
     state = SystemState.from_counts([2, 1, 0], [1, 0, 1], [0, 1, 0], [1, 0, 2])
     return (state, 40.0, np.linspace(0, 40, 9), make_params(n=3),
-            ScalingParams(3, 2, 2), 0, 0)
+            ScalingParams(3, 2, 2), 0, 1)
 
 
 def event_log_digest(traj):
