@@ -2,7 +2,8 @@
 
 One run directory holds:
 
-    manifest.json    config echo, seed, version, timestamps, file hashes
+    manifest.json    config echo, seed, version, timestamps, file hashes,
+                     RNG label and run stats (events by kind)
     trajectory.csv   rescaled densities, columns (time, site, S, I, R, B)
     snapshots.bin    integer counts at sample times (exact replay source)
     events.bin       optional full event log
@@ -39,6 +40,7 @@ from .deterministic import DeterministicState
 from .diagnostics import CompensatorCheck, ConvergenceReport, MartingaleResidual
 from .stochastic import (
     N_EVENT_KINDS,
+    RNG_ALGORITHM,
     SOURCES,
     EpidemicParams,
     EventKind,
@@ -93,7 +95,10 @@ class RunManifest:
     params: dict
     initial_counts: dict
     file_hashes: dict = field(default_factory=dict)
-    rng_algorithm: str = "philox4x64"
+    rng_algorithm: str = RNG_ALGORITHM
+    # Run telemetry, outside file_hashes: same-seed data files stay
+    # byte-identical whatever is recorded here.
+    stats: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
@@ -253,6 +258,7 @@ def write_trajectory(
         },
         file_hashes=hashes,
         rng_algorithm=traj.rng_algorithm,
+        stats=dict(traj.stats),
     )
     (directory / "manifest.json").write_text(manifest.to_json())
     return manifest
@@ -276,6 +282,7 @@ def read_trajectory(directory) -> tuple[Trajectory, RunManifest]:
         event_log=log,
         seed=manifest.seed,
         rng_algorithm=manifest.rng_algorithm,
+        stats=dict(manifest.stats),
     )
     return traj, manifest
 
