@@ -282,7 +282,6 @@ def read_trajectory(directory) -> tuple[Trajectory, RunManifest]:
         event_log=log,
         seed=manifest.seed,
         rng_algorithm=manifest.rng_algorithm,
-        stats=dict(manifest.stats),
     )
     return traj, manifest
 

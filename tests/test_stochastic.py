@@ -265,7 +265,8 @@ def test_selection_fallbacks_at_a_subnormal_total(engine, monkeypatch):
     # One bacterium at site 1 dying at the least subnormal rate: the top
     # uniform times the total rounds to the total itself, so the point lies
     # past the last site boundary (site fallback) and its residual equals
-    # the site's only rate (kind fallback).
+    # the site's only rate (kind fallback).  The first wait is 0; a second
+    # event, which a wrong selection could allow, would wait forever.
     tiny = 5e-324
     assert TOP_UNIFORM * tiny == tiny
     params = make_params(n=3, mu=0, alpha=0, gamma=0, rho=0, beta=0, p_over_w=0,
@@ -273,7 +274,7 @@ def test_selection_fallbacks_at_a_subnormal_total(engine, monkeypatch):
     scaling = ScalingParams(3, 10, 10)
     zeros = np.zeros(3, int)
     state = SystemState.from_counts(zeros, zeros, zeros, [0, 1, 0])
-    uniforms = Uniforms(0.0, TOP_UNIFORM)
+    uniforms = Uniforms(0.0, TOP_UNIFORM, TOP_UNIFORM, TOP_UNIFORM)
     if engine == "step_ssa":
         event, wait = step_ssa(state, params, scaling, uniforms)
         assert wait == 0.0 and uniforms.drawn == 2
@@ -409,6 +410,17 @@ def absorbed_run_args():
             ScalingParams(3, 2, 2), 0, 1)
 
 
+def crowded_run_args():
+    """n = 5 with hundreds per compartment and coefficients that are not
+    short binary fractions: over thousands of events, evaluating a site
+    total in another order changes some of its bits."""
+    rng = np.random.default_rng(5)
+    state = SystemState.from_counts(*(rng.integers(100, 400, 5) for _ in range(4)))
+    params = make_params(n=5, mu=0.1, alpha=1 / 3, gamma=0.7, rho=0.3, beta=2.9,
+                         p_over_w=0.45, mu_b=1.1, ell=0.9, p_out=0.6)
+    return (state, 0.5, np.linspace(0, 0.5, 3), params, ScalingParams(5, 300, 300), 8, 0)
+
+
 def event_log_digest(traj):
     log = traj.event_log
     h = hashlib.sha256()
@@ -465,7 +477,8 @@ def test_golden_event_log_reaching_absorption():
     assert event_log_digest(traj) == GOLDEN_ABSORBED_LOG_SHA256
 
 
-@pytest.mark.parametrize("run_args", [wrapping_run_args, absorbed_run_args])
+@pytest.mark.parametrize("run_args", [wrapping_run_args, absorbed_run_args,
+                                      crowded_run_args])
 def test_simulate_matches_manual_step_loop_event_by_event(run_args):
     state, horizon, grid, params, scaling, seed, stream = run_args()
     traj = simulate_ssa(state, horizon, grid, params, scaling, seed=seed,
