@@ -45,6 +45,10 @@ directory.  The full schema:
 Unknown keys are rejected by name.  Derived transport quantities (bias,
 advection, diffusion) are computed from (ell, p_out, n) and echoed in the
 manifest; they cannot be set directly.
+
+``diagnose`` sweeps each replica's event log in the worker that simulated
+it (``diagnostics.sweep_log``); the parent receives only the swept
+(time, site) arrays and the run stats, and stacks them into the reports.
 """
 
 from __future__ import annotations
@@ -63,7 +67,13 @@ import numpy as np
 from . import __version__
 from . import io as run_io
 from .deterministic import DeterministicState, ReactionField, homogeneous_ode, integrate
-from .diagnostics import compensator_check, lln_experiment, martingale_residual, pool_size
+from .diagnostics import (
+    CompensatorCheck,
+    MartingaleResidual,
+    lln_experiment,
+    pool_size,
+    sweep_log,
+)
 from .lattice import TransportCoefficients
 from .stochastic import EpidemicParams, ScalingParams, SystemState, simulate_ssa
 
@@ -451,12 +461,15 @@ def _run_converge(cfg: RunConfig) -> None:
 
 
 def _one_diagnose_replica(args):
+    """Worker: simulate one logged replica and sweep its log here, so only
+    the swept (time, site) arrays and the run stats travel back."""
     cfg, rep = args
     state0, _ = _initial_state(cfg)
-    return simulate_ssa(
+    traj = simulate_ssa(
         state0, cfg.horizon, cfg.sample_grid(), cfg.params(), cfg.scaling(),
         seed=cfg.seed, stream=rep, record_events=True,
     )
+    return sweep_log(traj, cfg.params(), cfg.scaling()), traj.stats
 
 
 def _run_diagnose(cfg: RunConfig) -> None:
@@ -464,22 +477,27 @@ def _run_diagnose(cfg: RunConfig) -> None:
     size = pool_size(cfg.workers, len(jobs))
     if size > 1:
         with ProcessPoolExecutor(max_workers=size) as pool:
-            trajs = list(pool.map(_one_diagnose_replica, jobs))
+            results = list(pool.map(_one_diagnose_replica, jobs))
     else:
-        trajs = [_one_diagnose_replica(j) for j in jobs]
-    params, scaling = cfg.params(), cfg.scaling()
-    residual = martingale_residual(trajs[0], params, scaling)
+        results = [_one_diagnose_replica(j) for j in jobs]
+    sweeps, stats = zip(*results)
+    grid = cfg.sample_grid()
     cfg.out.mkdir(parents=True, exist_ok=True)
-    run_io.write_martingale_csv(cfg.out / "report_martingale.csv", residual)
+    run_io.write_martingale_csv(
+        cfg.out / "report_martingale.csv", MartingaleResidual.from_sweep(grid, sweeps[0])
+    )
     files = ["report_martingale.csv"]
     if cfg.replicas >= 2:
-        check = compensator_check(trajs, params, scaling)
+        check = CompensatorCheck.from_sweeps(grid, sweeps)
         run_io.write_compensator_csv(cfg.out / "report_compensators.csv", check)
         files.append("report_compensators.csv")
-    _write_manifest_only(cfg, files=files)
+    _write_manifest_only(cfg, files=files, stats={
+        "n_events": [s["n_events"] for s in stats],
+        "events_by_kind": np.sum([s["events_by_kind"] for s in stats], axis=0).tolist(),
+    })
 
 
-def _write_manifest_only(cfg: RunConfig, files: list[str]) -> None:
+def _write_manifest_only(cfg: RunConfig, files: list[str], stats: Optional[dict] = None) -> None:
     import json
     from datetime import datetime, timezone
 
@@ -490,6 +508,9 @@ def _write_manifest_only(cfg: RunConfig, files: list[str]) -> None:
         "config": cfg.echo,
         "file_hashes": {f: run_io.sha256_file(cfg.out / f) for f in files},
     }
+    if stats is not None:
+        # run telemetry, outside file_hashes like io.RunManifest's
+        manifest["stats"] = stats
     (cfg.out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
     (cfg.out / "plot.py").write_text(_PLOT_STUB)
 

@@ -21,7 +21,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -54,6 +54,8 @@ __all__ = [
     "event_table_drift",
     "square_amplitudes",
     "event_table_square_sum",
+    "Sweep",
+    "sweep_log",
     "MartingaleResidual",
     "martingale_residual",
     "CompensatorCheck",
@@ -112,14 +114,16 @@ _JUMP_PRODUCTS = _jump_products()
 
 def sup_distance(
     traj: Trajectory,
-    det_states: Sequence[DeterministicState],
+    det_states: Sequence[DeterministicState] | np.ndarray,
     scaling: ScalingParams,
     det_times: Optional[np.ndarray] = None,
     compartments: Sequence[str] = COMPARTMENTS,
 ) -> float:
     """Sup over sample times, compartments and sites of |u - v|.
 
-    Both sides must live on the same lattice and the same sample grid.
+    ``det_states`` is either one DeterministicState per sample time or their
+    stacks as one (n_samples, 4, n) array.  Both sides must live on the same
+    lattice and the same sample grid.
     """
     if det_times is not None and not np.array_equal(
         np.asarray(det_times, dtype=float), traj.sample_times
@@ -130,14 +134,13 @@ def sup_distance(
             f"grid mismatch: {len(traj.states)} stochastic snapshots "
             f"vs {len(det_states)} deterministic states"
         )
+    if not isinstance(det_states, np.ndarray):
+        det_states = np.stack([v.stack() for v in det_states])
+    u = np.stack([st.rescaled(scaling) for st in traj.states])
+    if det_states.shape != u.shape:
+        raise ValueError("lattice sizes differ between the two solutions")
     rows = [_COMP_INDEX[c] for c in compartments]
-    dist = 0.0
-    for u_state, v_state in zip(traj.states, det_states):
-        if v_state.n_sites != u_state.n_sites:
-            raise ValueError("lattice sizes differ between the two solutions")
-        diff = u_state.rescaled(scaling)[rows] - v_state.stack()[rows]
-        dist = max(dist, float(np.max(np.abs(diff))))
-    return dist
+    return float(np.max(np.abs(u[:, rows] - det_states[:, rows])))
 
 
 # ---------------------------------------------------------------------------
@@ -278,15 +281,30 @@ class MartingaleResidual:
     def component(self, c: str) -> np.ndarray:
         return getattr(self, f"z_{c.lower()}")
 
+    @classmethod
+    def from_sweep(cls, times: np.ndarray, sweep: "Sweep") -> "MartingaleResidual":
+        z = sweep.z
+        return cls(times=np.array(times, dtype=float),
+                   z_s=z[:, 0], z_i=z[:, 1], z_r=z[:, 2], z_b=z[:, 3])
 
-def _sweep_log(
+
+class Sweep(NamedTuple):
+    """What one pass over a replica's event log yields: every array the
+    martingale and compensator reports need, on the replica's sample grid."""
+
+    z: np.ndarray  # (n_times, 4, n) residual fields
+    observed: dict[str, np.ndarray]  # family -> (n_times, n) jump sums
+    predicted: dict[str, np.ndarray]  # family -> (n_times, n) compensators
+
+
+def sweep_log(
     traj: Trajectory,
     params: EpidemicParams,
     scaling: ScalingParams,
-) -> tuple[np.ndarray, dict[str, np.ndarray], dict[str, np.ndarray]]:
+) -> Sweep:
     """Prefix-sum pass over an event log.
 
-    Returns (z, observed, predicted):
+    Returns a Sweep (z, observed, predicted):
       z: (n_times, 4, n) residual fields,
       observed: family -> (n_times, n) accumulated squared/crossed jumps,
       predicted: family -> (n_times, n) accumulated compensator integrals.
@@ -387,7 +405,7 @@ def _sweep_log(
     obs = np.cumsum(jumps, axis=0).reshape(n_times, len(_FAMILIES), n) * family_scale
     obs_out = {f: obs[:, i] for i, f in enumerate(_FAMILIES)}
     pred_out = {f: pred[:, i] for i, f in enumerate(_FAMILIES)}
-    return z_out, obs_out, pred_out
+    return Sweep(z_out, obs_out, pred_out)
 
 
 def martingale_residual(
@@ -398,11 +416,7 @@ def martingale_residual(
     Requires the event log: the drift integral is computed exactly as a sum
     over the inter-event intervals on which the state is constant.
     """
-    z, _, _ = _sweep_log(traj, params, scaling)
-    return MartingaleResidual(
-        times=traj.sample_times.copy(),
-        z_s=z[:, 0], z_i=z[:, 1], z_r=z[:, 2], z_b=z[:, 3],
-    )
+    return MartingaleResidual.from_sweep(traj.sample_times, sweep_log(traj, params, scaling))
 
 
 @dataclass
@@ -432,6 +446,17 @@ class CompensatorCheck:
             for f in self.observed
         }
 
+    @classmethod
+    def from_sweeps(cls, times: np.ndarray, sweeps: Sequence[Sweep]) -> "CompensatorCheck":
+        """Stack the sweeps of replicas that share the sample grid ``times``."""
+        families = sweeps[0].observed
+        return cls(
+            times=np.array(times, dtype=float),
+            observed={f: np.stack([s.observed[f] for s in sweeps]) for f in families},
+            predicted={f: np.stack([s.predicted[f] for s in sweeps]) for f in families},
+            n_replicas=len(sweeps),
+        )
+
 
 def compensator_check(
     replicas: Sequence[Trajectory],
@@ -443,21 +468,12 @@ def compensator_check(
     if not replicas:
         raise ValueError("need at least one replica trajectory")
     grid = replicas[0].sample_times
-    obs_all: dict[str, list[np.ndarray]] = {}
-    pred_all: dict[str, list[np.ndarray]] = {}
+    sweeps = []
     for traj in replicas:
         if not np.array_equal(traj.sample_times, grid):
             raise ValueError("replicas must share one sample grid")
-        _, obs, pred = _sweep_log(traj, params, scaling)
-        for f in obs:
-            obs_all.setdefault(f, []).append(obs[f])
-            pred_all.setdefault(f, []).append(pred[f])
-    return CompensatorCheck(
-        times=grid.copy(),
-        observed={f: np.stack(v) for f, v in obs_all.items()},
-        predicted={f: np.stack(v) for f, v in pred_all.items()},
-        n_replicas=len(replicas),
-    )
+        sweeps.append(sweep_log(traj, params, scaling))
+    return CompensatorCheck.from_sweeps(grid, sweeps)
 
 
 def mean_zero_pass_fraction(samples: np.ndarray, sigma: float = 3.0) -> float:
@@ -623,6 +639,8 @@ def lln_experiment(
                 prm, hk_ratio=h / k, mode="coupled" if mode == "theorem1" else "decoupled"
             )
             det = integrate(v0, horizon, rf, prm.transport, sample_times=grid)
+            # one (n_samples, 4, n) array pickles far smaller than the states
+            det = np.stack([v.stack() for v in det])
             c0 = float(np.max(np.abs(v0.stack())))
             ball = c0 * math.exp(growth_constant(rf) * horizon)
             payloads = [

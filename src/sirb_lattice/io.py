@@ -135,17 +135,21 @@ def _params_dict(params: EpidemicParams) -> dict:
     }
 
 
-def _write_trajectory_csv(path: Path, traj: Trajectory, scaling: ScalingParams):
+# One row of the trajectory CSV schema, as csv.writer would write it.
+_DENSITY_ROW = "%.17g,%d,%.17g,%.17g,%.17g,%.17g\r\n"
+
+
+def _write_density_csv(path, times: Sequence[float], densities: np.ndarray):
+    """Write (n_samples, 4, n) densities as (time, site, S, I, R, B) rows,
+    sites 1-based, formatting the whole body in one pass."""
+    n_samples, _, n = densities.shape
+    table = np.empty((n_samples, n, 6))
+    table[:, :, 0] = np.asarray(times, dtype=float)[:, None]
+    table[:, :, 1] = np.arange(1, n + 1)
+    table[:, :, 2:] = densities.transpose(0, 2, 1)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time", "site", "S", "I", "R", "B"])
-        for t, state in zip(traj.sample_times, traj.states):
-            dens = state.rescaled(scaling)
-            for j in range(state.n_sites):
-                writer.writerow(
-                    [f"{t:.17g}", j + 1]
-                    + [f"{dens[c, j]:.17g}" for c in range(4)]
-                )
+        fh.write("time,site,S,I,R,B\r\n")
+        fh.write(_DENSITY_ROW * (n_samples * n) % tuple(table.ravel().tolist()))
 
 
 def _write_snapshots_bin(path: Path, traj: Trajectory):
@@ -237,7 +241,8 @@ def write_trajectory(
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    _write_trajectory_csv(directory / "trajectory.csv", traj, scaling)
+    densities = np.stack([state.rescaled(scaling) for state in traj.states])
+    _write_density_csv(directory / "trajectory.csv", traj.sample_times, densities)
     _write_snapshots_bin(directory / "snapshots.bin", traj)
     hashes = {
         "trajectory.csv": sha256_file(directory / "trajectory.csv"),
@@ -290,15 +295,7 @@ def write_deterministic_csv(
     path, times: Sequence[float], states: Sequence[DeterministicState]
 ):
     """Deterministic solutions share the trajectory CSV schema."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time", "site", "S", "I", "R", "B"])
-        for t, state in zip(times, states):
-            y = state.stack()
-            for j in range(state.n_sites):
-                writer.writerow(
-                    [f"{t:.17g}", j + 1] + [f"{y[c, j]:.17g}" for c in range(4)]
-                )
+    _write_density_csv(path, times, np.stack([state.stack() for state in states]))
 
 
 def write_convergence_report(directory, report: ConvergenceReport):

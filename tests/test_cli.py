@@ -1,12 +1,17 @@
 """Config validation and end-to-end runs of every subcommand."""
 
+import io as stdio
 import json
+import pickle
 
 import numpy as np
 import pytest
 
-from sirb_lattice import diagnostics
+from sirb_lattice import cli, diagnostics
+from sirb_lattice import io as run_io
 from sirb_lattice.cli import ConfigError, main, parse_config, run
+from sirb_lattice.diagnostics import compensator_check, martingale_residual
+from sirb_lattice.stochastic import EventKind, EventLog, Trajectory, simulate_ssa
 
 BASE_CONFIG = """
 [run]
@@ -251,6 +256,89 @@ def test_diagnose_writes_reports(tmp_path):
     assert (cfg.out / "report_compensators.csv").exists()
     rows = (cfg.out / "report_compensators.csv").read_text().splitlines()
     assert rows[0] == "time,site,family,mean_residual,stderr,zscore"
+    manifest = json.loads((cfg.out / "manifest.json").read_text())
+    stats = manifest["stats"]
+    assert len(stats["n_events"]) == 3
+    assert len(stats["events_by_kind"]) == len(EventKind)
+    assert sum(stats["events_by_kind"]) == sum(stats["n_events"]) > 0
+    assert "stats" not in manifest["file_hashes"]
+
+
+DIAGNOSE_REPORTS = ("report_martingale.csv", "report_compensators.csv")
+
+
+def test_diagnose_workers_do_not_change_results(tmp_path):
+    path = write_config(tmp_path)
+    outputs = {}
+    for workers in (1, 2):
+        cfg = parse_config(path, mode="diagnose")
+        cfg.replicas, cfg.workers = 3, workers
+        cfg.out = tmp_path / f"workers_{workers}"
+        run(cfg)
+        outputs[workers] = [(cfg.out / name).read_bytes() for name in DIAGNOSE_REPORTS]
+    assert outputs[1] == outputs[2]
+
+    # the same reports built from the same seeded trajectories in this process
+    state0, _ = cli._initial_state(cfg)
+    params, scaling = cfg.params(), cfg.scaling()
+    trajs = [
+        simulate_ssa(state0, cfg.horizon, cfg.sample_grid(), params, scaling,
+                     seed=cfg.seed, stream=rep, record_events=True)
+        for rep in range(3)
+    ]
+    ref = tmp_path / "reference"
+    ref.mkdir()
+    run_io.write_martingale_csv(ref / DIAGNOSE_REPORTS[0],
+                                martingale_residual(trajs[0], params, scaling))
+    run_io.write_compensator_csv(ref / DIAGNOSE_REPORTS[1],
+                                 compensator_check(trajs, params, scaling))
+    assert outputs[1] == [(ref / name).read_bytes() for name in DIAGNOSE_REPORTS]
+
+
+def test_diagnose_ships_no_event_log_and_sweeps_each_log_once(tmp_path, monkeypatch):
+    """Tasks and results cross a pickle round trip, as with a real pool;
+    neither may hold an event log, and every replica's log is swept once."""
+    pickled: set[type] = set()
+    swept: list[int] = []
+
+    class TypeRecorder(pickle.Pickler):
+        def reducer_override(self, obj):
+            pickled.add(type(obj))
+            return NotImplemented
+
+    def round_trip(obj):
+        buf = stdio.BytesIO()
+        TypeRecorder(buf).dump(obj)
+        return pickle.loads(buf.getvalue())
+
+    class PicklingPool:
+        def __init__(self, max_workers=None):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return (round_trip(fn(round_trip(job))) for job in jobs)
+
+    sweep_log = diagnostics.sweep_log
+
+    def counting_sweep(traj, params, scaling):
+        swept.append(traj.stats["stream"])
+        return sweep_log(traj, params, scaling)
+
+    monkeypatch.setattr(diagnostics.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", PicklingPool)
+    monkeypatch.setattr(cli, "sweep_log", counting_sweep)
+    monkeypatch.setattr(diagnostics, "sweep_log", counting_sweep)
+    path = write_config(tmp_path)
+    assert main(["diagnose", "--config", str(path), "--replicas", "3", "--workers", "2"]) == 0
+    assert diagnostics.Sweep in pickled
+    assert EventLog not in pickled and Trajectory not in pickled
+    assert sorted(swept) == [0, 1, 2]
 
 
 # ---------------------------------------------------------------------------

@@ -77,6 +77,9 @@ def test_sup_distance_detects_constant_shift():
     assert sup_distance(traj, det, scaling) == pytest.approx(0.25)
     # restricting to other compartments ignores the shift
     assert sup_distance(traj, det, scaling, compartments=("S", "B")) == 0.0
+    # the stacked (n_samples, 4, n) form gives the same distances
+    assert sup_distance(traj, shifted[None], scaling) == sup_distance(traj, det, scaling)
+    assert sup_distance(traj, shifted[None], scaling, compartments=("S", "B")) == 0.0
 
 
 def test_sup_distance_rejects_mismatched_grids():
@@ -89,6 +92,8 @@ def test_sup_distance_rejects_mismatched_grids():
     with pytest.raises(ValueError):
         sup_distance(traj, [as_det(state, scaling)] * 2, scaling,
                      det_times=np.array([0.0, 0.9]))
+    with pytest.raises(ValueError, match="lattice sizes differ"):
+        sup_distance(traj, np.zeros((2, 4, 5)), scaling)
 
 
 def test_sup_distance_symmetry_and_triangle():

@@ -1,6 +1,8 @@
 """Round trips, corruption detection, replay, and a pinned regression run."""
 
+import csv
 import hashlib
+import io as stdio
 import json
 
 import numpy as np
@@ -13,8 +15,10 @@ from sirb_lattice.io import (
     replay,
     replay_trajectory,
     sha256_file,
+    write_deterministic_csv,
     write_trajectory,
 )
+from sirb_lattice.deterministic import DeterministicState
 from sirb_lattice.lattice import TransportCoefficients
 from sirb_lattice.stochastic import (
     RNG_ALGORITHM,
@@ -310,6 +314,36 @@ def test_replayed_round_trip_matches_terminal_state(tmp_path):
         *(np.array(manifest.initial_counts[c]) for c in "sirb")
     )
     assert replay(initial, loaded.event_log) == traj.final
+
+
+# ---------------------------------------------------------------------------
+# CSV output
+
+def csv_reference(times, stacks) -> bytes:
+    """The trajectory CSV schema written row by row through csv.writer."""
+    buf = stdio.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["time", "site", "S", "I", "R", "B"])
+    for t, y in zip(times, stacks):
+        for j in range(y.shape[1]):
+            writer.writerow([f"{t:.17g}", j + 1] + [f"{y[c, j]:.17g}" for c in range(4)])
+    return buf.getvalue().encode()
+
+
+def test_csv_writers_match_csv_module_reference(tmp_path):
+    traj, params, scaling = sample_run()
+    write_trajectory(tmp_path / "run", traj, params, scaling)
+    expected = csv_reference(traj.sample_times, [s.rescaled(scaling) for s in traj.states])
+    assert (tmp_path / "run" / "trajectory.csv").read_bytes() == expected
+
+    rng = np.random.default_rng(5)
+    times = np.array([0.0, 1.0 / 3.0, 0.7, 1e-300])
+    stacks = [rng.exponential(size=(4, 6)) * 10.0 ** rng.integers(-20, 20) for _ in times]
+    stacks[0][1, 2] = -0.0
+    stacks[1][3, 0] = 1e17
+    write_deterministic_csv(tmp_path / "det.csv", times,
+                            [DeterministicState.from_stack(y) for y in stacks])
+    assert (tmp_path / "det.csv").read_bytes() == csv_reference(times, stacks)
 
 
 # ---------------------------------------------------------------------------
