@@ -75,7 +75,7 @@ from .diagnostics import (
     sweep_log,
 )
 from .lattice import TransportCoefficients
-from .stochastic import EpidemicParams, ScalingParams, SystemState, simulate_ssa
+from .stochastic import RNG_ALGORITHM, EpidemicParams, ScalingParams, SystemState, simulate_ssa
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "run", "main"]
 
@@ -440,13 +440,8 @@ def _run_homogeneous(cfg: RunConfig) -> None:
     grid = cfg.sample_grid()
     series = homogeneous_ode(y0, cfg.horizon, rf, sample_times=grid)
     cfg.out.mkdir(parents=True, exist_ok=True)
-    import csv as _csv
-
-    with open(cfg.out / "trajectory.csv", "w", newline="") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(["time", "site", "S", "I", "R", "B"])
-        for t, row in zip(grid, series):
-            writer.writerow([f"{t:.17g}", 1] + [f"{v:.17g}" for v in row])
+    # the trajectory schema on a one-site lattice
+    run_io._write_density_csv(cfg.out / "trajectory.csv", grid, series[:, :, None])
     _write_manifest_only(cfg, files=["trajectory.csv"])
 
 
@@ -507,6 +502,7 @@ def _write_manifest_only(cfg: RunConfig, files: list[str], stats: Optional[dict]
         "created": datetime.now(timezone.utc).isoformat(),
         "config": cfg.echo,
         "file_hashes": {f: run_io.sha256_file(cfg.out / f) for f in files},
+        "rng_algorithm": RNG_ALGORITHM,
     }
     if stats is not None:
         # run telemetry, outside file_hashes like io.RunManifest's

@@ -32,6 +32,7 @@ __all__ = [
     "IntegrationError",
     "reaction",
     "reaction_stack",
+    "infection_stack",
     "growth_constant",
     "rhs_discrete",
     "auto_dt",
@@ -133,12 +134,27 @@ def reaction(y: np.ndarray, rf: ReactionField) -> np.ndarray:
     return reaction_stack(y.reshape(4, 1), rf)[:, 0]
 
 
-def reaction_stack(y: np.ndarray, rf: ReactionField) -> np.ndarray:
+def infection_stack(y: np.ndarray, params: EpidemicParams) -> np.ndarray:
+    """The infection term beta s b/(1+b), the one nonlinear term of the
+    dynamics, on a (..., 4, n) stack; shape (..., n)."""
+    s, b = y[..., 0, :], y[..., 3, :]
+    return params.beta * (b / (1.0 + b)) * s
+
+
+def reaction_stack(
+    y: np.ndarray, rf: ReactionField, infection: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Vectorized reaction terms on a (..., 4, n) stack.  No domain check: the
-    integrator may probe infinitesimally negative values inside RK stages."""
+    integrator may probe infinitesimally negative values inside RK stages.
+
+    Every term is affine in y except the infection term, which is
+    ``infection_stack(y, rf.params)`` unless given.  Passing the time
+    integrals of y and of that term yields the time integral of the field.
+    """
     p = rf.params
     s, i, r, b = (y[..., c, :] for c in range(4))
-    infection = p.beta * (b / (1.0 + b)) * s
+    if infection is None:
+        infection = infection_stack(y, p)
     out = np.empty_like(y)
     out[..., 0, :] = p.mu * i + (p.mu + p.rho) * r - infection
     out[..., 1, :] = infection - (p.gamma + p.alpha + p.mu) * i

@@ -29,6 +29,7 @@ from .deterministic import (
     DeterministicState,
     ReactionField,
     growth_constant,
+    infection_stack,
     integrate,
     reaction_stack,
     _transport_stencil,
@@ -73,18 +74,19 @@ SQUARE_FAMILIES = ("S", "I", "R", "B")
 CROSS_FAMILIES = ("B_cross_plus", "B_cross_minus")
 _FAMILIES = SQUARE_FAMILIES + CROSS_FAMILIES
 
-# Per-state integrands of the sweep: drift (4 rows) and the square and
-# cross amplitudes (one row per family).
-_N_INTEGRANDS = 4 + len(_FAMILIES)
-# Byte budget of one (events, _N_INTEGRANDS, n) float buffer of the sweep;
-# its other per-chunk buffers are no larger.  Small enough to stay in cache
-# and to keep the sweep's memory flat in the log length.
+# Per-state integrands of the sweep: the four densities and the infection
+# field.  Every drift and amplitude integrand is affine in these five rows.
+_N_INTEGRANDS = 5
+# Byte budget of the sweep's per-state float buffers in one chunk: the counts
+# (4 a site), the integrands and a scratch row for the infection field.
+# Small enough to stay in cache and to keep the sweep's memory flat in the
+# log length.
 _SWEEP_CHUNK_BYTES = 1 << 16
 
 
 def _sweep_chunk(n_sites: int) -> int:
     """Events per chunk of the sweep on an n_sites lattice."""
-    return max(1, _SWEEP_CHUNK_BYTES // (8 * _N_INTEGRANDS * n_sites))
+    return max(1, _SWEEP_CHUNK_BYTES // (8 * (4 + _N_INTEGRANDS + 1) * n_sites))
 
 
 def _jump_products() -> np.ndarray:
@@ -146,11 +148,14 @@ def sup_distance(
 # ---------------------------------------------------------------------------
 # Drift and square amplitudes (closed form and brute force)
 
-def _drift_stack(u: np.ndarray, params: EpidemicParams, hk_ratio: float) -> np.ndarray:
+def _drift_stack(
+    u: np.ndarray, params: EpidemicParams, hk_ratio: float,
+    infection: Optional[np.ndarray] = None,
+) -> np.ndarray:
     """Operator-form drift on a (..., 4, n) density stack: F(u) plus
-    transport on the bacteria row."""
+    transport on the bacteria row.  ``infection`` as in reaction_stack."""
     rf = ReactionField(params, hk_ratio=hk_ratio, mode="coupled")
-    out = reaction_stack(u, rf)
+    out = reaction_stack(u, rf, infection)
     out[..., 3, :] += _transport_stencil(u[..., 3, :], params.transport)
     return out
 
@@ -180,22 +185,27 @@ def event_table_drift(
     return out
 
 
-def _amp_stack(u: np.ndarray, params: EpidemicParams, hk_ratio: float) -> np.ndarray:
+def _amp_stack(
+    u: np.ndarray, params: EpidemicParams, hk_ratio: float,
+    infection: Optional[np.ndarray] = None,
+) -> np.ndarray:
     """Closed-form square amplitudes on a (..., 4, n) density stack; rows
     (S, I, R, B).
 
     Per site: the S amplitude is 2 mu u_S + mu u_I + (mu+rho) u_R plus the
     infection term; the B amplitude splits into the local-reaction part
     mu_b u_B + (H/K)(p/W) u_I and the transport part
-    ell (p_in u_B[j+1] + u_B[j] + p_out u_B[j-1]).
+    ell (p_in u_B[j+1] + u_B[j] + p_out u_B[j-1]).  ``infection`` as in
+    reaction_stack.
     """
     p = params
     s, i, r, b = (u[..., c, :] for c in range(4))
-    dose = b / (1.0 + b)
+    if infection is None:
+        infection = infection_stack(u, p)
     tc = p.transport
     out = np.empty_like(u)
-    out[..., 0, :] = 2.0 * p.mu * s + p.mu * i + (p.mu + p.rho) * r + p.beta * dose * s
-    out[..., 1, :] = p.beta * dose * s + (p.mu + p.alpha + p.gamma) * i
+    out[..., 0, :] = 2.0 * p.mu * s + p.mu * i + (p.mu + p.rho) * r + infection
+    out[..., 1, :] = infection + (p.mu + p.alpha + p.gamma) * i
     out[..., 2, :] = p.gamma * i + (p.mu + p.rho) * r
     out[..., 3, :] = (
         p.mu_b * b
@@ -297,6 +307,29 @@ class Sweep(NamedTuple):
     predicted: dict[str, np.ndarray]  # family -> (n_times, n) compensators
 
 
+def _jump_sums(log: EventLog, grid: np.ndarray, n_sites: int, n_events: int) -> np.ndarray:
+    """Per sample, the jump products of ``_JUMP_PRODUCTS`` summed over the
+    first ``n_events`` events of the log that it sees: (n_times, families, n)
+    integers as floats.  Each chunk's products are binned by (first sample
+    that sees the event, cell) and the bins are cumulated over samples.
+
+    No buffer here is n-wide; the largest per-event one is the event's
+    gathered _JUMP_PRODUCTS row, and the chunk fits the sweep's budget."""
+    width = len(_FAMILIES) * n_sites
+    jumps = np.zeros((grid.size, width))
+    chunk = max(1, _SWEEP_CHUNK_BYTES // _JUMP_PRODUCTS[0].nbytes)
+    for a in range(0, n_events, chunk):
+        e = min(a + chunk, n_events)
+        part = EventLog(log.times[a:e], log.kinds[a:e], log.sites[a:e])
+        ev, cell, product = log_entries(part, n_sites, _JUMP_PRODUCTS)
+        first = np.searchsorted(grid, part.times, side="left")
+        lo, hi = first[0], first[-1] + 1
+        jumps[lo:hi] += np.bincount(
+            (first[ev] - lo) * width + cell, weights=product, minlength=(hi - lo) * width
+        ).reshape(hi - lo, width)
+    return np.cumsum(jumps, axis=0).reshape(grid.size, len(_FAMILIES), n_sites)
+
+
 def sweep_log(
     traj: Trajectory,
     params: EpidemicParams,
@@ -316,21 +349,25 @@ def sweep_log(
     jump records the post-jump value (right-continuous convention, same as
     the simulator), and events after the last sample time are ignored.
 
+    Every drift and amplitude integrand is affine in the densities u and in
+    the infection field beta s b/(1+b).  So the sweep integrates only those
+    5n columns of each state and evaluates the closed forms once per sample,
+    on the integrals, with the integrated infection field in place of the
+    infection term.
+
     States are taken in chunks of ``_sweep_chunk(n)``, carrying the counts,
     the integrals and the time of the last event from chunk to chunk, so the
     working memory does not grow with the log.  Within a chunk:
 
-    * the counts of every state are the carry plus an exclusive cumsum of
-      the chunk's deltas, scattered from ``log_entries`` by one bincount;
-    * drift, square and cross amplitudes of all those states come from one
-      batched call of the closed forms;
-    * the integrals up to each state's start are a cumsum of integrand times
-      the state's duration, seeded with the carried integrals;
-    * a sample that sees state c adds c's integrand times the time since
-      c began.
+    * the counts of every state are a cumsum of the chunk's deltas seeded
+      with the carry, scattered from ``log_entries`` by one bincount;
+    * the integrals up to each state's start are a cumsum of the state's
+      densities and infection field times its duration, seeded with the
+      carried integrals;
+    * a sample that sees state c adds c's columns times the time since c
+      began.
 
-    The observed sums are the jump products of ``_JUMP_PRODUCTS``, binned by
-    (first sample that sees the event, cell) and cumulated over samples.
+    The observed sums come from ``_jump_sums``, in chunks of their own.
     """
     if traj.event_log is None:
         raise ValueError("trajectory has no event log; rerun with record_events=True")
@@ -351,9 +388,8 @@ def sweep_log(
     u0 = counts.reshape(4, n) / scale
     integral = np.zeros((_N_INTEGRANDS, n))
     t_last = 0.0
-    z_out = np.empty((n_times, 4, n))
-    pred = np.empty((n_times, len(_FAMILIES), n))
-    jumps = np.zeros((n_times, len(_FAMILIES) * n))
+    u_seen = np.empty((n_times, 4, n))  # the state each sample sees
+    u_int = np.empty((n_times, _N_INTEGRANDS, n))  # integrals up to each sample
 
     chunk = _sweep_chunk(n)
     for a in range(0, n_events + 1, chunk):
@@ -366,43 +402,44 @@ def sweep_log(
         starts = np.concatenate(([t_last], part.times))[:m]
         ends = np.append(part.times, starts[-1])[:m]
         t_last = ends[-1]
+        # row c: the counts of state a + c; row m carries to the next chunk
         ev, cell, delta = log_entries(part, n)
-        deltas = np.bincount(ev * 4 * n + cell, weights=delta, minlength=m * 4 * n)
-        deltas = deltas.reshape(m, 4 * n)
-        states = counts + np.cumsum(deltas, axis=0) - deltas
-        counts = states[-1] + deltas[-1]
+        states = np.bincount(
+            (ev + 1) * 4 * n + cell, weights=delta, minlength=(m + 1) * 4 * n
+        ).reshape(m + 1, 4 * n).astype(float, copy=False)  # int when ev is empty
+        states[0] += counts
+        np.cumsum(states, axis=0, out=states)
+        counts = states[m]
 
-        u = states.reshape(m, 4, n) / scale
-        f = np.empty((m, _N_INTEGRANDS, n))
-        f[:, :4] = _drift_stack(u, params, hk)
-        f[:, 4:8] = _amp_stack(u, params, hk) / scale
-        plus, minus = _cross_stacks(u, params)
-        f[:, 8] = plus / k
-        f[:, 9] = minus / k
-        step = f * (ends - starts)[:, None, None]
-        before = np.empty_like(step)
-        before[0] = integral
-        before[1:] = step[:-1]
-        np.cumsum(before, axis=0, out=before)
-        integral = before[-1] + step[-1]
-
+        # row c + 1: state a + c's columns, then times its duration; row 0
+        # the carried integrals, so the cumsum gives the integrals up to the
+        # start of each state
+        cols = np.empty((m + 1, _N_INTEGRANDS, n))
+        np.divide(states[:m].reshape(m, 4, n), scale, out=cols[1:, :4])
+        cols[1:, 4] = infection_stack(cols[1:, :4], params)
         lo, hi = np.searchsorted(seen, (a, b))
-        if hi > lo:
-            rows = seen[lo:hi] - a
-            at = before[rows] + f[rows] * (grid[lo:hi] - starts[rows])[:, None, None]
-            z_out[lo:hi] = u[rows] - u0 - at[:, :4]
-            pred[lo:hi] = at[:, 4:]
+        rows = seen[lo:hi] - a
+        at_row = cols[rows + 1]
+        cols[1:] *= (ends - starts)[:, None, None]
+        cols[0] = integral
+        if hi == lo:
+            # no sample sees this chunk: only the carry is needed, and the
+            # sum adds the rows in the cumsum's order
+            integral = cols.sum(axis=0)
+            continue
+        np.cumsum(cols, axis=0, out=cols)
+        integral = cols[m]
+        u_seen[lo:hi] = at_row[:, :4]
+        u_int[lo:hi] = cols[rows] + at_row * (grid[lo:hi] - starts[rows])[:, None, None]
 
-        ev, cell, product = log_entries(part, n, _JUMP_PRODUCTS)
-        if ev.size:
-            first = np.searchsorted(grid, part.times, side="left")
-            lo, hi = first[0], first[-1] + 1
-            key = (first[ev] - lo) * len(_FAMILIES) * n + cell
-            jumps[lo:hi] += np.bincount(
-                key, weights=product, minlength=(hi - lo) * len(_FAMILIES) * n
-            ).reshape(hi - lo, -1)
-
-    obs = np.cumsum(jumps, axis=0).reshape(n_times, len(_FAMILIES), n) * family_scale
+    u_bar, infection = u_int[:, :4], u_int[:, 4]
+    z_out = u_seen - u0 - _drift_stack(u_bar, params, hk, infection)
+    pred = np.empty((n_times, len(_FAMILIES), n))
+    pred[:, :4] = _amp_stack(u_bar, params, hk, infection) / scale
+    plus, minus = _cross_stacks(u_bar, params)
+    pred[:, 4] = plus / k
+    pred[:, 5] = minus / k
+    obs = _jump_sums(log, grid, n, n_events) * family_scale
     obs_out = {f: obs[:, i] for i, f in enumerate(_FAMILIES)}
     pred_out = {f: pred[:, i] for i, f in enumerate(_FAMILIES)}
     return Sweep(z_out, obs_out, pred_out)

@@ -135,21 +135,34 @@ def _params_dict(params: EpidemicParams) -> dict:
     }
 
 
-# One row of the trajectory CSV schema, as csv.writer would write it.
-_DENSITY_ROW = "%.17g,%d,%.17g,%.17g,%.17g,%.17g\r\n"
+def _write_csv(path, header: str, rows: Sequence[str], table: np.ndarray):
+    """Write a CSV as csv.writer would, formatting the body in one pass.
+
+    ``table`` is (blocks, rows per block, columns); every row of block b is
+    formatted with the template ``rows[b]``, which ends in "\\r\\n" and may
+    hold a literal field such as the block's name."""
+    body = "".join(row * table.shape[1] for row in rows)
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\r\n")
+        fh.write(body % tuple(table.ravel().tolist()))
+
+
+def _sample_site_table(times: Sequence[float], values: np.ndarray) -> np.ndarray:
+    """(..., n_times, n, 2 + columns) table of (time, 1-based site, values)
+    rows from (..., n_times, n, columns) values."""
+    table = np.empty(values.shape[:-1] + (2 + values.shape[-1],))
+    table[..., 0] = np.asarray(times, dtype=float)[:, None]
+    table[..., 1] = np.arange(1, values.shape[-2] + 1)
+    table[..., 2:] = values
+    return table
 
 
 def _write_density_csv(path, times: Sequence[float], densities: np.ndarray):
     """Write (n_samples, 4, n) densities as (time, site, S, I, R, B) rows,
-    sites 1-based, formatting the whole body in one pass."""
-    n_samples, _, n = densities.shape
-    table = np.empty((n_samples, n, 6))
-    table[:, :, 0] = np.asarray(times, dtype=float)[:, None]
-    table[:, :, 1] = np.arange(1, n + 1)
-    table[:, :, 2:] = densities.transpose(0, 2, 1)
-    with open(path, "w", newline="") as fh:
-        fh.write("time,site,S,I,R,B\r\n")
-        fh.write(_DENSITY_ROW * (n_samples * n) % tuple(table.ravel().tolist()))
+    sites 1-based."""
+    table = _sample_site_table(times, densities.transpose(0, 2, 1))
+    _write_csv(path, "time,site,S,I,R,B", ["%.17g,%d,%.17g,%.17g,%.17g,%.17g\r\n"],
+               table.reshape(1, -1, 6))
 
 
 def _write_snapshots_bin(path: Path, traj: Trajectory):
@@ -325,34 +338,26 @@ def write_convergence_report(directory, report: ConvergenceReport):
 
 def write_martingale_csv(path, residual: MartingaleResidual):
     """Residual fields keyed by (time, site, compartment)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time", "site", "compartment", "z"])
-        for name in ("S", "I", "R", "B"):
-            z = residual.component(name)
-            for ti, t in enumerate(residual.times):
-                for j in range(z.shape[1]):
-                    writer.writerow([f"{t:.17g}", j + 1, name, f"{z[ti, j]:.17g}"])
+    names = ("S", "I", "R", "B")
+    z = np.stack([residual.component(name) for name in names])[..., None]
+    table = _sample_site_table(residual.times, z)
+    _write_csv(path, "time,site,compartment,z",
+               [f"%.17g,%d,{name},%.17g\r\n" for name in names],
+               table.reshape(len(names), -1, 3))
 
 
 def write_compensator_csv(path, check: CompensatorCheck, sigma: float = 3.0):
     """Replica-mean residuals and z-scores keyed by (time, site, family)."""
-    n_rep = check.n_replicas
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time", "site", "family", "mean_residual", "stderr", "zscore"])
-        for fam in check.observed:
-            res = check.residuals(fam)
-            mean = res.mean(axis=0)
-            se = res.std(axis=0, ddof=1) / np.sqrt(n_rep)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                z = np.where(se > 0, mean / np.where(se > 0, se, 1.0), 0.0)
-            for ti, t in enumerate(check.times):
-                for j in range(mean.shape[1]):
-                    writer.writerow(
-                        [f"{t:.17g}", j + 1, fam,
-                         f"{mean[ti, j]:.17g}", f"{se[ti, j]:.17g}", f"{z[ti, j]:.6g}"]
-                    )
+    families = list(check.observed)
+    res = np.stack([check.residuals(fam) for fam in families], axis=1)
+    mean = res.mean(axis=0)
+    se = res.std(axis=0, ddof=1) / np.sqrt(check.n_replicas)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.where(se > 0, mean / np.where(se > 0, se, 1.0), 0.0)
+    table = _sample_site_table(check.times, np.stack([mean, se, z], axis=-1))
+    _write_csv(path, "time,site,family,mean_residual,stderr,zscore",
+               [f"%.17g,%d,{fam},%.17g,%.17g,%.6g\r\n" for fam in families],
+               table.reshape(len(families), -1, 5))
 
 
 # ---------------------------------------------------------------------------

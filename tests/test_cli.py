@@ -1,5 +1,6 @@
 """Config validation and end-to-end runs of every subcommand."""
 
+import csv
 import io as stdio
 import json
 import pickle
@@ -10,8 +11,9 @@ import pytest
 from sirb_lattice import cli, diagnostics
 from sirb_lattice import io as run_io
 from sirb_lattice.cli import ConfigError, main, parse_config, run
+from sirb_lattice.deterministic import ReactionField, homogeneous_ode
 from sirb_lattice.diagnostics import compensator_check, martingale_residual
-from sirb_lattice.stochastic import EventKind, EventLog, Trajectory, simulate_ssa
+from sirb_lattice.stochastic import RNG_ALGORITHM, EventKind, EventLog, Trajectory, simulate_ssa
 
 BASE_CONFIG = """
 [run]
@@ -237,6 +239,33 @@ def test_homogeneous_writes_series(tmp_path):
     assert len(rows) == 1 + cfg.samples
     first = rows[1].split(",")
     assert float(first[2]) == pytest.approx(0.9, abs=1e-9)
+
+
+def test_homogeneous_csv_matches_csv_module_reference(tmp_path):
+    path = write_config(tmp_path)
+    cfg = parse_config(path, mode="homogeneous")
+    cfg.samples = 7
+    run(cfg)
+    rf = ReactionField(cfg.params(), hk_ratio=cfg.h / cfg.k)
+    y0 = [float(np.mean(fn(np.linspace(0.0, 1.0, 257)[:-1]))) for fn in cfg.initial_fns()]
+    grid = cfg.sample_grid()
+    series = homogeneous_ode(y0, cfg.horizon, rf, sample_times=grid)
+    buf = stdio.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["time", "site", "S", "I", "R", "B"])
+    for t, row in zip(grid, series):
+        writer.writerow([f"{t:.17g}", 1] + [f"{v:.17g}" for v in row])
+    assert (cfg.out / "trajectory.csv").read_bytes() == buf.getvalue().encode()
+
+
+@pytest.mark.parametrize("mode", ["simulate", "pde", "homogeneous", "converge", "diagnose"])
+def test_manifest_records_rng_algorithm(tmp_path, mode):
+    path = write_config(tmp_path, ladder="ladder = 4:20:20")
+    cfg = parse_config(path, mode=mode)
+    assert run(cfg) == 0
+    manifest = json.loads((cfg.out / "manifest.json").read_text())
+    assert manifest["rng_algorithm"] == RNG_ALGORITHM
+    assert "rng_algorithm" not in manifest["file_hashes"]
 
 
 def test_pde_writes_lattice_solution(tmp_path):

@@ -335,6 +335,56 @@ def test_sweep_matches_per_event_reference():
                                            rtol=1e-12, atol=1e-12)
 
 
+def test_sweep_matches_per_event_reference_on_a_wide_lattice():
+    # n = 64 with a handful of individuals per site: a chunk holds a dozen
+    # events, and bacteria hop across the periodic boundary both ways.
+    n = 64
+    rng = np.random.default_rng(22)
+    params = make_params(n=n, ell=3.0, p_out=0.6)
+    scaling = ScalingParams(n, 3, 2)
+    state = SystemState.from_counts(*(rng.integers(0, 4, n) for _ in range(4)))
+    grid = np.array([0.0, 0.05, 0.1, 0.2, 0.3])
+    traj = simulate_ssa(state, 0.4, grid, params, scaling, seed=8, record_events=True)
+    log = traj.event_log
+    sampled = log.times <= grid[-1]
+    assert sampled.sum() > 10 * _sweep_chunk(n)
+    kinds, sites = log.kinds[sampled], log.sites[sampled]
+    assert np.any((kinds == EventKind.TRANSPORT_OUT) & (sites == n - 1))
+    assert np.any((kinds == EventKind.TRANSPORT_IN) & (sites == 0))
+
+    z_ref, obs_ref, pred_ref = reference_sweep(traj, params, scaling)
+    sweep = diagnostics.sweep_log(traj, params, scaling)
+    assert np.all(sweep.z[0] == 0.0)
+    np.testing.assert_allclose(sweep.z, z_ref, rtol=1e-12, atol=1e-12)
+    for i, fam in enumerate(FAMILIES):
+        np.testing.assert_allclose(sweep.observed[fam], obs_ref[:, i], rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(sweep.predicted[fam], pred_ref[:, i], rtol=1e-12, atol=1e-12)
+
+
+def test_sweep_does_not_depend_on_the_chunk_size(monkeypatch):
+    n = 5
+    rng = np.random.default_rng(23)
+    params = make_params(n=n)
+    scaling = ScalingParams(n, 80, 100)
+    state = random_state(rng, n, hi=150)
+    traj = simulate_ssa(state, 1.0, [0.0, 1.0], params, scaling, seed=9, record_events=True)
+    log = traj.event_log
+    assert len(log) > 2 * _sweep_chunk(n)
+    # one sample exactly at an event, and events after the last sample
+    grid = np.sort(np.append(rng.uniform(0.0, 0.9, 5), [0.0, log.times[len(log) // 2]]))
+    traj = Trajectory(grid, [state], log, seed=0)
+    default = diagnostics.sweep_log(traj, params, scaling)
+    for budget in (1, 1 << 40):  # one event per chunk, then the whole log in one
+        monkeypatch.setattr(diagnostics, "_SWEEP_CHUNK_BYTES", budget)
+        assert _sweep_chunk(n) == 1 or _sweep_chunk(n) > len(log)
+        sweep = diagnostics.sweep_log(traj, params, scaling)
+        np.testing.assert_allclose(sweep.z, default.z, rtol=1e-12, atol=1e-12)
+        for fam in FAMILIES:
+            np.testing.assert_array_equal(sweep.observed[fam], default.observed[fam])
+            np.testing.assert_allclose(sweep.predicted[fam], default.predicted[fam],
+                                       rtol=1e-12, atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # Compensators
 

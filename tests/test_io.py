@@ -15,10 +15,13 @@ from sirb_lattice.io import (
     replay,
     replay_trajectory,
     sha256_file,
+    write_compensator_csv,
     write_deterministic_csv,
+    write_martingale_csv,
     write_trajectory,
 )
 from sirb_lattice.deterministic import DeterministicState
+from sirb_lattice.diagnostics import CompensatorCheck, MartingaleResidual
 from sirb_lattice.lattice import TransportCoefficients
 from sirb_lattice.stochastic import (
     RNG_ALGORITHM,
@@ -344,6 +347,62 @@ def test_csv_writers_match_csv_module_reference(tmp_path):
     write_deterministic_csv(tmp_path / "det.csv", times,
                             [DeterministicState.from_stack(y) for y in stacks])
     assert (tmp_path / "det.csv").read_bytes() == csv_reference(times, stacks)
+
+
+def report_reference(residual, check) -> tuple[bytes, bytes]:
+    """Both diagnose reports written row by row through csv.writer."""
+    buf = stdio.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["time", "site", "compartment", "z"])
+    for name in "SIRB":
+        z = residual.component(name)
+        for ti, t in enumerate(residual.times):
+            for j in range(z.shape[1]):
+                writer.writerow([f"{t:.17g}", j + 1, name, f"{z[ti, j]:.17g}"])
+    martingale = buf.getvalue().encode()
+
+    buf = stdio.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["time", "site", "family", "mean_residual", "stderr", "zscore"])
+    for fam in check.observed:
+        res = check.residuals(fam)
+        mean = res.mean(axis=0)
+        se = res.std(axis=0, ddof=1) / np.sqrt(check.n_replicas)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            z = np.where(se > 0, mean / np.where(se > 0, se, 1.0), 0.0)
+        for ti, t in enumerate(check.times):
+            for j in range(mean.shape[1]):
+                writer.writerow([f"{t:.17g}", j + 1, fam, f"{mean[ti, j]:.17g}",
+                                 f"{se[ti, j]:.17g}", f"{z[ti, j]:.6g}"])
+    return martingale, buf.getvalue().encode()
+
+
+def test_report_writers_match_csv_module_reference(tmp_path):
+    rng = np.random.default_rng(6)
+    times = np.array([0.0, 1.0 / 3.0, 0.7, 1e-300])
+    n_rep, n = 3, 5
+
+    def field(*shape):
+        return rng.normal(size=shape) * 10.0 ** rng.integers(-20, 20, size=shape)
+
+    z = field(4, len(times), n)
+    z[:, 0] = 0.0
+    z[1, 2, 3] = -0.0
+    residual = MartingaleResidual(times, *z)
+    families = ("S", "I", "R", "B", "B_cross_plus", "B_cross_minus")
+    observed = {f: field(n_rep, len(times), n) for f in families}
+    predicted = {f: field(n_rep, len(times), n) for f in families}
+    for f in families:  # zero spread: the z-score falls back to 0
+        observed[f][:, 0] = predicted[f][:, 0] = 0.0
+    observed["I"][:, 1, 2] = 1e17
+    predicted["I"][:, 1, 2] = 0.5
+    check = CompensatorCheck(times, observed, predicted, n_rep)
+
+    write_martingale_csv(tmp_path / "martingale.csv", residual)
+    write_compensator_csv(tmp_path / "compensators.csv", check)
+    martingale, compensators = report_reference(residual, check)
+    assert (tmp_path / "martingale.csv").read_bytes() == martingale
+    assert (tmp_path / "compensators.csv").read_bytes() == compensators
 
 
 # ---------------------------------------------------------------------------
