@@ -13,13 +13,8 @@ from .lattice import (  # noqa: F401
     LatticeField,
     TransportCoefficients,
     grad_centered,
-    grad_minus,
-    grad_plus,
-    inner,
     laplace,
     project,
-    transition_probability,
-    transport_apply,
 )
 from .stochastic import (  # noqa: F401
     EpidemicParams,
@@ -31,7 +26,6 @@ from .stochastic import (  # noqa: F401
     Trajectory,
     all_rates,
     apply_event,
-    event_rate,
     replica_rng,
     simulate_ssa,
     step_ssa,

@@ -57,7 +57,6 @@ import argparse
 import configparser
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
@@ -71,11 +70,11 @@ from .diagnostics import (
     CompensatorCheck,
     MartingaleResidual,
     lln_experiment,
-    pool_size,
+    map_jobs,
     sweep_log,
 )
 from .lattice import TransportCoefficients
-from .stochastic import RNG_ALGORITHM, EpidemicParams, ScalingParams, SystemState, simulate_ssa
+from .stochastic import EpidemicParams, ScalingParams, SystemState, simulate_ssa
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "run", "main"]
 
@@ -265,6 +264,12 @@ def _positive_int(section: str, key: str, raw: str, minimum: int = 1) -> int:
     return v
 
 
+def _check_seed(key: str, seed: int):
+    """A master seed keys a Philox stream, so it must fit in 64 bits."""
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"{key}: must lie in [0, 2**64), got {seed}")
+
+
 def parse_config(path, mode: str = "simulate", theorem: Optional[str] = None) -> RunConfig:
     """Read and validate a config file for the given mode.
 
@@ -295,6 +300,7 @@ def parse_config(path, mode: str = "simulate", theorem: Optional[str] = None) ->
     samples = _positive_int("run", "samples", _get(cp, "run", "samples", "21"))
     replicas = _positive_int("run", "replicas", _get(cp, "run", "replicas", "1"))
     seed = _positive_int("run", "seed", _get(cp, "run", "seed", "12345"), minimum=0)
+    _check_seed("run.seed", seed)
     workers = _positive_int("run", "workers", _get(cp, "run", "workers", "1"))
     out = Path(_get(cp, "run", "out", "runs/out"))
     record_raw = _get(cp, "run", "record_events", "false").strip().lower()
@@ -409,13 +415,7 @@ def _run_simulate(cfg: RunConfig) -> None:
     for rep in range(cfg.replicas):
         directory = cfg.out if cfg.replicas == 1 else cfg.out / f"replica_{rep:03d}"
         jobs.append((cfg, rep, directory))
-    size = pool_size(cfg.workers, len(jobs))
-    if size > 1:
-        with ProcessPoolExecutor(max_workers=size) as pool:
-            list(pool.map(_one_simulation, jobs))
-    else:
-        for job in jobs:
-            _one_simulation(job)
+    map_jobs(_one_simulation, jobs, cfg.workers)
 
 
 def _run_pde(cfg: RunConfig) -> None:
@@ -428,7 +428,10 @@ def _run_pde(cfg: RunConfig) -> None:
                        dt=cfg.pde_dt, sample_times=grid)
     cfg.out.mkdir(parents=True, exist_ok=True)
     run_io.write_deterministic_csv(cfg.out / "trajectory.csv", grid, states)
-    _write_manifest_only(cfg, files=["trajectory.csv"])
+    run_io.RunManifest(
+        seed=cfg.seed, config=cfg.echo, params=run_io._params_dict(params),
+        scaling=run_io._scaling_dict(ScalingParams(m, cfg.h, cfg.k)),
+    ).write(cfg.out, ["trajectory.csv"])
 
 
 def _run_homogeneous(cfg: RunConfig) -> None:
@@ -442,7 +445,9 @@ def _run_homogeneous(cfg: RunConfig) -> None:
     cfg.out.mkdir(parents=True, exist_ok=True)
     # the trajectory schema on a one-site lattice
     run_io._write_density_csv(cfg.out / "trajectory.csv", grid, series[:, :, None])
-    _write_manifest_only(cfg, files=["trajectory.csv"])
+    run_io.RunManifest(
+        seed=cfg.seed, config=cfg.echo, params=run_io._params_dict(params),
+    ).write(cfg.out, ["trajectory.csv"])
 
 
 def _run_converge(cfg: RunConfig) -> None:
@@ -452,7 +457,11 @@ def _run_converge(cfg: RunConfig) -> None:
         n_samples=cfg.samples, workers=cfg.workers,
     )
     run_io.write_convergence_report(cfg.out, report)
-    _write_manifest_only(cfg, files=["report_distances.csv", "report_summary.csv"])
+    # every rung has its own lattice (the config echoes the ladder), so the
+    # run-wide scaling, params and initial_counts stay empty
+    run_io.RunManifest(seed=cfg.seed, config=cfg.echo).write(
+        cfg.out, ["report_distances.csv", "report_summary.csv"]
+    )
 
 
 def _one_diagnose_replica(args):
@@ -469,13 +478,7 @@ def _one_diagnose_replica(args):
 
 def _run_diagnose(cfg: RunConfig) -> None:
     jobs = [(cfg, rep) for rep in range(cfg.replicas)]
-    size = pool_size(cfg.workers, len(jobs))
-    if size > 1:
-        with ProcessPoolExecutor(max_workers=size) as pool:
-            results = list(pool.map(_one_diagnose_replica, jobs))
-    else:
-        results = [_one_diagnose_replica(j) for j in jobs]
-    sweeps, stats = zip(*results)
+    sweeps, stats = zip(*map_jobs(_one_diagnose_replica, jobs, cfg.workers))
     grid = cfg.sample_grid()
     cfg.out.mkdir(parents=True, exist_ok=True)
     run_io.write_martingale_csv(
@@ -486,29 +489,15 @@ def _run_diagnose(cfg: RunConfig) -> None:
         check = CompensatorCheck.from_sweeps(grid, sweeps)
         run_io.write_compensator_csv(cfg.out / "report_compensators.csv", check)
         files.append("report_compensators.csv")
-    _write_manifest_only(cfg, files=files, stats={
-        "n_events": [s["n_events"] for s in stats],
-        "events_by_kind": np.sum([s["events_by_kind"] for s in stats], axis=0).tolist(),
-    })
-
-
-def _write_manifest_only(cfg: RunConfig, files: list[str], stats: Optional[dict] = None) -> None:
-    import json
-    from datetime import datetime, timezone
-
-    manifest = {
-        "seed": cfg.seed,
-        "version": __version__,
-        "created": datetime.now(timezone.utc).isoformat(),
-        "config": cfg.echo,
-        "file_hashes": {f: run_io.sha256_file(cfg.out / f) for f in files},
-        "rng_algorithm": RNG_ALGORITHM,
-    }
-    if stats is not None:
-        # run telemetry, outside file_hashes like io.RunManifest's
-        manifest["stats"] = stats
-    (cfg.out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
-    (cfg.out / "plot.py").write_text(_PLOT_STUB)
+    state0, _ = _initial_state(cfg)
+    run_io.RunManifest(
+        seed=cfg.seed, config=cfg.echo, scaling=run_io._scaling_dict(cfg.scaling()),
+        params=run_io._params_dict(cfg.params()), initial_counts=run_io._counts_dict(state0),
+        stats={
+            "n_events": [s["n_events"] for s in stats],
+            "events_by_kind": np.sum([s["events_by_kind"] for s in stats], axis=0).tolist(),
+        },
+    ).write(cfg.out, files)
 
 
 def run(config: RunConfig) -> int:
@@ -522,8 +511,7 @@ def run(config: RunConfig) -> int:
         "diagnose": _run_diagnose,
     }
     dispatch[config.mode](config)
-    if config.mode == "simulate":
-        (config.out / "plot.py").write_text(_PLOT_STUB)
+    (config.out / "plot.py").write_text(_PLOT_STUB)
     return 0
 
 
@@ -550,8 +538,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         cfg = parse_config(args.config, mode=args.mode,
                            theorem=getattr(args, "theorem", None))
         if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+            _check_seed("--seed", args.seed)
             cfg.seed = args.seed
             cfg.echo["seed"] = args.seed
         if args.replicas is not None:

@@ -24,7 +24,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .lattice import LatticeField, TransportCoefficients, project
-from .stochastic import EpidemicParams
+from .stochastic import EpidemicParams, _resolve_grid
 
 __all__ = [
     "ReactionField",
@@ -189,6 +189,18 @@ def _transport_stencil(b: np.ndarray, tc: TransportCoefficients) -> np.ndarray:
     return tc.diffusion * n**2 * (up - 2.0 * b + dn) - tc.nu * 0.5 * n * (up - dn)
 
 
+def _lattice_rhs(
+    y: np.ndarray, rf: ReactionField, tc: TransportCoefficients,
+    infection: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """F(y) plus transport on the bacteria row, on a (..., 4, n) stack: the
+    lattice companion system's vector field.  ``infection`` as in
+    reaction_stack."""
+    out = reaction_stack(y, rf, infection)
+    out[..., 3, :] += _transport_stencil(y[..., 3, :], tc)
+    return out
+
+
 def rhs_discrete(
     v: DeterministicState, rf: ReactionField, tc: TransportCoefficients
 ) -> DeterministicState:
@@ -199,9 +211,7 @@ def rhs_discrete(
     y = v.stack()
     if np.any(y < 0):
         raise ValueError("rhs_discrete is only defined for nonnegative states")
-    out = reaction_stack(y, rf)
-    out[3] += _transport_stencil(y[3], tc)
-    return DeterministicState.from_stack(out)
+    return DeterministicState.from_stack(_lattice_rhs(y, rf, tc))
 
 
 def auto_dt(rf: ReactionField, tc: TransportCoefficients) -> float:
@@ -211,22 +221,6 @@ def auto_dt(rf: ReactionField, tc: TransportCoefficients) -> float:
     if denom <= 0.0:
         return 1.0  # nothing moves; any step works
     return STABILITY_SAFETY / denom
-
-
-def _resolve_grid(horizon: float, sample_times) -> np.ndarray:
-    if not np.isfinite(horizon) or horizon < 0:
-        raise ValueError(f"horizon must be finite and >= 0, got {horizon}")
-    if sample_times is None:
-        grid = np.array([0.0, horizon]) if horizon > 0 else np.array([0.0])
-    else:
-        grid = np.asarray(sample_times, dtype=float)
-    if grid.ndim != 1 or grid.size == 0 or grid[0] != 0.0:
-        raise ValueError("sample grid must be 1-D and start at t = 0")
-    if grid.size > 1 and not np.all(np.diff(grid) > 0):
-        raise ValueError("sample times must be strictly increasing")
-    if grid[-1] > horizon:
-        raise ValueError("sample grid must lie within [0, horizon]")
-    return grid
 
 
 def _rk4_march(
@@ -312,13 +306,7 @@ def integrate(
     step = auto_dt(rf, tc) if dt == "auto" else float(dt)
     if step <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-
-    def rhs(y: np.ndarray) -> np.ndarray:
-        out = reaction_stack(y, rf)
-        out[3] += _transport_stencil(y[3], tc)
-        return out
-
-    ys = _rk4_march(y0, grid, step, rhs, stats)
+    ys = _rk4_march(y0, grid, step, lambda y: _lattice_rhs(y, rf, tc), stats)
     return [DeterministicState.from_stack(y) for y in ys]
 
 

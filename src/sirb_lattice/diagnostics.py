@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -31,19 +30,16 @@ from .deterministic import (
     growth_constant,
     infection_stack,
     integrate,
-    reaction_stack,
-    _transport_stencil,
+    _lattice_rhs,
 )
 from .lattice import LatticeField, project
 from .stochastic import (
-    EVENT_DELTAS,
+    STOICHIOMETRY,
     EpidemicParams,
-    EventKind,
     EventLog,
     ScalingParams,
     SystemState,
     Trajectory,
-    _entry_table,
     all_rates,
     log_entries,
     simulate_ssa,
@@ -68,11 +64,8 @@ __all__ = [
 ]
 
 COMPARTMENTS = ("S", "I", "R", "B")
-_COMP_INDEX = {"S": 0, "I": 1, "R": 2, "B": 3}
-_COMP_KEY = {"s": 0, "i": 1, "r": 2, "b": 3}
-SQUARE_FAMILIES = ("S", "I", "R", "B")
-CROSS_FAMILIES = ("B_cross_plus", "B_cross_minus")
-_FAMILIES = SQUARE_FAMILIES + CROSS_FAMILIES
+# The four square families, one per compartment, then the two cross families.
+_FAMILIES = COMPARTMENTS + ("B_cross_plus", "B_cross_minus")
 
 # Per-state integrands of the sweep: the four densities and the infection
 # field.  Every drift and amplitude integrand is affine in these five rows.
@@ -91,21 +84,24 @@ def _sweep_chunk(n_sites: int) -> int:
 
 def _jump_products() -> np.ndarray:
     """Entry table of the jump products each kind makes, derived from
-    EVENT_DELTAS.  Rows index _FAMILIES: a square family gets the squared
+    STOICHIOMETRY.  Rows index _FAMILIES: a square family gets the squared
     count jump at each touched site; a cross family gets, at site j, the
     product of the bacteria jumps at j and j + 1 (plus) or j - 1 (minus)."""
+    plus, minus = _FAMILIES.index("B_cross_plus"), _FAMILIES.index("B_cross_minus")
     rows = []
-    for kind in EventKind:
-        deltas = EVENT_DELTAS[kind]
-        entries = [(_COMP_KEY[c], off, d * d) for c, off, d in deltas]
-        b_deltas = [(off, d) for c, off, d in deltas if c == "b"]
+    for row in STOICHIOMETRY.tolist():
+        deltas = [(c, off, d) for c, off, d in row if d]
+        entries = [(c, off, d * d) for c, off, d in deltas]
+        b_deltas = [(off, d) for c, off, d in deltas if c == COMPARTMENTS.index("B")]
         for o1, d1 in b_deltas:
             for o2, d2 in b_deltas:
                 if abs(o2 - o1) == 1:
-                    family = "B_cross_plus" if o2 == o1 + 1 else "B_cross_minus"
-                    entries.append((_FAMILIES.index(family), o1, d1 * d2))
+                    entries.append((plus if o2 == o1 + 1 else minus, o1, d1 * d2))
         rows.append(entries)
-    return _entry_table(rows)
+    table = np.zeros((len(rows), max(map(len, rows)), 3), dtype=np.int64)
+    for kind, entries in enumerate(rows):
+        table[kind, : len(entries)] = entries
+    return table
 
 
 _JUMP_PRODUCTS = _jump_products()
@@ -141,7 +137,7 @@ def sup_distance(
     u = np.stack([st.rescaled(scaling) for st in traj.states])
     if det_states.shape != u.shape:
         raise ValueError("lattice sizes differ between the two solutions")
-    rows = [_COMP_INDEX[c] for c in compartments]
+    rows = [COMPARTMENTS.index(c) for c in compartments]
     return float(np.max(np.abs(u[:, rows] - det_states[:, rows])))
 
 
@@ -155,9 +151,7 @@ def _drift_stack(
     """Operator-form drift on a (..., 4, n) density stack: F(u) plus
     transport on the bacteria row.  ``infection`` as in reaction_stack."""
     rf = ReactionField(params, hk_ratio=hk_ratio, mode="coupled")
-    out = reaction_stack(u, rf, infection)
-    out[..., 3, :] += _transport_stencil(u[..., 3, :], params.transport)
-    return out
+    return _lattice_rhs(u, rf, params.transport, infection)
 
 
 def drift_fields(
@@ -166,7 +160,7 @@ def drift_fields(
     """The drift (debit) of each compartment at the given state."""
     u = state.rescaled(scaling)
     psi = _drift_stack(u, params, scaling.h / scaling.k)
-    return {c: LatticeField(psi[_COMP_INDEX[c]]) for c in COMPARTMENTS}
+    return {c: LatticeField(row) for c, row in zip(COMPARTMENTS, psi)}
 
 
 def event_table_drift(
@@ -175,13 +169,12 @@ def event_table_drift(
     """Brute-force drift: sum over the event table of rate times rescaled
     jump, per compartment and site.  Shape (4, n)."""
     rates = all_rates(state, params, scaling)
-    renorm = {"s": float(scaling.h), "i": float(scaling.h),
-              "r": float(scaling.h), "b": float(scaling.k)}
+    renorm = np.array([scaling.h, scaling.h, scaling.h, scaling.k], dtype=float)
     out = np.zeros((4, state.n_sites))
-    for kind, deltas in EVENT_DELTAS.items():
-        row = rates[kind]
-        for comp, off, d in deltas:
-            out[_COMP_KEY[comp]] += np.roll(row, off) * (d / renorm[comp])
+    for kind, deltas in enumerate(STOICHIOMETRY.tolist()):
+        for c, off, d in deltas:
+            if d:
+                out[c] += np.roll(rates[kind], off) * (d / renorm[c])
     return out
 
 
@@ -233,7 +226,7 @@ def square_amplitudes(
     u = state.rescaled(scaling)
     amp = _amp_stack(u, params, scaling.h / scaling.k)
     plus, minus = _cross_stacks(u, params)
-    out = {c: LatticeField(amp[_COMP_INDEX[c]]) for c in COMPARTMENTS}
+    out = {c: LatticeField(row) for c, row in zip(COMPARTMENTS, amp)}
     out["B_cross_plus"] = LatticeField(plus)
     out["B_cross_minus"] = LatticeField(minus)
     return out
@@ -242,7 +235,8 @@ def square_amplitudes(
 def event_table_square_sum(
     state: SystemState, params: EpidemicParams, scaling: ScalingParams
 ) -> dict[str, np.ndarray]:
-    """Brute-force square and cross amplitudes from the event table.
+    """Brute-force square and cross amplitudes from the event table's jump
+    products (``_JUMP_PRODUCTS``, derived from STOICHIOMETRY).
 
     For each compartment: renorm * sum over events of rate * (rescaled jump
     at the site)^2.  For the cross fields: K * sum over events of the
@@ -250,28 +244,13 @@ def event_table_square_sum(
     the authoritative definition every closed form is tested against.
     """
     rates = all_rates(state, params, scaling)
-    h = float(scaling.h)
-    k = float(scaling.k)
-    renorm = {"s": h, "i": h, "r": h, "b": k}
-    n = state.n_sites
-    amp = np.zeros((4, n))
-    cross_plus = np.zeros(n)
-    cross_minus = np.zeros(n)
-    for kind, deltas in EVENT_DELTAS.items():
-        row = rates[kind]
-        for comp, off, d in deltas:
-            amp[_COMP_KEY[comp]] += np.roll(row, off) * (d * d / renorm[comp])
-        b_deltas = [(off, d) for comp, off, d in deltas if comp == "b"]
-        for o1, d1 in b_deltas:
-            for o2, d2 in b_deltas:
-                if o2 == o1 + 1:
-                    cross_plus += np.roll(row, o1) * (d1 * d2 / k)
-                elif o2 == o1 - 1:
-                    cross_minus += np.roll(row, o1) * (d1 * d2 / k)
-    out = {c: amp[_COMP_INDEX[c]] for c in COMPARTMENTS}
-    out["B_cross_plus"] = cross_plus
-    out["B_cross_minus"] = cross_minus
-    return out
+    renorm = np.array([scaling.h] * 3 + [scaling.k] * 3, dtype=float)  # per family
+    out = np.zeros((len(_FAMILIES), state.n_sites))
+    for kind, products in enumerate(_JUMP_PRODUCTS.tolist()):
+        for family, off, v in products:
+            if v:
+                out[family] += np.roll(rates[kind], off) * (v / renorm[family])
+    return dict(zip(_FAMILIES, out))
 
 
 # ---------------------------------------------------------------------------
@@ -606,6 +585,17 @@ def pool_size(workers: int, jobs: int) -> int:
     return max(1, min(workers, jobs, os.cpu_count() or 1))
 
 
+def map_jobs(fn: Callable, jobs: Sequence, workers: int) -> list:
+    """``[fn(job) for job in jobs]``, in order: serially when ``pool_size``
+    gives one worker, else through one process pool's ``map``.  ``fn`` must
+    be a top-level function so the pool can ship it."""
+    size = pool_size(workers, len(jobs))
+    if size == 1:
+        return [fn(job) for job in jobs]
+    with ProcessPoolExecutor(max_workers=size) as pool:
+        return list(pool.map(fn, jobs))
+
+
 def _replica_distance(payload) -> tuple[float, float]:
     """One replica of one rung: (sup distance, sup density).  Top level so a
     process pool can ship it."""
@@ -660,39 +650,41 @@ def lln_experiment(
         raise ValueError("expected four initial profile functions (S, I, R, B)")
     grid = np.linspace(0.0, horizon, n_samples) if horizon > 0 else np.array([0.0])
     comps = COMPARTMENTS if mode == "theorem1" else ("B",)
-    rungs: list[LadderRung] = []
-    # One pool serves every rung: its workers start once, at the first rung.
-    size = pool_size(workers, replicas)
-    with ProcessPoolExecutor(max_workers=size) if size > 1 else nullcontext() as pool:
-        run = pool.map if pool is not None else map
-        for rung_idx, (n, h, k) in enumerate(ladder):
-            scaling = ScalingParams(int(n), int(h), int(k))
-            prm = params.with_lattice(int(n))
-            fields0 = [project(f, int(n), quadrature_points) for f in initial_fns]
-            v0 = DeterministicState(*fields0)
-            state0 = SystemState.from_densities(*fields0, scaling=scaling)
-            rounding = float(np.max(np.abs(state0.rescaled(scaling) - v0.stack())))
-            rf = ReactionField(
-                prm, hk_ratio=h / k, mode="coupled" if mode == "theorem1" else "decoupled"
+    # Integrate every rung first, then run all rungs' replicas through one
+    # map, so a pool's workers start once.  Replica rep of rung g draws
+    # stream (g << 32) + rep.
+    shapes = []  # (n, h, k, rounding error, ball radius) per rung
+    payloads = []
+    for rung_idx, (n, h, k) in enumerate(ladder):
+        scaling = ScalingParams(int(n), int(h), int(k))
+        prm = params.with_lattice(int(n))
+        fields0 = [project(f, int(n), quadrature_points) for f in initial_fns]
+        v0 = DeterministicState(*fields0)
+        state0 = SystemState.from_densities(*fields0, scaling=scaling)
+        rounding = float(np.max(np.abs(state0.rescaled(scaling) - v0.stack())))
+        rf = ReactionField(
+            prm, hk_ratio=h / k, mode="coupled" if mode == "theorem1" else "decoupled"
+        )
+        det = integrate(v0, horizon, rf, prm.transport, sample_times=grid)
+        # one (n_samples, 4, n) array pickles far smaller than the states
+        det = np.stack([v.stack() for v in det])
+        c0 = float(np.max(np.abs(v0.stack())))
+        ball = c0 * math.exp(growth_constant(rf) * horizon)
+        shapes.append((int(n), int(h), int(k), rounding, ball))
+        payloads += [
+            (state0, horizon, grid, prm, scaling, seed, (rung_idx << 32) + rep, det, comps)
+            for rep in range(replicas)
+        ]
+    results = map_jobs(_replica_distance, payloads, workers)
+    rungs = []
+    for rung_idx, (n, h, k, rounding, ball) in enumerate(shapes):
+        mine = results[rung_idx * replicas: (rung_idx + 1) * replicas]
+        rungs.append(
+            LadderRung(
+                n_sites=n, h=h, k=k, distances=np.array([d for d, _ in mine]),
+                rounding_error=rounding, ball_exits=sum(1 for _, u in mine if u > ball),
             )
-            det = integrate(v0, horizon, rf, prm.transport, sample_times=grid)
-            # one (n_samples, 4, n) array pickles far smaller than the states
-            det = np.stack([v.stack() for v in det])
-            c0 = float(np.max(np.abs(v0.stack())))
-            ball = c0 * math.exp(growth_constant(rf) * horizon)
-            payloads = [
-                (state0, horizon, grid, prm, scaling, seed, (rung_idx << 32) + rep, det, comps)
-                for rep in range(replicas)
-            ]
-            results = list(run(_replica_distance, payloads))
-            distances = np.array([d for d, _ in results])
-            exits = sum(1 for _, sup_u in results if sup_u > ball)
-            rungs.append(
-                LadderRung(
-                    n_sites=int(n), h=int(h), k=int(k),
-                    distances=distances, rounding_error=rounding, ball_exits=exits,
-                )
-            )
+        )
     return ConvergenceReport(
         mode=mode, horizon=horizon, replicas=replicas, seed=seed, rungs=rungs
     )

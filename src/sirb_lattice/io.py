@@ -85,15 +85,17 @@ def sha256_file(path: Path) -> str:
 
 @dataclass
 class RunManifest:
-    """Everything needed to reproduce and verify a run directory."""
+    """Everything needed to reproduce and verify a run directory.  Every
+    subcommand writes one.  Fields that do not apply to a run stay empty,
+    such as the initial counts of a deterministic ``pde`` run."""
 
     seed: int
-    version: str
-    created: str
-    config: dict
-    scaling: dict
-    params: dict
-    initial_counts: dict
+    version: str = __version__
+    created: str = field(default_factory=lambda: datetime.now(timezone.utc).isoformat())
+    config: dict = field(default_factory=dict)
+    scaling: dict = field(default_factory=dict)
+    params: dict = field(default_factory=dict)
+    initial_counts: dict = field(default_factory=dict)
     file_hashes: dict = field(default_factory=dict)
     rng_algorithm: str = RNG_ALGORITHM
     # Run telemetry, outside file_hashes: same-seed data files stay
@@ -109,6 +111,14 @@ class RunManifest:
             return cls(**json.loads(text))
         except (json.JSONDecodeError, TypeError) as exc:
             raise CorruptFileError(f"manifest does not match the manifest schema: {exc}") from exc
+
+    def write(self, directory, files: Sequence[str]) -> "RunManifest":
+        """Hash ``files`` of ``directory`` into file_hashes, then write the
+        manifest there as manifest.json."""
+        directory = Path(directory)
+        self.file_hashes = {name: sha256_file(directory / name) for name in files}
+        (directory / "manifest.json").write_text(self.to_json())
+        return self
 
     def verify(self, directory: Path):
         """Check every recorded hash against the file on disk."""
@@ -133,6 +143,14 @@ def _params_dict(params: EpidemicParams) -> dict:
         # derived, echoed for the record
         "bias": tc.bias, "nu": tc.nu, "diffusion": tc.diffusion,
     }
+
+
+def _scaling_dict(scaling: ScalingParams) -> dict:
+    return {"n_sites": scaling.n_sites, "h": scaling.h, "k": scaling.k}
+
+
+def _counts_dict(state: SystemState) -> dict:
+    return {c: state.counts(c).tolist() for c in ("s", "i", "r", "b")}
 
 
 def _write_csv(path, header: str, rows: Sequence[str], table: np.ndarray):
@@ -257,43 +275,40 @@ def write_trajectory(
     densities = np.stack([state.rescaled(scaling) for state in traj.states])
     _write_density_csv(directory / "trajectory.csv", traj.sample_times, densities)
     _write_snapshots_bin(directory / "snapshots.bin", traj)
-    hashes = {
-        "trajectory.csv": sha256_file(directory / "trajectory.csv"),
-        "snapshots.bin": sha256_file(directory / "snapshots.bin"),
-    }
+    files = ["trajectory.csv", "snapshots.bin"]
     if traj.event_log is not None:
         _write_events_bin(directory / "events.bin", traj.event_log)
-        hashes["events.bin"] = sha256_file(directory / "events.bin")
-    manifest = RunManifest(
+        files.append("events.bin")
+    return RunManifest(
         seed=traj.seed,
-        version=__version__,
-        created=datetime.now(timezone.utc).isoformat(),
         config=config_echo or {},
-        scaling={"n_sites": scaling.n_sites, "h": scaling.h, "k": scaling.k},
+        scaling=_scaling_dict(scaling),
         params=_params_dict(params),
-        initial_counts={
-            c: traj.initial.counts(c).tolist() for c in ("s", "i", "r", "b")
-        },
-        file_hashes=hashes,
+        initial_counts=_counts_dict(traj.initial),
         rng_algorithm=traj.rng_algorithm,
         stats=dict(traj.stats),
-    )
-    (directory / "manifest.json").write_text(manifest.to_json())
-    return manifest
+    ).write(directory, files)
 
 
 def read_trajectory(directory) -> tuple[Trajectory, RunManifest]:
-    """Load a persisted run after verifying all file hashes."""
+    """Load a persisted run after verifying all file hashes.  Raises
+    CorruptFileError unless the manifest lists snapshots.bin, and events.bin
+    too when that file exists: a file the manifest does not list is never
+    read unverified."""
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
     if not manifest_path.exists():
         raise CorruptFileError(f"no manifest.json in {directory}")
     manifest = RunManifest.from_json(manifest_path.read_text())
+    listed = manifest.file_hashes
+    has_log = (directory / "events.bin").exists()
+    if "snapshots.bin" not in listed or (has_log and "events.bin" not in listed):
+        raise CorruptFileError(
+            f"manifest in {directory} must list snapshots.bin, and events.bin when present"
+        )
     manifest.verify(directory)
     times, states = _read_snapshots_bin(directory / "snapshots.bin")
-    log = None
-    if (directory / "events.bin").exists():
-        log = _read_events_bin(directory / "events.bin")
+    log = _read_events_bin(directory / "events.bin") if has_log else None
     traj = Trajectory(
         sample_times=times,
         states=states,

@@ -1,13 +1,13 @@
-"""Periodic 1-D lattice: step-function fields, discrete difference operators,
-and the biased nearest-neighbour transport operator.
+"""Periodic 1-D lattice: step-function fields, centered difference
+operators, and the coefficients of the biased nearest-neighbour transport.
 
 The unit interval is split into ``n`` sites; site ``j`` (0-based) covers
 ``(j/n, (j+1)/n]`` and all indexing wraps around modulo ``n``.  User-facing
 output elsewhere in the package reports sites 1-based; internally everything
 is 0-based.
 
-Operators are available both as matrix-free stencils (hot path) and as dense
-matrices (brute-force test path).
+The transport operator itself is one stencil,
+``deterministic._transport_stencil``.
 """
 
 from __future__ import annotations
@@ -23,18 +23,7 @@ __all__ = [
     "TransportCoefficients",
     "project",
     "grad_centered",
-    "grad_plus",
-    "grad_minus",
     "laplace",
-    "transport_apply",
-    "transition_probability",
-    "inner",
-    "grad_matrix",
-    "grad_plus_matrix",
-    "grad_minus_matrix",
-    "laplace_matrix",
-    "transport_matrix",
-    "transition_matrix",
 ]
 
 # Centered stencils need two distinct neighbours per site.
@@ -63,14 +52,6 @@ class LatticeField:
     @property
     def n_sites(self) -> int:
         return self.values.shape[0]
-
-    def site(self, j: int) -> float:
-        """Value at site ``j`` with periodic wraparound."""
-        return float(self.values[j % self.n_sites])
-
-    def shifted(self, k: int) -> "LatticeField":
-        """Cyclic shift by ``k`` sites: result[j] = self[j - k]."""
-        return LatticeField(np.roll(self.values, k))
 
     def __len__(self) -> int:
         return self.n_sites
@@ -180,93 +161,7 @@ def grad_centered(f: LatticeField) -> LatticeField:
     return LatticeField(0.5 * f.n_sites * (np.roll(v, -1) - np.roll(v, 1)))
 
 
-def grad_plus(f: LatticeField) -> LatticeField:
-    """Forward difference: n * (f[j+1] - f[j]), periodic."""
-    v = f.values
-    return LatticeField(f.n_sites * (np.roll(v, -1) - v))
-
-
-def grad_minus(f: LatticeField) -> LatticeField:
-    """Backward difference: n * (f[j] - f[j-1]), periodic."""
-    v = f.values
-    return LatticeField(f.n_sites * (v - np.roll(v, 1)))
-
-
 def laplace(f: LatticeField) -> LatticeField:
     """Centered second difference: n^2 * (f[j+1] - 2 f[j] + f[j-1]), periodic."""
     v = f.values
     return LatticeField(f.n_sites**2 * (np.roll(v, -1) - 2.0 * v + np.roll(v, 1)))
-
-
-def transport_apply(f: LatticeField, tc: TransportCoefficients) -> LatticeField:
-    """Apply the transport operator -nu * grad_centered + diffusion * laplace."""
-    if tc.n_sites != f.n_sites:
-        raise ValueError(
-            f"transport built for n={tc.n_sites} applied to field with n={f.n_sites}"
-        )
-    v = f.values
-    n = f.n_sites
-    up = np.roll(v, -1)
-    dn = np.roll(v, 1)
-    adv = -tc.nu * 0.5 * n * (up - dn)
-    dif = tc.diffusion * n**2 * (up - 2.0 * v + dn)
-    return LatticeField(adv + dif)
-
-
-def transition_probability(tc: TransportCoefficients, i: int, j: int) -> float:
-    """Probability that a transported propagule hops from site i to site j.
-
-    On the cycle each site has one inward and one outward edge, so the
-    normalizing denominator is p_out + p_in = 1: the forward neighbour gets
-    p_out, the backward neighbour p_in, everything else 0.
-    """
-    d = (j - i) % tc.n_sites
-    if d == 1:
-        return tc.p_out
-    if d == tc.n_sites - 1:
-        return tc.p_in
-    return 0.0
-
-
-def inner(f: LatticeField, g: LatticeField) -> float:
-    """Lattice L2 inner product (1/n) * sum f_j g_j."""
-    if f.n_sites != g.n_sites:
-        raise ValueError("inner product needs fields on the same lattice")
-    return float(np.mean(f.values * g.values))
-
-
-# ---------------------------------------------------------------------------
-# Dense matrix representations (test path)
-
-def _shift_matrix(n: int, k: int) -> np.ndarray:
-    """Matrix S with (S f)[j] = f[j + k] (periodic)."""
-    return np.roll(np.eye(n), k, axis=1)
-
-
-def grad_matrix(n: int) -> np.ndarray:
-    return 0.5 * n * (_shift_matrix(n, 1) - _shift_matrix(n, -1))
-
-
-def grad_plus_matrix(n: int) -> np.ndarray:
-    return n * (_shift_matrix(n, 1) - np.eye(n))
-
-
-def grad_minus_matrix(n: int) -> np.ndarray:
-    return n * (np.eye(n) - _shift_matrix(n, -1))
-
-
-def laplace_matrix(n: int) -> np.ndarray:
-    return n**2 * (_shift_matrix(n, 1) - 2.0 * np.eye(n) + _shift_matrix(n, -1))
-
-
-def transport_matrix(tc: TransportCoefficients) -> np.ndarray:
-    n = tc.n_sites
-    return -tc.nu * grad_matrix(n) + tc.diffusion * laplace_matrix(n)
-
-
-def transition_matrix(tc: TransportCoefficients) -> np.ndarray:
-    """Dense hop-probability matrix; rows sum to 1."""
-    n = tc.n_sites
-    return np.array(
-        [[transition_probability(tc, i, j) for j in range(n)] for i in range(n)]
-    )

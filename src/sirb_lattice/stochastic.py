@@ -42,7 +42,6 @@ from .lattice import MIN_SITES, LatticeField, TransportCoefficients
 __all__ = [
     "RNG_ALGORITHM",
     "EventKind",
-    "EVENT_DELTAS",
     "N_EVENT_KINDS",
     "STOICHIOMETRY",
     "SOURCES",
@@ -53,7 +52,6 @@ __all__ = [
     "EventLog",
     "Trajectory",
     "replica_rng",
-    "event_rate",
     "all_rates",
     "apply_event",
     "log_entries",
@@ -85,66 +83,46 @@ class EventKind(IntEnum):
 
 N_EVENT_KINDS = len(EventKind)
 
-# kind -> tuple of (compartment, site offset, count delta).  Compartments are
-# "s", "i", "r", "b"; offsets are relative to the event site, periodic.
-EVENT_DELTAS: dict[EventKind, tuple[tuple[str, int, int], ...]] = {
-    EventKind.BIRTH_FROM_S: (("s", 0, +1),),
-    EventKind.BIRTH_FROM_I: (("s", 0, +1),),
-    EventKind.BIRTH_FROM_R: (("s", 0, +1),),
-    EventKind.DEATH_S: (("s", 0, -1),),
-    EventKind.INFECTION: (("s", 0, -1), ("i", 0, +1)),
-    EventKind.DEATH_I_NATURAL: (("i", 0, -1),),
-    EventKind.DEATH_I_CHOLERA: (("i", 0, -1),),
-    EventKind.RECOVERY: (("i", 0, -1), ("r", 0, +1)),
-    EventKind.DEATH_R: (("r", 0, -1),),
-    EventKind.IMMUNITY_LOSS: (("r", 0, -1), ("s", 0, +1)),
-    EventKind.BACTERIA_DEATH: (("b", 0, -1),),
-    EventKind.CONTAMINATION: (("b", 0, +1),),
-    EventKind.TRANSPORT_OUT: (("b", 0, -1), ("b", +1, +1)),
-    EventKind.TRANSPORT_IN: (("b", 0, -1), ("b", -1, +1)),
-}
-
-# Compartments whose local count must be >= 1 for the event to have nonzero
-# propensity (the rate-defining "source").
-_EVENT_SOURCE: dict[EventKind, tuple[str, ...]] = {
-    EventKind.BIRTH_FROM_S: ("s",),
-    EventKind.BIRTH_FROM_I: ("i",),
-    EventKind.BIRTH_FROM_R: ("r",),
-    EventKind.DEATH_S: ("s",),
-    EventKind.INFECTION: ("s", "b"),
-    EventKind.DEATH_I_NATURAL: ("i",),
-    EventKind.DEATH_I_CHOLERA: ("i",),
-    EventKind.RECOVERY: ("i",),
-    EventKind.DEATH_R: ("r",),
-    EventKind.IMMUNITY_LOSS: ("r",),
-    EventKind.BACTERIA_DEATH: ("b",),
-    EventKind.CONTAMINATION: ("i",),
-    EventKind.TRANSPORT_OUT: ("b",),
-    EventKind.TRANSPORT_IN: ("b",),
-}
-
 _COMPARTMENTS = ("s", "i", "r", "b")
 
-
-def _entry_table(rows: Sequence[Sequence[tuple[int, int, int]]]) -> np.ndarray:
-    """Pack per-kind (row, site offset, value) entries into an integer table
-    of shape (N_EVENT_KINDS, slots, 3); unused slots hold value 0."""
-    table = np.zeros((len(rows), max(len(r) for r in rows), 3), dtype=np.int64)
-    for kind, entries in enumerate(rows):
-        table[kind, : len(entries)] = entries
-    return table
-
-
-# The reaction table as integer arrays, derived from the two dicts above.
-# STOICHIOMETRY entries are (compartment, offset, count delta); SOURCES
-# entries are (compartment, 0, least count the event needs at its site).
-STOICHIOMETRY = _entry_table([
-    [(_COMPARTMENTS.index(c), off, d) for c, off, d in EVENT_DELTAS[kind]]
-    for kind in EventKind
-])
-SOURCES = _entry_table([
-    [(_COMPARTMENTS.index(c), 0, 1) for c in _EVENT_SOURCE[kind]] for kind in EventKind
-])
+# The reaction table, one row per kind in EventKind order.  Compartments
+# are 0-3 for S, I, R, B; offsets are relative to the event site, periodic;
+# unused slots hold value 0.  STOICHIOMETRY entries are (compartment, site
+# offset, count delta).  SOURCES entries are (compartment, 0, least count
+# the event needs at its site): the compartments whose local count must be
+# >= 1 for the event to have nonzero propensity.
+STOICHIOMETRY = np.array([
+    [(0, 0, +1), (0, 0, 0)],  # BIRTH_FROM_S
+    [(0, 0, +1), (0, 0, 0)],  # BIRTH_FROM_I
+    [(0, 0, +1), (0, 0, 0)],  # BIRTH_FROM_R
+    [(0, 0, -1), (0, 0, 0)],  # DEATH_S
+    [(0, 0, -1), (1, 0, +1)],  # INFECTION
+    [(1, 0, -1), (0, 0, 0)],  # DEATH_I_NATURAL
+    [(1, 0, -1), (0, 0, 0)],  # DEATH_I_CHOLERA
+    [(1, 0, -1), (2, 0, +1)],  # RECOVERY
+    [(2, 0, -1), (0, 0, 0)],  # DEATH_R
+    [(2, 0, -1), (0, 0, +1)],  # IMMUNITY_LOSS
+    [(3, 0, -1), (0, 0, 0)],  # BACTERIA_DEATH
+    [(3, 0, +1), (0, 0, 0)],  # CONTAMINATION
+    [(3, 0, -1), (3, +1, +1)],  # TRANSPORT_OUT
+    [(3, 0, -1), (3, -1, +1)],  # TRANSPORT_IN
+], dtype=np.int64)
+SOURCES = np.array([
+    [(0, 0, 1), (0, 0, 0)],  # BIRTH_FROM_S
+    [(1, 0, 1), (0, 0, 0)],  # BIRTH_FROM_I
+    [(2, 0, 1), (0, 0, 0)],  # BIRTH_FROM_R
+    [(0, 0, 1), (0, 0, 0)],  # DEATH_S
+    [(0, 0, 1), (3, 0, 1)],  # INFECTION
+    [(1, 0, 1), (0, 0, 0)],  # DEATH_I_NATURAL
+    [(1, 0, 1), (0, 0, 0)],  # DEATH_I_CHOLERA
+    [(1, 0, 1), (0, 0, 0)],  # RECOVERY
+    [(2, 0, 1), (0, 0, 0)],  # DEATH_R
+    [(2, 0, 1), (0, 0, 0)],  # IMMUNITY_LOSS
+    [(3, 0, 1), (0, 0, 0)],  # BACTERIA_DEATH
+    [(1, 0, 1), (0, 0, 0)],  # CONTAMINATION
+    [(3, 0, 1), (0, 0, 0)],  # TRANSPORT_OUT
+    [(3, 0, 1), (0, 0, 0)],  # TRANSPORT_IN
+], dtype=np.int64)
 # The compartment each kind's rate is proportional to (its first source).
 _RATE_SOURCE = tuple(SOURCES[:, 0, 0].tolist())
 
@@ -256,10 +234,6 @@ class SystemState:
             self.s_counts / h, self.i_counts / h, self.r_counts / h, self.b_counts / k,
         ])
 
-    def density_field(self, compartment: str, scaling: ScalingParams) -> LatticeField:
-        scale = float(scaling.k if compartment == "b" else scaling.h)
-        return LatticeField(self.counts(compartment) / scale)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, SystemState):
             return NotImplemented
@@ -323,53 +297,17 @@ def replica_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Independent, reproducible generator for (master seed, stream index).
 
     Streams are Philox 4x64 counter-based keys, so replicas never overlap and
-    results are bit-identical across platforms.
+    results are bit-identical across platforms.  Raises ValueError for a
+    seed outside [0, 2**64), which no key could tell from a smaller seed.
     """
-    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(stream)], dtype=np.uint64)
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    key = np.array([np.uint64(seed), np.uint64(stream)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
 # ---------------------------------------------------------------------------
 # Rates
-
-def event_rate(
-    state: SystemState,
-    params: EpidemicParams,
-    scaling: ScalingParams,
-    kind: EventKind,
-    site: int,
-) -> float:
-    """Propensity of one event in count form (see module docstring table)."""
-    j = site % state.n_sites
-    s = float(state.s_counts[j])
-    i = float(state.i_counts[j])
-    r = float(state.r_counts[j])
-    b = float(state.b_counts[j])
-    p = params
-    if kind in (EventKind.BIRTH_FROM_S, EventKind.DEATH_S):
-        return p.mu * s
-    if kind in (EventKind.BIRTH_FROM_I, EventKind.DEATH_I_NATURAL):
-        return p.mu * i
-    if kind in (EventKind.BIRTH_FROM_R, EventKind.DEATH_R):
-        return p.mu * r
-    if kind == EventKind.INFECTION:
-        return p.beta * s * b / (scaling.k + b)
-    if kind == EventKind.DEATH_I_CHOLERA:
-        return p.alpha * i
-    if kind == EventKind.RECOVERY:
-        return p.gamma * i
-    if kind == EventKind.IMMUNITY_LOSS:
-        return p.rho * r
-    if kind == EventKind.BACTERIA_DEATH:
-        return p.mu_b * b
-    if kind == EventKind.CONTAMINATION:
-        return p.p_over_w * i
-    if kind == EventKind.TRANSPORT_OUT:
-        return p.transport.ell * p.transport.p_out * b
-    if kind == EventKind.TRANSPORT_IN:
-        return p.transport.ell * p.transport.p_in * b
-    raise ValueError(f"unknown event kind {kind!r}")
-
 
 def _rate_coefficients(params: EpidemicParams) -> tuple[float, ...]:
     """Rate coefficient of each kind, in EventKind order.  The rate of a kind
@@ -437,15 +375,16 @@ def apply_event(state: SystemState, e: Event) -> SystemState:
     """
     n = state.n_sites
     j = e.site % n
-    for comp in _EVENT_SOURCE[e.kind]:
-        if state.counts(comp)[j] < 1:
+    for c, _, need in SOURCES[e.kind].tolist():
+        have = int(state.counts(_COMPARTMENTS[c])[j])
+        if have < need:
             raise ValueError(
-                f"{e.kind.name} at site {j} requires {comp}_counts >= 1 "
-                f"(got {int(state.counts(comp)[j])}); zero-propensity event applied"
+                f"{e.kind.name} at site {j} requires {_COMPARTMENTS[c]}_counts >= {need} "
+                f"(got {have}); zero-propensity event applied"
             )
     out = state.copy()
-    for comp, offset, delta in EVENT_DELTAS[e.kind]:
-        out.counts(comp)[(j + offset) % n] += delta
+    for c, offset, delta in STOICHIOMETRY[e.kind].tolist():
+        out.counts(_COMPARTMENTS[c])[(j + offset) % n] += delta
     return out
 
 
@@ -520,16 +459,23 @@ def step_ssa(
     return Event(EventKind(kind), site), -math.log1p(-u1) / total
 
 
-def _validate_grid(sample_times, horizon: float) -> np.ndarray:
-    grid = np.asarray(sample_times, dtype=float)
+def _resolve_grid(horizon: float, sample_times: Optional[Sequence[float]] = None) -> np.ndarray:
+    """The sample grid of a run over [0, horizon] as a float array; None
+    stands for the endpoints.  Raises ValueError unless the horizon is
+    finite and >= 0 and the grid is a nonempty, strictly increasing 1-D
+    array that starts at 0 and ends by the horizon."""
+    if not np.isfinite(horizon) or horizon < 0:
+        raise ValueError(f"horizon must be finite and >= 0, got {horizon}")
+    if sample_times is None:
+        grid = np.array([0.0, horizon]) if horizon > 0 else np.array([0.0])
+    else:
+        grid = np.asarray(sample_times, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("sample grid must be a nonempty 1-D array")
     if grid[0] != 0.0:
         raise ValueError("sample grid must start at t = 0")
     if grid.size > 1 and not np.all(np.diff(grid) > 0):
         raise ValueError("sample times must be strictly increasing")
-    if not np.isfinite(horizon) or horizon < 0:
-        raise ValueError(f"horizon must be finite and >= 0, got {horizon}")
     if grid[-1] > horizon:
         raise ValueError("sample grid must lie within [0, horizon]")
     return grid
@@ -594,7 +540,7 @@ def simulate_ssa(
         ``n_events``, ``stream`` and ``events_by_kind`` (14 counts indexed
         by EventKind).
     """
-    grid = _validate_grid(sample_times, horizon)
+    grid = _resolve_grid(horizon, sample_times)
     _check_compatible(initial.n_sites, params, scaling)
     n = initial.n_sites
     uniforms = _uniform_pairs(replica_rng(seed, stream))

@@ -2,14 +2,15 @@
 
 import pytest
 
-from sirb_lattice import cli, diagnostics
+from sirb_lattice import diagnostics
 
 
 @pytest.fixture
 def pool_sizes(monkeypatch):
-    """Replace the process pools of cli and diagnostics by a stand-in that
-    runs every task in this process, so no worker is ever started.  Returns
-    the list of pool sizes requested, one per pool built."""
+    """Replace the process pool of diagnostics, the one every caller's jobs
+    go through, by a stand-in that runs every task in this process, so no
+    worker is ever started.  Returns the list of pool sizes requested, one
+    per pool built."""
     sizes = []
 
     class RecordingPool:
@@ -25,6 +26,5 @@ def pool_sizes(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    for module in (cli, diagnostics):
-        monkeypatch.setattr(module, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(diagnostics, "ProcessPoolExecutor", RecordingPool)
     return sizes

@@ -131,6 +131,27 @@ def test_parse_rejects_negative_fourier_profile(tmp_path):
         parse_config(path)
 
 
+def test_parse_rejects_seed_beyond_64_bits(tmp_path):
+    path = write_config(tmp_path)
+    path.write_text(path.read_text().replace("seed = 4242", f"seed = {2**64}"))
+    with pytest.raises(ConfigError, match="run.seed"):
+        parse_config(path)
+    path.write_text(path.read_text().replace(f"seed = {2**64}", f"seed = {2**64 - 1}"))
+    assert parse_config(path).seed == 2**64 - 1
+
+
+def test_main_rejects_seed_flag_beyond_64_bits(tmp_path, capsys):
+    path = write_config(tmp_path)
+    out = tmp_path / "big_seed"
+    assert main(["simulate", "--config", str(path), "--seed", str(2**64),
+                 "--out", str(out)]) == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["simulate", "--config", str(path), "--seed", str(2**64 - 1),
+                 "--out", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["seed"] == 2**64 - 1
+
+
 def test_parse_preset_shapes(tmp_path):
     path = write_config(tmp_path)
     text = path.read_text().replace("s = constant 0.9", "s = fourier 2 0.1 0.8")
@@ -204,6 +225,24 @@ def test_simulate_multiple_replicas_in_subdirectories(tmp_path):
     assert (cfg.out / "replica_001" / "trajectory.csv").exists()
 
 
+def test_simulate_workers_do_not_change_results(tmp_path):
+    path = write_config(tmp_path)
+    hashes = {}
+    for workers in (1, 2):
+        cfg = parse_config(path, mode="simulate")
+        cfg.replicas, cfg.workers = 3, workers
+        cfg.out = tmp_path / f"workers_{workers}"
+        run(cfg)
+        hashes[workers] = {}
+        for rep in range(3):
+            directory = cfg.out / f"replica_{rep:03d}"
+            manifest = run_io.RunManifest.from_json((directory / "manifest.json").read_text())
+            assert set(manifest.file_hashes) == {"trajectory.csv", "snapshots.bin", "events.bin"}
+            for name in manifest.file_hashes:
+                hashes[workers][rep, name] = (directory / name).read_bytes()
+    assert hashes[1] == hashes[2]
+
+
 def test_converge_writes_reports(tmp_path):
     path = write_config(tmp_path, ladder="ladder = 4:20:20, 4:60:60")
     cfg = parse_config(path, mode="converge")
@@ -266,6 +305,11 @@ def test_manifest_records_rng_algorithm(tmp_path, mode):
     manifest = json.loads((cfg.out / "manifest.json").read_text())
     assert manifest["rng_algorithm"] == RNG_ALGORITHM
     assert "rng_algorithm" not in manifest["file_hashes"]
+    # every subcommand writes the one manifest schema, and it verifies
+    loaded = run_io.RunManifest.from_json((cfg.out / "manifest.json").read_text())
+    assert loaded.seed == cfg.seed and loaded.config["mode"] == mode
+    assert loaded.file_hashes
+    loaded.verify(cfg.out)
 
 
 def test_pde_writes_lattice_solution(tmp_path):
@@ -360,7 +404,7 @@ def test_diagnose_ships_no_event_log_and_sweeps_each_log_once(tmp_path, monkeypa
         return sweep_log(traj, params, scaling)
 
     monkeypatch.setattr(diagnostics.os, "cpu_count", lambda: 3)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", PicklingPool)
+    monkeypatch.setattr(diagnostics, "ProcessPoolExecutor", PicklingPool)
     monkeypatch.setattr(cli, "sweep_log", counting_sweep)
     monkeypatch.setattr(diagnostics, "sweep_log", counting_sweep)
     path = write_config(tmp_path)

@@ -183,6 +183,23 @@ def test_out_of_range_kind_byte_detected(tmp_path):
         read_trajectory(tmp_path)
 
 
+@pytest.mark.parametrize("name", ["snapshots.bin", "events.bin"])
+def test_file_missing_from_manifest_is_not_read(tmp_path, name):
+    # A file the manifest does not list cannot be verified, so a flipped
+    # byte in it would be read back unnoticed.
+    traj, params, scaling = sample_run()
+    write_trajectory(tmp_path, traj, params, scaling)
+    path = tmp_path / "manifest.json"
+    manifest = json.loads(path.read_text())
+    del manifest["file_hashes"][name]
+    path.write_text(json.dumps(manifest))
+    raw = bytearray((tmp_path / name).read_bytes())
+    raw[22] ^= 0x01  # in the second event's time, or in the first sample's time
+    (tmp_path / name).write_bytes(bytes(raw))
+    with pytest.raises(CorruptFileError, match="must list snapshots.bin"):
+        read_trajectory(tmp_path)
+
+
 @pytest.mark.parametrize("edit", ["unknown", "missing"])
 def test_manifest_schema_mismatch_detected(tmp_path, edit):
     traj, params, scaling = sample_run()

@@ -5,23 +5,27 @@ import math
 import numpy as np
 import pytest
 
+from sirb_lattice.deterministic import (
+    DeterministicState,
+    ReactionField,
+    _transport_stencil,
+    integrate,
+    rhs_discrete,
+)
 from sirb_lattice.lattice import (
     LatticeField,
     TransportCoefficients,
     grad_centered,
-    grad_matrix,
-    grad_minus,
-    grad_minus_matrix,
-    grad_plus,
-    grad_plus_matrix,
-    inner,
     laplace,
-    laplace_matrix,
     project,
-    transition_matrix,
-    transition_probability,
-    transport_apply,
-    transport_matrix,
+)
+from sirb_lattice.stochastic import (
+    STOICHIOMETRY,
+    EpidemicParams,
+    EventKind,
+    ScalingParams,
+    SystemState,
+    all_rates,
 )
 
 RNG = np.random.default_rng(20240811)
@@ -31,18 +35,43 @@ def random_field(n):
     return LatticeField(RNG.normal(size=n))
 
 
+def inner(f, g):
+    """Lattice L2 inner product (1/n) * sum f_j g_j."""
+    return float(np.mean(f.values * g.values))
+
+
+def transport(f, tc):
+    """The package's one transport stencil, on a LatticeField."""
+    return LatticeField(_transport_stencil(f.values, tc))
+
+
+# ---------------------------------------------------------------------------
+# Dense matrices: the brute-force oracle of the stencils
+
+def shift_matrix(n, k):
+    """Matrix S with (S f)[j] = f[j + k] (periodic)."""
+    return np.roll(np.eye(n), k, axis=1)
+
+
+def grad_matrix(n):
+    return 0.5 * n * (shift_matrix(n, 1) - shift_matrix(n, -1))
+
+
+def laplace_matrix(n):
+    return n**2 * (shift_matrix(n, 1) - 2.0 * np.eye(n) + shift_matrix(n, -1))
+
+
+def transport_matrix(tc):
+    n = tc.n_sites
+    return -tc.nu * grad_matrix(n) + tc.diffusion * laplace_matrix(n)
+
+
 # ---------------------------------------------------------------------------
 # LatticeField basics
 
 def test_field_rejects_too_few_sites():
     with pytest.raises(ValueError):
         LatticeField(np.array([1.0, 2.0]))
-
-
-def test_field_periodic_access():
-    f = LatticeField(np.array([1.0, 2.0, 3.0, 4.0]))
-    assert f.site(4) == 1.0
-    assert f.site(-1) == 4.0
 
 
 # ---------------------------------------------------------------------------
@@ -116,20 +145,6 @@ def test_grad_centered_skew_adjoint():
             assert abs(lhs) < 1e-12
 
 
-def test_one_sided_grads_constant_zero():
-    f = LatticeField(np.full(5, -1.7))
-    assert np.allclose(grad_plus(f).values, 0.0)
-    assert np.allclose(grad_minus(f).values, 0.0)
-
-
-def test_grad_plus_minus_compose_to_laplace():
-    for n in (3, 4, 9, 32):
-        f = random_field(n)
-        lap = laplace(f).values
-        assert np.allclose(grad_plus(grad_minus(f)).values, lap, rtol=1e-12, atol=1e-9)
-        assert np.allclose(grad_minus(grad_plus(f)).values, lap, rtol=1e-12, atol=1e-9)
-
-
 def test_laplace_constant_is_zero():
     f = LatticeField(np.full(6, 9.9))
     assert np.allclose(laplace(f).values, 0.0)
@@ -170,10 +185,9 @@ def test_operators_commute_with_cyclic_shift():
     n = 10
     f = random_field(n)
     tc = TransportCoefficients(ell=1.3, p_out=0.8, n_sites=n)
-    for op in (grad_centered, grad_plus, grad_minus, laplace,
-               lambda g: transport_apply(g, tc)):
-        shifted_then_op = op(f.shifted(3)).values
-        op_then_shifted = op(f).shifted(3).values
+    for op in (grad_centered, laplace, lambda g: transport(g, tc)):
+        shifted_then_op = op(LatticeField(np.roll(f.values, 3))).values
+        op_then_shifted = np.roll(op(f).values, 3)
         assert np.allclose(shifted_then_op, op_then_shifted, atol=1e-9)
 
 
@@ -183,10 +197,8 @@ def test_matrices_agree_with_stencils():
     tc = TransportCoefficients(ell=0.7, p_out=0.25, n_sites=n)
     pairs = [
         (grad_matrix(n), grad_centered),
-        (grad_plus_matrix(n), grad_plus),
-        (grad_minus_matrix(n), grad_minus),
         (laplace_matrix(n), laplace),
-        (transport_matrix(tc), lambda g: transport_apply(g, tc)),
+        (transport_matrix(tc), lambda g: transport(g, tc)),
     ]
     for mat, op in pairs:
         assert np.allclose(mat @ f.values, op(f).values, atol=1e-9)
@@ -198,7 +210,7 @@ def test_matrices_agree_with_stencils():
 def test_transport_annihilates_constants():
     tc = TransportCoefficients(ell=2.0, p_out=0.9, n_sites=6)
     f = LatticeField(np.full(6, 4.2))
-    assert np.allclose(transport_apply(f, tc).values, 0.0, atol=1e-12)
+    assert np.allclose(transport(f, tc).values, 0.0, atol=1e-12)
 
 
 def test_transport_unbiased_is_pure_diffusion():
@@ -207,7 +219,7 @@ def test_transport_unbiased_is_pure_diffusion():
     assert tc.nu == 0.0
     f = random_field(n)
     assert np.allclose(
-        transport_apply(f, tc).values,
+        transport(f, tc).values,
         tc.diffusion * laplace(f).values,
         rtol=1e-12, atol=1e-12,
     )
@@ -223,28 +235,60 @@ def test_transport_matches_event_form():
             v = f.values
             event_form = tc.ell * tc.p_out * (np.roll(v, 1) - v) + \
                 tc.ell * tc.p_in * (np.roll(v, -1) - v)
-            assert np.allclose(transport_apply(f, tc).values, event_form,
+            assert np.allclose(transport(f, tc).values, event_form,
                                rtol=1e-12, atol=1e-12)
 
 
 def test_transport_rejects_mismatched_lattice():
     tc = TransportCoefficients(ell=1.0, p_out=0.6, n_sites=5)
-    with pytest.raises(ValueError):
-        transport_apply(random_field(8), tc)
+    params = EpidemicParams(mu=0.2, alpha=0.1, gamma=0.5, rho=0.3, beta=1.0,
+                            p_over_w=0.8, mu_b=0.5, transport=tc)
+    v = DeterministicState.constant([1.0, 0.0, 0.0, 0.5], 8)
+    rf = ReactionField(params, hk_ratio=1.0)
+    with pytest.raises(ValueError, match="transport built for n=5"):
+        rhs_discrete(v, rf, tc)
+    with pytest.raises(ValueError, match="transport built for n=5"):
+        integrate(v, 1.0, rf, tc)
+
+
+# ---------------------------------------------------------------------------
+# Hop law of the transport events, read from the reaction table
+
+def hop_probability(tc, i, j):
+    """Probability that a bacterium transported from site i lands on site j:
+    the rates of the transport kinds whose STOICHIOMETRY row adds it at j,
+    over the hop rate ell of one bacterium."""
+    n = tc.n_sites
+    params = EpidemicParams(mu=0.0, alpha=0.0, gamma=0.0, rho=0.0, beta=0.0,
+                            p_over_w=0.0, mu_b=0.0, transport=tc)
+    zeros = np.zeros(n, dtype=int)
+    state = SystemState.from_counts(zeros, zeros, zeros, np.ones(n, dtype=int))
+    rates = all_rates(state, params, ScalingParams(n, 1, 1))[:, i]
+    lands = [
+        kind for kind in (EventKind.TRANSPORT_OUT, EventKind.TRANSPORT_IN)
+        if any(c == 3 and d > 0 and (i + off) % n == j
+               for c, off, d in STOICHIOMETRY[kind].tolist())
+    ]
+    return sum(rates[kind] for kind in lands) / tc.ell
+
+
+def hop_matrix(tc):
+    n = tc.n_sites
+    return np.array([[hop_probability(tc, i, j) for j in range(n)] for i in range(n)])
 
 
 def test_transition_probabilities_sum_to_one():
     tc = TransportCoefficients(ell=1.0, p_out=0.7, n_sites=8)
-    assert transition_probability(tc, 3, 4) == pytest.approx(0.7)
-    assert transition_probability(tc, 3, 2) == pytest.approx(0.3)
-    mat = transition_matrix(tc)
+    assert hop_probability(tc, 3, 4) == pytest.approx(0.7)
+    assert hop_probability(tc, 3, 2) == pytest.approx(0.3)
+    mat = hop_matrix(tc)
     assert np.allclose(mat.sum(axis=1), 1.0)
 
 
 def test_transition_probability_pure_downstream():
     tc = TransportCoefficients(ell=1.0, p_out=1.0, n_sites=5)
-    assert transition_probability(tc, 2, 1) == 0.0
-    assert transition_probability(tc, 2, 3) == 1.0
+    assert hop_probability(tc, 2, 1) == 0.0
+    assert hop_probability(tc, 2, 3) == 1.0
 
 
 def test_transition_probability_nearest_neighbour_only():
@@ -253,13 +297,13 @@ def test_transition_probability_nearest_neighbour_only():
         for j in range(9):
             d = (j - i) % 9
             if d not in (1, 8):
-                assert transition_probability(tc, i, j) == 0.0
+                assert hop_probability(tc, i, j) == 0.0
 
 
 def test_transition_probability_wraps_around():
     tc = TransportCoefficients(ell=1.0, p_out=0.7, n_sites=4)
-    assert transition_probability(tc, 3, 0) == pytest.approx(0.7)
-    assert transition_probability(tc, 0, 3) == pytest.approx(0.3)
+    assert hop_probability(tc, 3, 0) == pytest.approx(0.7)
+    assert hop_probability(tc, 0, 3) == pytest.approx(0.3)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ import pytest
 from sirb_lattice import stochastic
 from sirb_lattice.lattice import TransportCoefficients
 from sirb_lattice.stochastic import (
-    EVENT_DELTAS,
+    SOURCES,
+    STOICHIOMETRY,
     EpidemicParams,
     Event,
     EventKind,
@@ -18,7 +19,6 @@ from sirb_lattice.stochastic import (
     SystemState,
     all_rates,
     apply_event,
-    event_rate,
     replica_rng,
     simulate_ssa,
     step_ssa,
@@ -40,6 +40,63 @@ def uniform_state(n, s=10, i=5, r=3, b=8):
     )
 
 
+# The reaction table of the module docstring, written out by hand: kind ->
+# (compartment, site offset, count delta) entries, and kind -> the
+# compartments that must hold a count at the event site.
+EVENT_DELTAS = {
+    EventKind.BIRTH_FROM_S: (("s", 0, +1),),
+    EventKind.BIRTH_FROM_I: (("s", 0, +1),),
+    EventKind.BIRTH_FROM_R: (("s", 0, +1),),
+    EventKind.DEATH_S: (("s", 0, -1),),
+    EventKind.INFECTION: (("s", 0, -1), ("i", 0, +1)),
+    EventKind.DEATH_I_NATURAL: (("i", 0, -1),),
+    EventKind.DEATH_I_CHOLERA: (("i", 0, -1),),
+    EventKind.RECOVERY: (("i", 0, -1), ("r", 0, +1)),
+    EventKind.DEATH_R: (("r", 0, -1),),
+    EventKind.IMMUNITY_LOSS: (("r", 0, -1), ("s", 0, +1)),
+    EventKind.BACTERIA_DEATH: (("b", 0, -1),),
+    EventKind.CONTAMINATION: (("b", 0, +1),),
+    EventKind.TRANSPORT_OUT: (("b", 0, -1), ("b", +1, +1)),
+    EventKind.TRANSPORT_IN: (("b", 0, -1), ("b", -1, +1)),
+}
+EVENT_SOURCES = {
+    EventKind.BIRTH_FROM_S: "s", EventKind.BIRTH_FROM_I: "i",
+    EventKind.BIRTH_FROM_R: "r", EventKind.DEATH_S: "s",
+    EventKind.INFECTION: "sb", EventKind.DEATH_I_NATURAL: "i",
+    EventKind.DEATH_I_CHOLERA: "i", EventKind.RECOVERY: "i",
+    EventKind.DEATH_R: "r", EventKind.IMMUNITY_LOSS: "r",
+    EventKind.BACTERIA_DEATH: "b", EventKind.CONTAMINATION: "i",
+    EventKind.TRANSPORT_OUT: "b", EventKind.TRANSPORT_IN: "b",
+}
+
+
+def count_form_rate(state, params, scaling, kind, j):
+    """Propensity of one event at site j, as the module docstring's table
+    writes it in count form."""
+    s, i, r, b = (float(state.counts(c)[j]) for c in "sirb")
+    p, tc = params, params.transport
+    return {
+        EventKind.BIRTH_FROM_S: p.mu * s, EventKind.BIRTH_FROM_I: p.mu * i,
+        EventKind.BIRTH_FROM_R: p.mu * r, EventKind.DEATH_S: p.mu * s,
+        EventKind.INFECTION: p.beta * s * b / (scaling.k + b),
+        EventKind.DEATH_I_NATURAL: p.mu * i, EventKind.DEATH_I_CHOLERA: p.alpha * i,
+        EventKind.RECOVERY: p.gamma * i, EventKind.DEATH_R: p.mu * r,
+        EventKind.IMMUNITY_LOSS: p.rho * r, EventKind.BACTERIA_DEATH: p.mu_b * b,
+        EventKind.CONTAMINATION: p.p_over_w * i,
+        EventKind.TRANSPORT_OUT: tc.ell * tc.p_out * b,
+        EventKind.TRANSPORT_IN: tc.ell * tc.p_in * b,
+    }[kind]
+
+
+def test_reaction_table_literals_match_the_docstring_table():
+    assert STOICHIOMETRY.shape == SOURCES.shape == (len(EventKind), 2, 3)
+    for kind in EventKind:
+        deltas = [("sirb"[c], off, d) for c, off, d in STOICHIOMETRY[kind].tolist() if d]
+        assert deltas == list(EVENT_DELTAS[kind]), kind.name
+        sources = [("sirb"[c], off, need) for c, off, need in SOURCES[kind].tolist() if need]
+        assert sources == [(c, 0, 1) for c in EVENT_SOURCES[kind]], kind.name
+
+
 # ---------------------------------------------------------------------------
 # Rates
 
@@ -47,9 +104,7 @@ def test_empty_site_has_all_rates_zero():
     params = make_params()
     scaling = ScalingParams(4, 10, 10)
     state = SystemState.from_counts(*(np.zeros(4, int) for _ in range(4)))
-    for kind in EventKind:
-        for j in range(4):
-            assert event_rate(state, params, scaling, kind, j) == 0.0
+    assert np.array_equal(all_rates(state, params, scaling), np.zeros((len(EventKind), 4)))
 
 
 def test_infection_rate_zero_without_bacteria():
@@ -58,7 +113,7 @@ def test_infection_rate_zero_without_bacteria():
     state = SystemState.from_counts(
         np.full(4, 100), np.zeros(4, int), np.zeros(4, int), np.zeros(4, int)
     )
-    assert event_rate(state, params, scaling, EventKind.INFECTION, 0) == 0.0
+    assert all_rates(state, params, scaling)[EventKind.INFECTION, 0] == 0.0
 
 
 def test_infection_rate_matches_rescaled_form():
@@ -70,7 +125,7 @@ def test_infection_rate_matches_rescaled_form():
     state = SystemState.from_counts(
         np.full(4, h), np.zeros(4, int), np.zeros(4, int), np.full(4, k)
     )
-    count_form = event_rate(state, params, scaling, EventKind.INFECTION, 2)
+    count_form = all_rates(state, params, scaling)[EventKind.INFECTION, 2]
     u_s, u_b = 1.0, 1.0
     rescaled_form = h * params.beta * (u_b / (1.0 + u_b)) * u_s
     assert count_form == pytest.approx(params.beta * h / 2)
@@ -87,7 +142,7 @@ def test_all_rates_matches_scalar_rates():
         for kind in EventKind:
             for j in range(4):
                 assert table[kind, j] == pytest.approx(
-                    event_rate(state, params, scaling, kind, j), rel=1e-14
+                    count_form_rate(state, params, scaling, kind, j), rel=1e-14
                 )
 
 
@@ -357,6 +412,15 @@ def test_simulate_reproducible_and_streams_independent():
     assert a.event_log == b.event_log
     assert a.final == b.final
     assert a.event_log != c.event_log
+
+
+def test_replica_rng_rejects_seeds_outside_64_bits():
+    # a masked seed would draw a smaller seed's stream
+    for seed in (2**64, 2**64 + 5, -1):
+        with pytest.raises(ValueError, match="seed"):
+            replica_rng(seed)
+    top = replica_rng(2**64 - 1).random(4)
+    assert not np.array_equal(top, replica_rng(0).random(4))
 
 
 def test_simulate_matches_manual_step_loop():
