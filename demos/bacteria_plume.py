@@ -35,7 +35,7 @@ for m in (16, 32, 64, 128):
     )
     states = integrate(v0, HORIZON, rf, tc, sample_times=[0.0, HORIZON])
     exact = linear_oracle(1, AMPLITUDE, tc, DECAY, HORIZON, centers, baseline=BASELINE)
-    err = float(np.max(np.abs(states[-1].b.values - exact)))
+    err = float(np.max(np.abs(states[-1, 3] - exact)))
     ratio = "" if previous is None else f"{previous / err:5.2f}"
     print(f"{m:6d} {tc.ell:9.2f} {tc.bias:7.4f} {err:11.3e} {ratio:>6}")
     previous = err

@@ -12,8 +12,6 @@ __version__ = "0.1.0"
 from .lattice import (  # noqa: F401
     LatticeField,
     TransportCoefficients,
-    grad_centered,
-    laplace,
     project,
 )
 from .stochastic import (  # noqa: F401
@@ -37,9 +35,7 @@ from .deterministic import (  # noqa: F401
     homogeneous_ode,
     integrate,
     linear_oracle,
-    reaction,
     refine_compare,
-    rhs_discrete,
 )
 from .diagnostics import (  # noqa: F401
     CompensatorCheck,

@@ -10,7 +10,7 @@ directory.  The full schema:
     samples = 21             # uniform sample grid size, >= 1
     replicas = 1             # independent runs, >= 1
     seed = 12345             # master seed (u64)
-    workers = 1              # process count for replica parallelism
+    workers = 1              # process count for replica parallelism, <= CPUs
     record_events = false    # keep full event logs (simulate/diagnose)
     out = runs/out           # output directory
     theorem = theorem1       # converge regime: theorem1 | theorem2
@@ -56,6 +56,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -270,6 +271,13 @@ def _check_seed(key: str, seed: int):
         raise ConfigError(f"{key}: must lie in [0, 2**64), got {seed}")
 
 
+def _check_workers(key: str, workers: int):
+    """Each worker is a process, so a run may ask for at most one per CPU."""
+    cpus = os.cpu_count() or 1
+    if not 1 <= workers <= cpus:
+        raise ConfigError(f"{key}: must lie in [1, {cpus}] (the CPU count), got {workers}")
+
+
 def parse_config(path, mode: str = "simulate", theorem: Optional[str] = None) -> RunConfig:
     """Read and validate a config file for the given mode.
 
@@ -302,6 +310,7 @@ def parse_config(path, mode: str = "simulate", theorem: Optional[str] = None) ->
     seed = _positive_int("run", "seed", _get(cp, "run", "seed", "12345"), minimum=0)
     _check_seed("run.seed", seed)
     workers = _positive_int("run", "workers", _get(cp, "run", "workers", "1"))
+    _check_workers("run.workers", workers)
     out = Path(_get(cp, "run", "out", "runs/out"))
     record_raw = _get(cp, "run", "record_events", "false").strip().lower()
     if record_raw not in ("true", "false", "yes", "no", "1", "0"):
@@ -424,13 +433,14 @@ def _run_pde(cfg: RunConfig) -> None:
     rf = ReactionField(params, hk_ratio=cfg.h / cfg.k, mode="coupled")
     v0 = DeterministicState.from_functions(cfg.initial_fns(), m)
     grid = cfg.sample_grid()
-    states = integrate(v0, cfg.horizon, rf, params.transport,
-                       dt=cfg.pde_dt, sample_times=grid)
+    stats = {}
+    densities = integrate(v0, cfg.horizon, rf, params.transport,
+                          dt=cfg.pde_dt, sample_times=grid, stats=stats)
     cfg.out.mkdir(parents=True, exist_ok=True)
-    run_io.write_deterministic_csv(cfg.out / "trajectory.csv", grid, states)
+    run_io._write_density_csv(cfg.out / "trajectory.csv", grid, densities)
     run_io.RunManifest(
         seed=cfg.seed, config=cfg.echo, params=run_io._params_dict(params),
-        scaling=run_io._scaling_dict(ScalingParams(m, cfg.h, cfg.k)),
+        scaling=run_io._scaling_dict(ScalingParams(m, cfg.h, cfg.k)), stats=stats,
     ).write(cfg.out, ["trajectory.csv"])
 
 
@@ -441,12 +451,13 @@ def _run_homogeneous(cfg: RunConfig) -> None:
     # Spatial mean of each profile is the natural homogeneous initial state.
     y0 = [float(np.mean(fn(np.linspace(0.0, 1.0, 257)[:-1]))) for fn in fns]
     grid = cfg.sample_grid()
-    series = homogeneous_ode(y0, cfg.horizon, rf, sample_times=grid)
+    stats = {}
+    series = homogeneous_ode(y0, cfg.horizon, rf, sample_times=grid, stats=stats)
     cfg.out.mkdir(parents=True, exist_ok=True)
     # the trajectory schema on a one-site lattice
     run_io._write_density_csv(cfg.out / "trajectory.csv", grid, series[:, :, None])
     run_io.RunManifest(
-        seed=cfg.seed, config=cfg.echo, params=run_io._params_dict(params),
+        seed=cfg.seed, config=cfg.echo, params=run_io._params_dict(params), stats=stats,
     ).write(cfg.out, ["trajectory.csv"])
 
 
@@ -482,7 +493,7 @@ def _run_diagnose(cfg: RunConfig) -> None:
     grid = cfg.sample_grid()
     cfg.out.mkdir(parents=True, exist_ok=True)
     run_io.write_martingale_csv(
-        cfg.out / "report_martingale.csv", MartingaleResidual.from_sweep(grid, sweeps[0])
+        cfg.out / "report_martingale.csv", MartingaleResidual(grid, sweeps[0].z)
     )
     files = ["report_martingale.csv"]
     if cfg.replicas >= 2:
@@ -547,8 +558,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             cfg.replicas = args.replicas
             cfg.echo["replicas"] = args.replicas
         if args.workers is not None:
-            if args.workers < 1:
-                raise ConfigError(f"--workers must be >= 1, got {args.workers}")
+            _check_workers("--workers", args.workers)
             cfg.workers = args.workers
             cfg.echo["workers"] = args.workers
         if args.out is not None:

@@ -30,11 +30,9 @@ __all__ = [
     "ReactionField",
     "DeterministicState",
     "IntegrationError",
-    "reaction",
     "reaction_stack",
     "infection_stack",
     "growth_constant",
-    "rhs_discrete",
     "auto_dt",
     "integrate",
     "homogeneous_ode",
@@ -121,19 +119,6 @@ class DeterministicState:
         return cls(*(project(f, n_sites, quadrature_points) for f in fns))
 
 
-def reaction(y: np.ndarray, rf: ReactionField) -> np.ndarray:
-    """The reaction vector field on a single 4-vector (S, I, R, B).
-
-    Only defined on the nonnegative cone; negative input is a domain error.
-    """
-    y = np.asarray(y, dtype=float)
-    if y.shape != (4,):
-        raise ValueError(f"expected a 4-vector, got shape {y.shape}")
-    if np.any(y < 0):
-        raise ValueError("reaction field is only defined for nonnegative states")
-    return reaction_stack(y.reshape(4, 1), rf)[:, 0]
-
-
 def infection_stack(y: np.ndarray, params: EpidemicParams) -> np.ndarray:
     """The infection term beta s b/(1+b), the one nonlinear term of the
     dynamics, on a (..., 4, n) stack; shape (..., n)."""
@@ -201,19 +186,6 @@ def _lattice_rhs(
     return out
 
 
-def rhs_discrete(
-    v: DeterministicState, rf: ReactionField, tc: TransportCoefficients
-) -> DeterministicState:
-    """Right-hand side of the lattice companion system: F(v) plus transport
-    acting on the bacteria field only."""
-    if tc.n_sites != v.n_sites:
-        raise ValueError(f"transport built for n={tc.n_sites}, state has n={v.n_sites}")
-    y = v.stack()
-    if np.any(y < 0):
-        raise ValueError("rhs_discrete is only defined for nonnegative states")
-    return DeterministicState.from_stack(_lattice_rhs(y, rf, tc))
-
-
 def auto_dt(rf: ReactionField, tc: TransportCoefficients) -> float:
     """Stability-derived RK4 step: safety / (4 D n^2 + nu n + L_reaction)."""
     n = tc.n_sites
@@ -229,16 +201,18 @@ def _rk4_march(
     dt: float,
     rhs: Callable[[np.ndarray], np.ndarray],
     stats: Optional[dict],
-) -> list[np.ndarray]:
+) -> np.ndarray:
     """Fixed-step RK4 from sample time to sample time, clamping roundoff
-    negatives to zero and aborting on blow-up."""
+    negatives to zero and aborting on blow-up.  Returns the solution at
+    every sample time, shape (n_samples,) + y0.shape."""
     clamped = 0
     min_seen = 0.0
     n_steps = 0
     y = y0.copy()
-    out = [y.copy()]
+    out = np.empty((grid.size,) + y0.shape)
+    out[0] = y
     with np.errstate(over="ignore", invalid="ignore"):
-        for a, b_t in zip(grid[:-1], grid[1:]):
+        for g, (a, b_t) in enumerate(zip(grid[:-1], grid[1:]), start=1):
             span = b_t - a
             m = max(1, math.ceil(span / dt))
             h = span / m
@@ -266,7 +240,7 @@ def _rk4_march(
                     min_seen = min(min_seen, low)
                     clamped += int(neg.sum())
                     y[neg] = 0.0
-            out.append(y.copy())
+            out[g] = y
     if stats is not None:
         stats["clamped"] = stats.get("clamped", 0) + clamped
         stats["min_value_seen"] = min(stats.get("min_value_seen", 0.0), min_seen)
@@ -283,7 +257,7 @@ def integrate(
     dt: float | str = "auto",
     sample_times: Optional[Sequence[float]] = None,
     stats: Optional[dict] = None,
-) -> list[DeterministicState]:
+) -> np.ndarray:
     """Integrate the lattice companion system over [0, horizon].
 
     Args:
@@ -295,7 +269,8 @@ def integrate(
         stats: optional dict collecting step/clamp counters.
 
     Returns:
-        One DeterministicState per sample time.
+        The densities at every sample time, an (n_samples, 4, n) float
+        array with rows (S, I, R, B).
     """
     if tc.n_sites != initial.n_sites:
         raise ValueError(f"transport built for n={tc.n_sites}, state has n={initial.n_sites}")
@@ -306,8 +281,7 @@ def integrate(
     step = auto_dt(rf, tc) if dt == "auto" else float(dt)
     if step <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    ys = _rk4_march(y0, grid, step, lambda y: _lattice_rhs(y, rf, tc), stats)
-    return [DeterministicState.from_stack(y) for y in ys]
+    return _rk4_march(y0, grid, step, lambda y: _lattice_rhs(y, rf, tc), stats)
 
 
 def homogeneous_ode(
@@ -334,7 +308,7 @@ def homogeneous_ode(
     ys = _rk4_march(
         y0.reshape(4, 1), grid, step, lambda y: reaction_stack(y, rf), stats
     )
-    return np.stack([y[:, 0] for y in ys])
+    return ys[:, :, 0]
 
 
 def linear_oracle(
@@ -368,11 +342,6 @@ def linear_oracle(
     return out if out.shape else float(out)
 
 
-def _coarsen(values: np.ndarray) -> np.ndarray:
-    """Project a 2n-site field onto the n-site lattice (pairwise averages)."""
-    return values.reshape(-1, 2).mean(axis=1)
-
-
 def refine_compare(
     initial_fns: Sequence[Callable],
     m_coarse: int,
@@ -396,11 +365,8 @@ def refine_compare(
     grid = np.linspace(0.0, horizon, n_samples) if horizon > 0 else np.array([0.0])
     v0_c = DeterministicState.from_functions(initial_fns, m_coarse, quadrature_points)
     v0_f = DeterministicState.from_functions(initial_fns, 2 * m_coarse, quadrature_points)
-    sol_c = integrate(v0_c, horizon, rf, tc, dt=dt, sample_times=grid)
-    sol_f = integrate(v0_f, horizon, rf, tc_fine, dt=dt, sample_times=grid)
-    dist = 0.0
-    for vc, vf in zip(sol_c, sol_f):
-        coarse = vc.stack()
-        fine = np.stack([_coarsen(row) for row in vf.stack()])
-        dist = max(dist, float(np.max(np.abs(coarse - fine))))
-    return dist
+    coarse = integrate(v0_c, horizon, rf, tc, dt=dt, sample_times=grid)
+    fine = integrate(v0_f, horizon, rf, tc_fine, dt=dt, sample_times=grid)
+    # project the fine solution onto the coarse lattice: pairwise site averages
+    fine = fine.reshape(grid.size, 4, m_coarse, 2).mean(axis=-1)
+    return float(np.max(np.abs(coarse - fine)))

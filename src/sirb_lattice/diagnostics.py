@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -32,7 +32,7 @@ from .deterministic import (
     integrate,
     _lattice_rhs,
 )
-from .lattice import LatticeField, project
+from .lattice import LatticeField
 from .stochastic import (
     STOICHIOMETRY,
     EpidemicParams,
@@ -47,7 +47,6 @@ from .stochastic import (
 
 __all__ = [
     "sup_distance",
-    "drift_fields",
     "event_table_drift",
     "square_amplitudes",
     "event_table_square_sum",
@@ -112,29 +111,27 @@ _JUMP_PRODUCTS = _jump_products()
 
 def sup_distance(
     traj: Trajectory,
-    det_states: Sequence[DeterministicState] | np.ndarray,
+    det_states: np.ndarray,
     scaling: ScalingParams,
     det_times: Optional[np.ndarray] = None,
     compartments: Sequence[str] = COMPARTMENTS,
 ) -> float:
     """Sup over sample times, compartments and sites of |u - v|.
 
-    ``det_states`` is either one DeterministicState per sample time or their
-    stacks as one (n_samples, 4, n) array.  Both sides must live on the same
+    ``det_states`` is the deterministic solution as ``integrate`` returns
+    it, one (n_samples, 4, n) array.  Both sides must live on the same
     lattice and the same sample grid.
     """
     if det_times is not None and not np.array_equal(
         np.asarray(det_times, dtype=float), traj.sample_times
     ):
         raise ValueError("trajectory and deterministic sample grids differ")
-    if len(det_states) != len(traj.states):
+    u = traj.densities(scaling)
+    if len(det_states) != len(u):
         raise ValueError(
-            f"grid mismatch: {len(traj.states)} stochastic snapshots "
+            f"grid mismatch: {len(u)} stochastic snapshots "
             f"vs {len(det_states)} deterministic states"
         )
-    if not isinstance(det_states, np.ndarray):
-        det_states = np.stack([v.stack() for v in det_states])
-    u = np.stack([st.rescaled(scaling) for st in traj.states])
     if det_states.shape != u.shape:
         raise ValueError("lattice sizes differ between the two solutions")
     rows = [COMPARTMENTS.index(c) for c in compartments]
@@ -152,15 +149,6 @@ def _drift_stack(
     transport on the bacteria row.  ``infection`` as in reaction_stack."""
     rf = ReactionField(params, hk_ratio=hk_ratio, mode="coupled")
     return _lattice_rhs(u, rf, params.transport, infection)
-
-
-def drift_fields(
-    state: SystemState, params: EpidemicParams, scaling: ScalingParams
-) -> dict[str, LatticeField]:
-    """The drift (debit) of each compartment at the given state."""
-    u = state.rescaled(scaling)
-    psi = _drift_stack(u, params, scaling.h / scaling.k)
-    return {c: LatticeField(row) for c, row in zip(COMPARTMENTS, psi)}
 
 
 def event_table_drift(
@@ -262,19 +250,11 @@ class MartingaleResidual:
     per compartment, sampled on a time grid.  Z(0) = 0 identically."""
 
     times: np.ndarray
-    z_s: np.ndarray  # (n_times, n_sites)
-    z_i: np.ndarray
-    z_r: np.ndarray
-    z_b: np.ndarray
+    z: np.ndarray  # (n_times, 4, n_sites), rows (S, I, R, B)
 
     def component(self, c: str) -> np.ndarray:
-        return getattr(self, f"z_{c.lower()}")
-
-    @classmethod
-    def from_sweep(cls, times: np.ndarray, sweep: "Sweep") -> "MartingaleResidual":
-        z = sweep.z
-        return cls(times=np.array(times, dtype=float),
-                   z_s=z[:, 0], z_i=z[:, 1], z_r=z[:, 2], z_b=z[:, 3])
+        """The (n_times, n_sites) residual of compartment ``c``."""
+        return self.z[:, COMPARTMENTS.index(c.upper())]
 
 
 class Sweep(NamedTuple):
@@ -352,7 +332,7 @@ def sweep_log(
         raise ValueError("trajectory has no event log; rerun with record_events=True")
     grid = traj.sample_times
     n_times = grid.shape[0]
-    n = traj.initial.n_sites
+    n = traj.counts.shape[2]
     h = float(scaling.h)
     k = float(scaling.k)
     hk = scaling.h / scaling.k
@@ -363,7 +343,7 @@ def sweep_log(
     seen = np.searchsorted(log.times, grid, side="right")
     n_events = int(seen[-1])
 
-    counts = np.concatenate([traj.initial.counts(c) for c in "sirb"]).astype(float)
+    counts = traj.counts[0].ravel().astype(float)
     u0 = counts.reshape(4, n) / scale
     integral = np.zeros((_N_INTEGRANDS, n))
     t_last = 0.0
@@ -432,7 +412,7 @@ def martingale_residual(
     Requires the event log: the drift integral is computed exactly as a sum
     over the inter-event intervals on which the state is constant.
     """
-    return MartingaleResidual.from_sweep(traj.sample_times, sweep_log(traj, params, scaling))
+    return MartingaleResidual(traj.sample_times, sweep_log(traj, params, scaling).z)
 
 
 @dataclass
@@ -519,18 +499,27 @@ class LadderRung:
     distances: np.ndarray
     rounding_error: float  # sup |rounded counts / scale - projected density|
     ball_exits: int  # replicas leaving the a-priori sup-norm ball
+    median: float = field(init=False)
+    q25: float = field(init=False)
+    q75: float = field(init=False)
 
-    @property
-    def median(self) -> float:
-        return float(np.median(self.distances))
+    def __post_init__(self):
+        """The quartiles of the distances, from one sorted copy and bit for
+        bit what np.median and np.quantile (default linear method) give:
+        those two import numpy.ma on first use, which costs tens of ms."""
+        ordered = np.sort(self.distances).tolist()
+        last = len(ordered) - 1
+        mid = last // 2
+        self.median = ordered[mid] if last % 2 == 0 else (ordered[mid] + ordered[mid + 1]) / 2
 
-    @property
-    def q25(self) -> float:
-        return float(np.quantile(self.distances, 0.25))
+        def quantile(q: float) -> float:
+            # numpy's _lerp at the virtual index (n - 1) * q
+            lo = math.floor(last * q)
+            t = last * q - lo
+            a, b = ordered[lo], ordered[min(lo + 1, last)]
+            return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
 
-    @property
-    def q75(self) -> float:
-        return float(np.quantile(self.distances, 0.75))
+        self.q25, self.q75 = quantile(0.25), quantile(0.75)
 
 
 @dataclass
@@ -602,8 +591,7 @@ def _replica_distance(payload) -> tuple[float, float]:
     (state0, horizon, grid, prm, scaling, seed, stream, det_states, comps) = payload
     traj = simulate_ssa(state0, horizon, grid, prm, scaling, seed, stream=stream)
     d = sup_distance(traj, det_states, scaling, compartments=comps)
-    sup_u = max(float(np.max(st.rescaled(scaling))) for st in traj.states)
-    return d, sup_u
+    return d, float(np.max(traj.densities(scaling)))
 
 
 def lln_experiment(
@@ -646,8 +634,6 @@ def lln_experiment(
     _validate_ladder(ladder, mode)
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
-    if len(initial_fns) != 4:
-        raise ValueError("expected four initial profile functions (S, I, R, B)")
     grid = np.linspace(0.0, horizon, n_samples) if horizon > 0 else np.array([0.0])
     comps = COMPARTMENTS if mode == "theorem1" else ("B",)
     # Integrate every rung first, then run all rungs' replicas through one
@@ -658,16 +644,13 @@ def lln_experiment(
     for rung_idx, (n, h, k) in enumerate(ladder):
         scaling = ScalingParams(int(n), int(h), int(k))
         prm = params.with_lattice(int(n))
-        fields0 = [project(f, int(n), quadrature_points) for f in initial_fns]
-        v0 = DeterministicState(*fields0)
-        state0 = SystemState.from_densities(*fields0, scaling=scaling)
+        v0 = DeterministicState.from_functions(initial_fns, int(n), quadrature_points)
+        state0 = SystemState.from_densities(v0.s, v0.i, v0.r, v0.b, scaling=scaling)
         rounding = float(np.max(np.abs(state0.rescaled(scaling) - v0.stack())))
         rf = ReactionField(
             prm, hk_ratio=h / k, mode="coupled" if mode == "theorem1" else "decoupled"
         )
         det = integrate(v0, horizon, rf, prm.transport, sample_times=grid)
-        # one (n_samples, 4, n) array pickles far smaller than the states
-        det = np.stack([v.stack() for v in det])
         c0 = float(np.max(np.abs(v0.stack())))
         ball = c0 * math.exp(growth_constant(rf) * horizon)
         shapes.append((int(n), int(h), int(k), rounding, ball))

@@ -36,7 +36,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .deterministic import DeterministicState
 from .diagnostics import CompensatorCheck, ConvergenceReport, MartingaleResidual
 from .stochastic import (
     N_EVENT_KINDS,
@@ -45,6 +44,7 @@ from .stochastic import (
     EpidemicParams,
     EventKind,
     EventLog,
+    SampledStates,
     ScalingParams,
     SystemState,
     Trajectory,
@@ -56,7 +56,6 @@ __all__ = [
     "RunManifest",
     "write_trajectory",
     "read_trajectory",
-    "write_deterministic_csv",
     "write_convergence_report",
     "write_martingale_csv",
     "write_compensator_csv",
@@ -177,25 +176,31 @@ def _sample_site_table(times: Sequence[float], values: np.ndarray) -> np.ndarray
 
 def _write_density_csv(path, times: Sequence[float], densities: np.ndarray):
     """Write (n_samples, 4, n) densities as (time, site, S, I, R, B) rows,
-    sites 1-based."""
+    sites 1-based: the trajectory schema of every density output, sampled
+    or deterministic."""
     table = _sample_site_table(times, densities.transpose(0, 2, 1))
     _write_csv(path, "time,site,S,I,R,B", ["%.17g,%d,%.17g,%.17g,%.17g,%.17g\r\n"],
                table.reshape(1, -1, 6))
 
 
+def _snapshot_frame(n_sites: int) -> np.dtype:
+    """One sample of snapshots.bin: its time, then its (4, n_sites) counts."""
+    return np.dtype([("time", "<f8"), ("counts", "<u8", (4, n_sites))])
+
+
 def _write_snapshots_bin(path: Path, traj: Trajectory):
-    n = traj.initial.n_sites
+    n_samples, _, n = traj.counts.shape
+    frames = np.empty(n_samples, dtype=_snapshot_frame(n))
+    frames["time"] = traj.sample_times
+    frames["counts"] = traj.counts
     with open(path, "wb") as fh:
         fh.write(SNAPSHOTS_MAGIC)
-        fh.write(struct.pack("<B", FORMAT_VERSION))
-        fh.write(struct.pack("<II", n, len(traj.states)))
-        for t, state in zip(traj.sample_times, traj.states):
-            fh.write(struct.pack("<d", float(t)))
-            for comp in ("s", "i", "r", "b"):
-                fh.write(state.counts(comp).astype("<u8").tobytes())
+        fh.write(struct.pack("<BII", FORMAT_VERSION, n, n_samples))
+        fh.write(frames.tobytes())
 
 
-def _read_snapshots_bin(path: Path) -> tuple[np.ndarray, list[SystemState]]:
+def _read_snapshots_bin(path: Path) -> tuple[np.ndarray, np.ndarray]:
+    """(sample times, (n_samples, 4, n) int64 counts) of a snapshots file."""
     raw = Path(path).read_bytes()
     head = len(SNAPSHOTS_MAGIC) + 1 + 8
     if len(raw) < head or raw[: len(SNAPSHOTS_MAGIC)] != SNAPSHOTS_MAGIC:
@@ -204,23 +209,11 @@ def _read_snapshots_bin(path: Path) -> tuple[np.ndarray, list[SystemState]]:
     if version != FORMAT_VERSION:
         raise CorruptFileError(f"unsupported snapshots format version {version}")
     n, n_samples = struct.unpack_from("<II", raw, len(SNAPSHOTS_MAGIC) + 1)
-    frame = 8 + 4 * n * 8
-    if len(raw) != head + n_samples * frame:
+    frame = _snapshot_frame(n)
+    if len(raw) != head + n_samples * frame.itemsize:
         raise CorruptFileError(f"{path} is truncated or padded")
-    times = np.empty(n_samples)
-    states = []
-    off = head
-    for idx in range(n_samples):
-        (times[idx],) = struct.unpack_from("<d", raw, off)
-        off += 8
-        comps = []
-        for _ in range(4):
-            comps.append(
-                np.frombuffer(raw, dtype="<u8", count=n, offset=off).astype(np.int64)
-            )
-            off += n * 8
-        states.append(SystemState(*comps))
-    return times, states
+    frames = np.frombuffer(raw, dtype=frame, count=n_samples, offset=head)
+    return frames["time"].astype(np.float64), frames["counts"].astype(np.int64)
 
 
 def _write_events_bin(path: Path, log: EventLog):
@@ -272,8 +265,8 @@ def write_trajectory(
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    densities = np.stack([state.rescaled(scaling) for state in traj.states])
-    _write_density_csv(directory / "trajectory.csv", traj.sample_times, densities)
+    _write_density_csv(directory / "trajectory.csv", traj.sample_times,
+                       traj.densities(scaling))
     _write_snapshots_bin(directory / "snapshots.bin", traj)
     files = ["trajectory.csv", "snapshots.bin"]
     if traj.event_log is not None:
@@ -307,23 +300,17 @@ def read_trajectory(directory) -> tuple[Trajectory, RunManifest]:
             f"manifest in {directory} must list snapshots.bin, and events.bin when present"
         )
     manifest.verify(directory)
-    times, states = _read_snapshots_bin(directory / "snapshots.bin")
+    times, counts = _read_snapshots_bin(directory / "snapshots.bin")
     log = _read_events_bin(directory / "events.bin") if has_log else None
     traj = Trajectory(
         sample_times=times,
-        states=states,
+        counts=counts,
         event_log=log,
         seed=manifest.seed,
         rng_algorithm=manifest.rng_algorithm,
+        stats=dict(manifest.stats),
     )
     return traj, manifest
-
-
-def write_deterministic_csv(
-    path, times: Sequence[float], states: Sequence[DeterministicState]
-):
-    """Deterministic solutions share the trajectory CSV schema."""
-    _write_density_csv(path, times, np.stack([state.stack() for state in states]))
 
 
 def write_convergence_report(directory, report: ConvergenceReport):
@@ -354,7 +341,7 @@ def write_convergence_report(directory, report: ConvergenceReport):
 def write_martingale_csv(path, residual: MartingaleResidual):
     """Residual fields keyed by (time, site, compartment)."""
     names = ("S", "I", "R", "B")
-    z = np.stack([residual.component(name) for name in names])[..., None]
+    z = residual.z.transpose(1, 0, 2)[..., None]
     table = _sample_site_table(residual.times, z)
     _write_csv(path, "time,site,compartment,z",
                [f"%.17g,%d,{name},%.17g\r\n" for name in names],
@@ -426,17 +413,18 @@ def replay(initial: SystemState, log: EventLog) -> SystemState:
 
 def replay_trajectory(
     initial: SystemState, log: EventLog, sample_times: Sequence[float]
-) -> list[SystemState]:
+) -> SampledStates:
     """Replay with snapshots at the given times (right-continuous, matching
     the simulator's convention): each snapshot is the initial counts plus
-    the deltas of every event at or before its time.
+    the deltas of every event at or before its time.  The snapshots share
+    one (n_samples, 4, n) int64 array, their ``counts``.
 
     Checks what apply_event checks, for every event: a known kind, a site
     on the lattice, and a source count of at least one just before it.
     """
     grid = np.asarray(sample_times, dtype=float)
     n = initial.n_sites
-    initial_counts = np.concatenate([initial.counts(c) for c in "sirb"]).astype(np.int64)
+    initial_counts = initial.stack().ravel().astype(np.int64)
     counts = initial_counts.copy()
     # row g: deltas of the events that snapshot g is the first to see
     binned = np.zeros((grid.size + 1, counts.size), dtype=np.int64)
@@ -449,4 +437,4 @@ def replay_trajectory(
         segment = np.searchsorted(grid, part.times, side="left")[event]
         np.add.at(binned, (segment, cell), delta)
     snaps = initial_counts + np.cumsum(binned[: grid.size], axis=0)
-    return [SystemState(*row.reshape(4, -1).copy()) for row in snaps]
+    return SampledStates(snaps.reshape(grid.size, 4, n))

@@ -1,5 +1,5 @@
-"""Periodic 1-D lattice: step-function fields, centered difference
-operators, and the coefficients of the biased nearest-neighbour transport.
+"""Periodic 1-D lattice: step-function fields, their projection, and the
+coefficients of the biased nearest-neighbour transport.
 
 The unit interval is split into ``n`` sites; site ``j`` (0-based) covers
 ``(j/n, (j+1)/n]`` and all indexing wraps around modulo ``n``.  User-facing
@@ -22,8 +22,6 @@ __all__ = [
     "LatticeField",
     "TransportCoefficients",
     "project",
-    "grad_centered",
-    "laplace",
 ]
 
 # Centered stencils need two distinct neighbours per site.
@@ -153,15 +151,3 @@ def project(f: Callable, n_sites: int, quadrature_points: int = 16) -> LatticeFi
     if not np.all(np.isfinite(vals)):
         raise ValueError("function returned non-finite values on [0, 1]")
     return LatticeField(vals.mean(axis=1))
-
-
-def grad_centered(f: LatticeField) -> LatticeField:
-    """Centered difference: (n/2) * (f[j+1] - f[j-1]), periodic."""
-    v = f.values
-    return LatticeField(0.5 * f.n_sites * (np.roll(v, -1) - np.roll(v, 1)))
-
-
-def laplace(f: LatticeField) -> LatticeField:
-    """Centered second difference: n^2 * (f[j+1] - 2 f[j] + f[j-1]), periodic."""
-    v = f.values
-    return LatticeField(f.n_sites**2 * (np.roll(v, -1) - 2.0 * v + np.roll(v, 1)))

@@ -29,11 +29,13 @@ rates):
 from __future__ import annotations
 
 import math
+import operator
 from array import array
 from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from enum import IntEnum
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -50,6 +52,7 @@ __all__ = [
     "SystemState",
     "Event",
     "EventLog",
+    "SampledStates",
     "Trajectory",
     "replica_rng",
     "all_rates",
@@ -207,11 +210,9 @@ class SystemState:
     @classmethod
     def from_densities(cls, s, i, r, b, scaling: ScalingParams) -> "SystemState":
         """Round rescaled densities to the nearest integer counts."""
-        fields = []
-        for a, scale in zip((s, i, r, b), (scaling.h, scaling.h, scaling.h, scaling.k)):
-            v = a.values if isinstance(a, LatticeField) else np.asarray(a, dtype=float)
-            fields.append(np.rint(v * scale).astype(np.int64))
-        return cls.from_counts(*fields)
+        v = np.stack([a.values if isinstance(a, LatticeField) else np.asarray(a, dtype=float)
+                      for a in (s, i, r, b)])
+        return cls.from_counts(*np.rint(v * _renormalization(scaling)).astype(np.int64))
 
     @property
     def n_sites(self) -> int:
@@ -220,26 +221,18 @@ class SystemState:
     def counts(self, compartment: str) -> np.ndarray:
         return getattr(self, f"{compartment}_counts")
 
-    def copy(self) -> "SystemState":
-        return SystemState(
-            self.s_counts.copy(), self.i_counts.copy(),
-            self.r_counts.copy(), self.b_counts.copy(),
-        )
+    def stack(self) -> np.ndarray:
+        """Counts as a (4, n) int64 array in the order (S, I, R, B)."""
+        return np.stack([self.s_counts, self.i_counts, self.r_counts, self.b_counts])
 
     def rescaled(self, scaling: ScalingParams) -> np.ndarray:
         """Densities as a (4, n) float array in the order (S, I, R, B)."""
-        h = float(scaling.h)
-        k = float(scaling.k)
-        return np.stack([
-            self.s_counts / h, self.i_counts / h, self.r_counts / h, self.b_counts / k,
-        ])
+        return self.stack() / _renormalization(scaling)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SystemState):
             return NotImplemented
-        return all(
-            np.array_equal(self.counts(c), other.counts(c)) for c in _COMPARTMENTS
-        )
+        return np.array_equal(self.stack(), other.stack())
 
 
 @dataclass(frozen=True)
@@ -273,16 +266,46 @@ class EventLog:
         )
 
 
+def _renormalization(scaling: ScalingParams) -> np.ndarray:
+    """Divisors from counts to densities, (4, 1): H for S, I, R and K for B."""
+    return np.array([scaling.h, scaling.h, scaling.h, scaling.k], dtype=float)[:, None]
+
+
+class SampledStates(Sequence):
+    """Read-only SystemState views of the samples of an (n_samples, 4, n)
+    count array, which stays the only copy of the counts."""
+
+    def __init__(self, counts: np.ndarray):
+        self.counts = counts.view()
+        self.counts.flags.writeable = False
+
+    def __len__(self) -> int:
+        return self.counts.shape[0]
+
+    def __getitem__(self, sample: int) -> SystemState:
+        return SystemState(*self.counts[operator.index(sample)])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+
 @dataclass
 class Trajectory:
-    """Sampled states of one realization, plus the optional full event log."""
+    """Sampled counts of one realization, one (n_samples, 4, n) int64 array
+    with rows (S, I, R, B), plus the optional full event log."""
 
     sample_times: np.ndarray
-    states: list[SystemState]
+    counts: np.ndarray
     event_log: Optional[EventLog]
     seed: int
     rng_algorithm: str = RNG_ALGORITHM
     stats: dict = field(default_factory=dict)
+
+    @property
+    def states(self) -> SampledStates:
+        return SampledStates(self.counts)
 
     @property
     def initial(self) -> SystemState:
@@ -291,6 +314,10 @@ class Trajectory:
     @property
     def final(self) -> SystemState:
         return self.states[-1]
+
+    def densities(self, scaling: ScalingParams) -> np.ndarray:
+        """Rescaled densities as an (n_samples, 4, n) float array."""
+        return self.counts / _renormalization(scaling)
 
 
 def replica_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -326,7 +353,7 @@ def all_rates(
 ) -> np.ndarray:
     """All propensities as a (14, n_sites) array indexed by EventKind."""
     _check_compatible(state.n_sites, params, scaling)
-    counts = np.stack([state.counts(c) for c in _COMPARTMENTS]).astype(float)
+    counts = state.stack().astype(float)
     out = np.array(_rate_coefficients(params))[:, None] * counts[list(_RATE_SOURCE)]
     b = counts[_COMPARTMENTS.index("b")]
     out[EventKind.INFECTION] = out[EventKind.INFECTION] * b / (scaling.k + b)
@@ -382,7 +409,7 @@ def apply_event(state: SystemState, e: Event) -> SystemState:
                 f"{e.kind.name} at site {j} requires {_COMPARTMENTS[c]}_counts >= {need} "
                 f"(got {have}); zero-propensity event applied"
             )
-    out = state.copy()
+    out = SystemState(*state.stack())
     for c, offset, delta in STOICHIOMETRY[e.kind].tolist():
         out.counts(_COMPARTMENTS[c])[(j + offset) % n] += delta
     return out
@@ -440,8 +467,7 @@ def step_ssa(
     """
     _check_compatible(state.n_sites, params, scaling)
     weights, beta = _site_weights(params)
-    totals = _site_total(weights, beta, float(scaling.k),
-                         *(state.counts(c) for c in _COMPARTMENTS))
+    totals = _site_total(weights, beta, float(scaling.k), *state.stack())
     cum = np.cumsum(totals)
     total = float(cum[-1])
     if total <= 0.0:
@@ -536,7 +562,7 @@ def simulate_ssa(
         record_events: keep the full (time, kind, site) log.
 
     Returns:
-        Trajectory with one state per sample time; ``stats`` holds
+        Trajectory with one row of counts per sample time; ``stats`` holds
         ``n_events``, ``stream`` and ``events_by_kind`` (14 counts indexed
         by EventKind).
     """
@@ -549,11 +575,11 @@ def simulate_ssa(
 
     weights, beta = _site_weights(params)
     kcap = float(scaling.k)
-    totals = _site_total(weights, beta, kcap, *(initial.counts(c) for c in _COMPARTMENTS))
+    totals = _site_total(weights, beta, kcap, *initial.stack())
     cum = np.empty_like(totals)
     site_totals, cum_view = memoryview(totals), memoryview(cum)
     # Counts as one list of 4n cells, compartment * n + site.
-    counts = np.concatenate([initial.counts(c) for c in _COMPARTMENTS]).tolist()
+    counts = initial.stack().ravel().tolist()
     b_row = 3 * n
 
     # Each kind's coefficient and the row of its source compartment, in
@@ -568,7 +594,9 @@ def simulate_ssa(
             cells = tuple((c * n + (j + off) % n, d) for c, off, d in row if d)
             plans.append((cells, tuple(dict.fromkeys(cell % n for cell, _ in cells))))
 
-    snapshots: list[SystemState] = []
+    # the snapshots, one row of 4n cells per sample time
+    snapshots = np.empty((grid.size, 4, n), dtype=np.int64)
+    rows = snapshots.reshape(grid.size, 4 * n)
     times, indices = array("d"), array("q")
     fired = [0] * (N_EVENT_KINDS * n)
     samples = grid.tolist() + [math.inf]
@@ -584,7 +612,7 @@ def simulate_ssa(
         else:
             t_next = math.inf
         while samples[k_sample] < t_next:
-            snapshots.append(SystemState(*np.array(counts, dtype=np.int64).reshape(4, n)))
+            rows[k_sample] = counts
             k_sample += 1
         if t_next > horizon:
             break
@@ -631,7 +659,7 @@ def simulate_ssa(
     by_kind = np.array(fired).reshape(N_EVENT_KINDS, n).sum(axis=1).tolist()
     return Trajectory(
         sample_times=grid,
-        states=snapshots,
+        counts=snapshots,
         event_log=event_log,
         seed=seed,
         stats={"n_events": sum(by_kind), "stream": stream, "events_by_kind": by_kind},

@@ -3,7 +3,11 @@
 import csv
 import io as stdio
 import json
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -138,6 +142,22 @@ def test_parse_rejects_seed_beyond_64_bits(tmp_path):
         parse_config(path)
     path.write_text(path.read_text().replace(f"seed = {2**64}", f"seed = {2**64 - 1}"))
     assert parse_config(path).seed == 2**64 - 1
+
+
+def test_workers_beyond_cpu_count_rejected_at_parse_time(tmp_path, monkeypatch, capsys,
+                                                        pool_sizes):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    path = write_config(tmp_path)
+    path.write_text(path.read_text().replace("workers = 1", "workers = 4"))
+    with pytest.raises(ConfigError, match="run.workers"):
+        parse_config(path)
+    path.write_text(path.read_text().replace("workers = 4", "workers = 3"))
+    assert parse_config(path).workers == 3
+    out = tmp_path / "many_workers"
+    assert main(["simulate", "--config", str(path), "--replicas", "4", "--workers", "4",
+                 "--out", str(out)]) == 2
+    assert "--workers" in capsys.readouterr().err
+    assert pool_sizes == [] and not out.exists()
 
 
 def test_main_rejects_seed_flag_beyond_64_bits(tmp_path, capsys):
@@ -312,6 +332,47 @@ def test_manifest_records_rng_algorithm(tmp_path, mode):
     loaded.verify(cfg.out)
 
 
+@pytest.mark.parametrize("mode", ["pde", "homogeneous"])
+def test_integrator_counters_in_manifest_stats(tmp_path, mode):
+    path = write_config(tmp_path)
+    cfg = parse_config(path, mode=mode)
+    assert run(cfg) == 0
+    loaded = run_io.RunManifest.from_json((cfg.out / "manifest.json").read_text())
+    assert loaded.stats["n_steps"] > 0
+    assert loaded.stats["clamped"] >= 0 and loaded.stats["min_value_seen"] <= 0.0
+    assert list(loaded.file_hashes) == ["trajectory.csv"]
+
+
+def test_read_trajectory_carries_the_run_stats(tmp_path):
+    path = write_config(tmp_path)
+    assert main(["simulate", "--config", str(path)]) == 0
+    traj, manifest = run_io.read_trajectory(tmp_path / "run_out")
+    assert set(traj.stats) == {"n_events", "stream", "events_by_kind"}
+    assert traj.stats == manifest.stats
+    assert traj.stats["n_events"] == len(traj.event_log) > 0
+
+
+def test_converge_does_not_import_numpy_ma(tmp_path):
+    # np.median and np.quantile import numpy.ma on first use, which costs
+    # tens of ms after the pool; the ladder report needs neither.
+    path = write_config(tmp_path, ladder="ladder = 4:20:20, 4:60:60")
+    code = (
+        "import sys, numpy\n"
+        "if 'numpy.ma' in sys.modules:\n"
+        "    sys.exit(3)\n"
+        "from sirb_lattice.cli import main\n"
+        f"assert main(['converge', '--config', {str(path)!r}, '--replicas', '3']) == 0\n"
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
+    if done.returncode == 3:
+        pytest.skip("this numpy imports numpy.ma together with numpy")
+    assert done.returncode == 0
+
+
 def test_pde_writes_lattice_solution(tmp_path):
     path = write_config(tmp_path, extra="\n[pde]\nresolution = 8\n")
     cfg = parse_config(path, mode="pde")
@@ -456,6 +517,6 @@ def test_worker_count_capped_by_jobs_and_cpus(
 ):
     monkeypatch.setattr(diagnostics.os, "cpu_count", lambda: 3)
     path = write_config(tmp_path)
-    argv = [mode, "--config", str(path), "--replicas", str(replicas), "--workers", "10000"]
+    argv = [mode, "--config", str(path), "--replicas", str(replicas), "--workers", "3"]
     assert main(argv) == 0
     assert pool_sizes == [expected]

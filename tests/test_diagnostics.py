@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 from sirb_lattice import diagnostics
-from sirb_lattice.deterministic import DeterministicState
 from sirb_lattice.diagnostics import (
+    _drift_stack,
     _sweep_chunk,
     compensator_check,
-    drift_fields,
     event_table_drift,
     event_table_square_sum,
     lln_experiment,
@@ -47,11 +46,12 @@ def random_state(rng, n, hi=300):
 
 def as_trajectory(states, grid, scaling):
     return Trajectory(sample_times=np.asarray(grid, dtype=float),
-                      states=list(states), event_log=None, seed=0)
+                      counts=np.stack([s.stack() for s in states]), event_log=None, seed=0)
 
 
-def as_det(state, scaling):
-    return DeterministicState.from_stack(state.rescaled(scaling))
+def as_det(states, scaling):
+    """The densities of ``states`` as one (n_samples, 4, n) solution array."""
+    return np.stack([s.rescaled(scaling) for s in states])
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +63,7 @@ def test_sup_distance_to_self_is_zero():
     states = [random_state(rng, 4) for _ in range(3)]
     grid = [0.0, 0.5, 1.0]
     traj = as_trajectory(states, grid, scaling)
-    det = [as_det(s, scaling) for s in states]
+    det = as_det(states, scaling)
     assert sup_distance(traj, det, scaling) == 0.0
 
 
@@ -71,26 +71,22 @@ def test_sup_distance_detects_constant_shift():
     scaling = ScalingParams(4, 10, 10)
     state = SystemState.from_counts(*(np.full(4, 5) for _ in range(4)))
     traj = as_trajectory([state], [0.0], scaling)
-    shifted = state.rescaled(scaling)
-    shifted[2] += 0.25  # shift the R field
-    det = [DeterministicState.from_stack(shifted)]
+    det = as_det([state], scaling)
+    det[0, 2] += 0.25  # shift the R field
     assert sup_distance(traj, det, scaling) == pytest.approx(0.25)
     # restricting to other compartments ignores the shift
     assert sup_distance(traj, det, scaling, compartments=("S", "B")) == 0.0
-    # the stacked (n_samples, 4, n) form gives the same distances
-    assert sup_distance(traj, shifted[None], scaling) == sup_distance(traj, det, scaling)
-    assert sup_distance(traj, shifted[None], scaling, compartments=("S", "B")) == 0.0
 
 
 def test_sup_distance_rejects_mismatched_grids():
     scaling = ScalingParams(4, 10, 10)
     state = SystemState.from_counts(*(np.full(4, 5) for _ in range(4)))
     traj = as_trajectory([state, state], [0.0, 1.0], scaling)
-    det = [as_det(state, scaling)]
+    det = as_det([state], scaling)
     with pytest.raises(ValueError):
         sup_distance(traj, det, scaling)
     with pytest.raises(ValueError):
-        sup_distance(traj, [as_det(state, scaling)] * 2, scaling,
+        sup_distance(traj, as_det([state] * 2, scaling), scaling,
                      det_times=np.array([0.0, 0.9]))
     with pytest.raises(ValueError, match="lattice sizes differ"):
         sup_distance(traj, np.zeros((2, 4, 5)), scaling)
@@ -104,8 +100,7 @@ def test_sup_distance_symmetry_and_triangle():
     a, b, c = triples
 
     def dist(x, y):
-        return sup_distance(as_trajectory(x, grid, scaling),
-                            [as_det(s, scaling) for s in y], scaling)
+        return sup_distance(as_trajectory(x, grid, scaling), as_det(y, scaling), scaling)
 
     assert dist(a, b) == pytest.approx(dist(b, a))
     assert dist(a, c) <= dist(a, b) + dist(b, c) + 1e-12
@@ -121,9 +116,7 @@ def test_drift_event_form_equals_operator_form():
     for _ in range(100):
         state = random_state(rng, 6)
         brute = event_table_drift(state, params, scaling)
-        closed = np.stack(
-            [drift_fields(state, params, scaling)[c].values for c in "SIRB"]
-        )
+        closed = _drift_stack(state.rescaled(scaling), params, scaling.h / scaling.k)
         assert np.allclose(brute, closed, rtol=1e-12, atol=1e-12)
 
 
@@ -210,8 +203,8 @@ def test_residual_single_event_hand_path():
                    kinds=np.array([int(EventKind.BACTERIA_DEATH)], dtype=np.uint8),
                    sites=np.array([0], dtype=np.uint32))
     grid = np.array([0.0, 0.2, 0.4, 0.5, 1.0])
-    states = [initial] + replay_trajectory(initial, log, grid[1:])
-    traj = Trajectory(sample_times=grid, states=states, event_log=log, seed=0)
+    counts = replay_trajectory(initial, log, grid).counts
+    traj = Trajectory(sample_times=grid, counts=counts, event_log=log, seed=0)
     res = martingale_residual(traj, params, scaling)
     u0, u1 = 2.0, 1.9
     expected = np.array([
@@ -221,9 +214,9 @@ def test_residual_single_event_hand_path():
         (u1 - u0) + mu_b * (u0 * 0.4 + u1 * 0.1),
         (u1 - u0) + mu_b * (u0 * 0.4 + u1 * 0.6),
     ])
-    assert np.allclose(res.z_b[:, 0], expected, rtol=1e-12, atol=1e-14)
-    assert np.all(res.z_b[:, 1:] == 0.0)
-    assert np.all(res.z_s == 0.0)
+    assert np.allclose(res.component("B")[:, 0], expected, rtol=1e-12, atol=1e-14)
+    assert np.all(res.component("B")[:, 1:] == 0.0)
+    assert np.all(res.component("S") == 0.0)
 
 
 def test_residual_mean_zero_across_replicas():
@@ -259,10 +252,9 @@ def reference_sweep(traj, params, scaling):
     renorm = np.array([h, h, h, k, k, k])[:, None]
 
     def integrands(state):
-        drift = drift_fields(state, params, scaling)
+        drift = _drift_stack(state.rescaled(scaling), params, scaling.h / scaling.k)
         amps = square_amplitudes(state, params, scaling)
-        return (np.stack([drift[c].values for c in "SIRB"]),
-                np.stack([amps[f].values for f in FAMILIES]) / renorm)
+        return drift, np.stack([amps[f].values for f in FAMILIES]) / renorm
 
     def count_stack(state):
         return np.stack([state.counts(c) for c in "sirb"])
@@ -319,8 +311,8 @@ def test_sweep_matches_per_event_reference():
         assert log.times[-1] > grid[-1]
         empty = EventLog(np.empty(0), np.empty(0, dtype=np.uint8),
                          np.empty(0, dtype=np.uint32))
-        replicas = [Trajectory(grid, [t.initial], t.event_log, seed=0) for t in trajs]
-        replicas.append(Trajectory(grid, [state], empty, seed=0))
+        replicas = [Trajectory(grid, t.counts[:1], t.event_log, seed=0) for t in trajs]
+        replicas.append(Trajectory(grid, state.stack()[None], empty, seed=0))
         checks = compensator_check(replicas, params, scaling)
         for r, traj in enumerate(replicas):
             z_ref, obs_ref, pred_ref = reference_sweep(traj, params, scaling)
@@ -372,7 +364,7 @@ def test_sweep_does_not_depend_on_the_chunk_size(monkeypatch):
     assert len(log) > 2 * _sweep_chunk(n)
     # one sample exactly at an event, and events after the last sample
     grid = np.sort(np.append(rng.uniform(0.0, 0.9, 5), [0.0, log.times[len(log) // 2]]))
-    traj = Trajectory(grid, [state], log, seed=0)
+    traj = Trajectory(grid, state.stack()[None], log, seed=0)
     default = diagnostics.sweep_log(traj, params, scaling)
     for budget in (1, 1 << 40):  # one event per chunk, then the whole log in one
         monkeypatch.setattr(diagnostics, "_SWEEP_CHUNK_BYTES", budget)
@@ -497,6 +489,17 @@ def test_lln_single_rung_report():
     assert np.all(rung.distances >= 0.0)
     assert rung.rounding_error <= 0.5 / 50 + 1e-12
     assert report.medians[0] == pytest.approx(np.median(rung.distances))
+
+
+def test_ladder_quartiles_match_numpy_bit_for_bit():
+    rng = np.random.default_rng(60)
+    for size in range(1, 61):
+        d = rng.exponential(size=size) * 10.0 ** rng.integers(-3, 3)
+        d[: size // 4] = d[-1]  # ties
+        rung = diagnostics.LadderRung(8, 10, 10, d, 0.0, 0)
+        assert rung.median == float(np.median(d))
+        assert rung.q25 == float(np.quantile(d, 0.25))
+        assert rung.q75 == float(np.quantile(d, 0.75))
 
 
 def test_lln_rejects_varying_ratio_in_theorem1():

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io as stdio
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -11,16 +12,15 @@ import pytest
 from sirb_lattice.io import (
     _REPLAY_CHUNK,
     CorruptFileError,
+    _write_density_csv,
     read_trajectory,
     replay,
     replay_trajectory,
     sha256_file,
     write_compensator_csv,
-    write_deterministic_csv,
     write_martingale_csv,
     write_trajectory,
 )
-from sirb_lattice.deterministic import DeterministicState
 from sirb_lattice.diagnostics import CompensatorCheck, MartingaleResidual
 from sirb_lattice.lattice import TransportCoefficients
 from sirb_lattice.stochastic import (
@@ -31,6 +31,7 @@ from sirb_lattice.stochastic import (
     EventLog,
     ScalingParams,
     SystemState,
+    Trajectory,
     apply_event,
     simulate_ssa,
 )
@@ -227,6 +228,31 @@ def test_event_frame_layout(tmp_path):
     assert (len(raw) - 9) // 13 == len(traj.event_log)
 
 
+@pytest.mark.parametrize("n", [3, 256])
+def test_snapshot_frame_layout(tmp_path, n):
+    # magic, version byte, u32 n_sites, u32 n_samples, then per sample an
+    # f64 time and the S, I, R, B counts as u64; the reference packs frame
+    # by frame what the writer packs as one block
+    rng = np.random.default_rng(n)
+    times = np.array([0.0, 1.0 / 3.0, 0.5, 1.0])
+    counts = rng.integers(0, 2**40, size=(times.size, 4, n))
+    traj = Trajectory(times, counts, None, seed=0)
+    write_trajectory(tmp_path, traj, make_params(n), ScalingParams(n, 50, 50))
+    expected = b"SIRBSNAP" + struct.pack("<BII", 1, n, times.size)
+    for t, frame in zip(times, counts):
+        expected += struct.pack("<d", t) + struct.pack(f"<{4 * n}Q", *frame.ravel().tolist())
+    path = tmp_path / "snapshots.bin"
+    assert path.read_bytes() == expected
+    loaded, _ = read_trajectory(tmp_path)
+    assert np.array_equal(loaded.sample_times, times)
+    assert loaded.counts.dtype == np.int64 and np.array_equal(loaded.counts, counts)
+    for raw in (expected[:-1], expected + bytes(8)):  # truncated, padded
+        path.write_bytes(raw)
+        rehash(tmp_path)
+        with pytest.raises(CorruptFileError, match="truncated or padded"):
+            read_trajectory(tmp_path)
+
+
 # ---------------------------------------------------------------------------
 # Replay
 
@@ -361,8 +387,7 @@ def test_csv_writers_match_csv_module_reference(tmp_path):
     stacks = [rng.exponential(size=(4, 6)) * 10.0 ** rng.integers(-20, 20) for _ in times]
     stacks[0][1, 2] = -0.0
     stacks[1][3, 0] = 1e17
-    write_deterministic_csv(tmp_path / "det.csv", times,
-                            [DeterministicState.from_stack(y) for y in stacks])
+    _write_density_csv(tmp_path / "det.csv", times, np.stack(stacks))
     assert (tmp_path / "det.csv").read_bytes() == csv_reference(times, stacks)
 
 
@@ -405,7 +430,7 @@ def test_report_writers_match_csv_module_reference(tmp_path):
     z = field(4, len(times), n)
     z[:, 0] = 0.0
     z[1, 2, 3] = -0.0
-    residual = MartingaleResidual(times, *z)
+    residual = MartingaleResidual(times, z.transpose(1, 0, 2))
     families = ("S", "I", "R", "B", "B_cross_plus", "B_cross_minus")
     observed = {f: field(n_rep, len(times), n) for f in families}
     predicted = {f: field(n_rep, len(times), n) for f in families}
