@@ -75,7 +75,7 @@ from .diagnostics import (
     sweep_log,
 )
 from .lattice import TransportCoefficients
-from .stochastic import EpidemicParams, ScalingParams, SystemState, simulate_ssa
+from .stochastic import COMPARTMENTS, EpidemicParams, ScalingParams, SystemState, simulate_ssa
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "run", "main"]
 
@@ -87,7 +87,7 @@ _KNOWN_KEYS = {
     "params": {"mu", "alpha", "gamma", "rho", "beta", "p_over_w", "mu_b",
                "ell", "p_out"},
     "scaling": {"n", "h", "k", "ladder"},
-    "initial": {"s", "i", "r", "b"},
+    "initial": {c.lower() for c in COMPARTMENTS},
     "pde": {"resolution", "dt"},
 }
 
@@ -157,7 +157,7 @@ class RunConfig:
         return ScalingParams(self.n_sites, self.h, self.k)
 
     def initial_fns(self) -> list[Callable]:
-        return [_preset_fn(self.initial_spec[c]) for c in ("s", "i", "r", "b")]
+        return [_preset_fn(self.initial_spec[c.lower()]) for c in COMPARTMENTS]
 
     def sample_grid(self) -> np.ndarray:
         if self.horizon == 0 or self.samples == 1:

@@ -32,20 +32,22 @@ from .deterministic import (
     integrate,
     _lattice_rhs,
 )
-from .lattice import LatticeField
 from .stochastic import (
+    COMPARTMENTS,
     STOICHIOMETRY,
     EpidemicParams,
     EventLog,
     ScalingParams,
     SystemState,
     Trajectory,
+    _renormalization,
     all_rates,
     log_entries,
     simulate_ssa,
 )
 
 __all__ = [
+    "FAMILIES",
     "sup_distance",
     "event_table_drift",
     "square_amplitudes",
@@ -56,15 +58,19 @@ __all__ = [
     "martingale_residual",
     "CompensatorCheck",
     "compensator_check",
+    "replica_mean_se",
     "mean_zero_pass_fraction",
     "LadderRung",
     "ConvergenceReport",
     "lln_experiment",
 ]
 
-COMPARTMENTS = ("S", "I", "R", "B")
-# The four square families, one per compartment, then the two cross families.
-_FAMILIES = COMPARTMENTS + ("B_cross_plus", "B_cross_minus")
+# The family axis of every (..., 6, n) amplitude, jump-sum or compensator
+# array: the four square families, one per compartment, then the two cross
+# families.
+FAMILIES = COMPARTMENTS + ("B_cross_plus", "B_cross_minus")
+# The compartment whose renormalization divides each family: its name's prefix.
+_FAMILY_COMPARTMENT = [COMPARTMENTS.index(f.split("_")[0]) for f in FAMILIES]
 
 # Per-state integrands of the sweep: the four densities and the infection
 # field.  Every drift and amplitude integrand is affine in these five rows.
@@ -83,10 +89,10 @@ def _sweep_chunk(n_sites: int) -> int:
 
 def _jump_products() -> np.ndarray:
     """Entry table of the jump products each kind makes, derived from
-    STOICHIOMETRY.  Rows index _FAMILIES: a square family gets the squared
+    STOICHIOMETRY.  Rows index FAMILIES: a square family gets the squared
     count jump at each touched site; a cross family gets, at site j, the
     product of the bacteria jumps at j and j + 1 (plus) or j - 1 (minus)."""
-    plus, minus = _FAMILIES.index("B_cross_plus"), _FAMILIES.index("B_cross_minus")
+    plus, minus = FAMILIES.index("B_cross_plus"), FAMILIES.index("B_cross_minus")
     rows = []
     for row in STOICHIOMETRY.tolist():
         deltas = [(c, off, d) for c, off, d in row if d]
@@ -151,94 +157,84 @@ def _drift_stack(
     return _lattice_rhs(u, rf, params.transport, infection)
 
 
+def _event_table_sum(rates: np.ndarray, table: np.ndarray, renorm: np.ndarray) -> np.ndarray:
+    """Sum over the event kinds of rate times value / renorm[row], for every
+    (row, site offset, value) entry of a kind's ``table`` row: (rows, n)."""
+    out = np.zeros((len(renorm), rates.shape[1]))
+    for kind, entries in enumerate(table.tolist()):
+        for row, off, v in entries:
+            if v:
+                out[row] += np.roll(rates[kind], off) * (v / renorm[row])
+    return out
+
+
 def event_table_drift(
     state: SystemState, params: EpidemicParams, scaling: ScalingParams
 ) -> np.ndarray:
     """Brute-force drift: sum over the event table of rate times rescaled
     jump, per compartment and site.  Shape (4, n)."""
-    rates = all_rates(state, params, scaling)
-    renorm = np.array([scaling.h, scaling.h, scaling.h, scaling.k], dtype=float)
-    out = np.zeros((4, state.n_sites))
-    for kind, deltas in enumerate(STOICHIOMETRY.tolist()):
-        for c, off, d in deltas:
-            if d:
-                out[c] += np.roll(rates[kind], off) * (d / renorm[c])
-    return out
+    return _event_table_sum(all_rates(state, params, scaling), STOICHIOMETRY,
+                            _renormalization(scaling)[:, 0])
 
 
 def _amp_stack(
     u: np.ndarray, params: EpidemicParams, hk_ratio: float,
     infection: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Closed-form square amplitudes on a (..., 4, n) density stack; rows
-    (S, I, R, B).
+    """Closed-form square and cross amplitudes on a (..., 4, n) density
+    stack, as a (..., 6, n) stack on the FAMILIES axis.
 
     Per site: the S amplitude is 2 mu u_S + mu u_I + (mu+rho) u_R plus the
     infection term; the B amplitude splits into the local-reaction part
     mu_b u_B + (H/K)(p/W) u_I and the transport part
-    ell (p_in u_B[j+1] + u_B[j] + p_out u_B[j-1]).  ``infection`` as in
-    reaction_stack.
+    ell (p_in u_B[j+1] + u_B[j] + p_out u_B[j-1]).  The cross amplitudes of
+    the simultaneous bacteria jumps on the pairs (j, j+1) and (j, j-1) are
+    -ell (p_out u_B[j] + p_in u_B[j+1]) and -ell (p_in u_B[j] + p_out u_B[j-1]).
+    ``infection`` as in reaction_stack.
     """
     p = params
     s, i, r, b = (u[..., c, :] for c in range(4))
     if infection is None:
         infection = infection_stack(u, p)
     tc = p.transport
-    out = np.empty_like(u)
+    b_next, b_prev = np.roll(b, -1, axis=-1), np.roll(b, 1, axis=-1)
+    out = np.empty(u.shape[:-2] + (len(FAMILIES), u.shape[-1]))
     out[..., 0, :] = 2.0 * p.mu * s + p.mu * i + (p.mu + p.rho) * r + infection
     out[..., 1, :] = infection + (p.mu + p.alpha + p.gamma) * i
     out[..., 2, :] = p.gamma * i + (p.mu + p.rho) * r
     out[..., 3, :] = (
         p.mu_b * b
         + hk_ratio * p.p_over_w * i
-        + tc.ell * (tc.p_in * np.roll(b, -1, axis=-1) + b + tc.p_out * np.roll(b, 1, axis=-1))
+        + tc.ell * (tc.p_in * b_next + b + tc.p_out * b_prev)
     )
+    out[..., 4, :] = -tc.ell * (tc.p_out * b + tc.p_in * b_next)
+    out[..., 5, :] = -tc.ell * (tc.p_in * b + tc.p_out * b_prev)
     return out
-
-
-def _cross_stacks(u: np.ndarray, params: EpidemicParams) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form cross amplitudes for the simultaneous bacteria jumps on
-    neighbouring sites: (pair j,j+1), (pair j,j-1).  ``u`` is (..., 4, n)."""
-    b = u[..., 3, :]
-    tc = params.transport
-    plus = -tc.ell * (tc.p_out * b + tc.p_in * np.roll(b, -1, axis=-1))
-    minus = -tc.ell * (tc.p_in * b + tc.p_out * np.roll(b, 1, axis=-1))
-    return plus, minus
 
 
 def square_amplitudes(
     state: SystemState, params: EpidemicParams, scaling: ScalingParams
-) -> dict[str, LatticeField]:
+) -> np.ndarray:
     """Square-amplitude fields |psi|^2 per compartment plus the two bacteria
-    cross-product fields, evaluated from the closed forms."""
-    u = state.rescaled(scaling)
-    amp = _amp_stack(u, params, scaling.h / scaling.k)
-    plus, minus = _cross_stacks(u, params)
-    out = {c: LatticeField(row) for c, row in zip(COMPARTMENTS, amp)}
-    out["B_cross_plus"] = LatticeField(plus)
-    out["B_cross_minus"] = LatticeField(minus)
-    return out
+    cross-product fields, evaluated from the closed forms: (6, n), rows
+    FAMILIES."""
+    return _amp_stack(state.rescaled(scaling), params, scaling.h / scaling.k)
 
 
 def event_table_square_sum(
     state: SystemState, params: EpidemicParams, scaling: ScalingParams
-) -> dict[str, np.ndarray]:
+) -> np.ndarray:
     """Brute-force square and cross amplitudes from the event table's jump
-    products (``_JUMP_PRODUCTS``, derived from STOICHIOMETRY).
+    products (``_JUMP_PRODUCTS``, derived from STOICHIOMETRY): (6, n), rows
+    FAMILIES.
 
     For each compartment: renorm * sum over events of rate * (rescaled jump
     at the site)^2.  For the cross fields: K * sum over events of the
     product of the rescaled bacteria jumps at neighbouring sites.  This is
     the authoritative definition every closed form is tested against.
     """
-    rates = all_rates(state, params, scaling)
-    renorm = np.array([scaling.h] * 3 + [scaling.k] * 3, dtype=float)  # per family
-    out = np.zeros((len(_FAMILIES), state.n_sites))
-    for kind, products in enumerate(_JUMP_PRODUCTS.tolist()):
-        for family, off, v in products:
-            if v:
-                out[family] += np.roll(rates[kind], off) * (v / renorm[family])
-    return dict(zip(_FAMILIES, out))
+    return _event_table_sum(all_rates(state, params, scaling), _JUMP_PRODUCTS,
+                            _renormalization(scaling)[_FAMILY_COMPARTMENT, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -250,20 +246,16 @@ class MartingaleResidual:
     per compartment, sampled on a time grid.  Z(0) = 0 identically."""
 
     times: np.ndarray
-    z: np.ndarray  # (n_times, 4, n_sites), rows (S, I, R, B)
-
-    def component(self, c: str) -> np.ndarray:
-        """The (n_times, n_sites) residual of compartment ``c``."""
-        return self.z[:, COMPARTMENTS.index(c.upper())]
+    z: np.ndarray  # (n_times, 4, n_sites), rows COMPARTMENTS
 
 
 class Sweep(NamedTuple):
     """What one pass over a replica's event log yields: every array the
     martingale and compensator reports need, on the replica's sample grid."""
 
-    z: np.ndarray  # (n_times, 4, n) residual fields
-    observed: dict[str, np.ndarray]  # family -> (n_times, n) jump sums
-    predicted: dict[str, np.ndarray]  # family -> (n_times, n) compensators
+    z: np.ndarray  # (n_times, 4, n) residual fields, rows COMPARTMENTS
+    observed: np.ndarray  # (n_times, 6, n) jump sums, rows FAMILIES
+    predicted: np.ndarray  # (n_times, 6, n) compensators, rows FAMILIES
 
 
 def _jump_sums(log: EventLog, grid: np.ndarray, n_sites: int, n_events: int) -> np.ndarray:
@@ -274,7 +266,7 @@ def _jump_sums(log: EventLog, grid: np.ndarray, n_sites: int, n_events: int) -> 
 
     No buffer here is n-wide; the largest per-event one is the event's
     gathered _JUMP_PRODUCTS row, and the chunk fits the sweep's budget."""
-    width = len(_FAMILIES) * n_sites
+    width = len(FAMILIES) * n_sites
     jumps = np.zeros((grid.size, width))
     chunk = max(1, _SWEEP_CHUNK_BYTES // _JUMP_PRODUCTS[0].nbytes)
     for a in range(0, n_events, chunk):
@@ -286,7 +278,7 @@ def _jump_sums(log: EventLog, grid: np.ndarray, n_sites: int, n_events: int) -> 
         jumps[lo:hi] += np.bincount(
             (first[ev] - lo) * width + cell, weights=product, minlength=(hi - lo) * width
         ).reshape(hi - lo, width)
-    return np.cumsum(jumps, axis=0).reshape(grid.size, len(_FAMILIES), n_sites)
+    return np.cumsum(jumps, axis=0).reshape(grid.size, len(FAMILIES), n_sites)
 
 
 def sweep_log(
@@ -297,9 +289,10 @@ def sweep_log(
     """Prefix-sum pass over an event log.
 
     Returns a Sweep (z, observed, predicted):
-      z: (n_times, 4, n) residual fields,
-      observed: family -> (n_times, n) accumulated squared/crossed jumps,
-      predicted: family -> (n_times, n) accumulated compensator integrals.
+      z: (n_times, 4, n) residual fields, rows COMPARTMENTS,
+      observed: (n_times, 6, n) accumulated squared/crossed jumps,
+      predicted: (n_times, 6, n) accumulated compensator integrals,
+    the last two with rows FAMILIES.
 
     The state is constant between events, so every quantity is a prefix sum
     over the log.  State c is the initial counts plus the deltas of events
@@ -333,11 +326,9 @@ def sweep_log(
     grid = traj.sample_times
     n_times = grid.shape[0]
     n = traj.counts.shape[2]
-    h = float(scaling.h)
-    k = float(scaling.k)
     hk = scaling.h / scaling.k
-    scale = np.array([h, h, h, k])[:, None]
-    family_scale = 1.0 / np.array([h, h, h, k, k, k])[:, None] ** 2
+    scale = _renormalization(scaling)
+    family_scale = scale[_FAMILY_COMPARTMENT]
 
     log = traj.event_log
     seen = np.searchsorted(log.times, grid, side="right")
@@ -392,16 +383,11 @@ def sweep_log(
         u_int[lo:hi] = cols[rows] + at_row * (grid[lo:hi] - starts[rows])[:, None, None]
 
     u_bar, infection = u_int[:, :4], u_int[:, 4]
-    z_out = u_seen - u0 - _drift_stack(u_bar, params, hk, infection)
-    pred = np.empty((n_times, len(_FAMILIES), n))
-    pred[:, :4] = _amp_stack(u_bar, params, hk, infection) / scale
-    plus, minus = _cross_stacks(u_bar, params)
-    pred[:, 4] = plus / k
-    pred[:, 5] = minus / k
-    obs = _jump_sums(log, grid, n, n_events) * family_scale
-    obs_out = {f: obs[:, i] for i, f in enumerate(_FAMILIES)}
-    pred_out = {f: pred[:, i] for i, f in enumerate(_FAMILIES)}
-    return Sweep(z_out, obs_out, pred_out)
+    return Sweep(
+        z=u_seen - u0 - _drift_stack(u_bar, params, hk, infection),
+        observed=_jump_sums(log, grid, n, n_events) * (1.0 / family_scale**2),
+        predicted=_amp_stack(u_bar, params, hk, infection) / family_scale,
+    )
 
 
 def martingale_residual(
@@ -419,38 +405,35 @@ def martingale_residual(
 class CompensatorCheck:
     """Observed jump sums vs predicted compensator integrals, per replica.
 
-    ``observed[f]`` and ``predicted[f]`` have shape
-    (n_replicas, n_times, n_sites) for each family f: the four compartment
-    square families plus the two bacteria cross families.  For the square
-    families both accumulators are nonnegative and nondecreasing in time;
-    the cross accumulators are nonpositive (co-jumps have opposite signs).
+    ``observed`` and ``predicted`` have shape
+    (n_replicas, n_times, 6, n_sites), the family axis following FAMILIES:
+    the four compartment square families, then the two bacteria cross
+    families.  For the square families both accumulators are nonnegative
+    and nondecreasing in time; the cross accumulators are nonpositive
+    (co-jumps have opposite signs).
     """
 
     times: np.ndarray
-    observed: dict[str, np.ndarray]
-    predicted: dict[str, np.ndarray]
-    n_replicas: int
+    observed: np.ndarray
+    predicted: np.ndarray
 
-    def residuals(self, family: str) -> np.ndarray:
-        return self.observed[family] - self.predicted[family]
+    def residuals(self) -> np.ndarray:
+        """Observed minus predicted, (n_replicas, n_times, 6, n_sites)."""
+        return self.observed - self.predicted
 
     def pass_fractions(self, sigma: float = 3.0) -> dict[str, float]:
         """Fraction of (time, site) cells whose replica-mean residual is
         within sigma standard errors of zero, per family."""
-        return {
-            f: mean_zero_pass_fraction(self.residuals(f), sigma)
-            for f in self.observed
-        }
+        res = self.residuals()
+        return {f: mean_zero_pass_fraction(res[:, :, i], sigma) for i, f in enumerate(FAMILIES)}
 
     @classmethod
     def from_sweeps(cls, times: np.ndarray, sweeps: Sequence[Sweep]) -> "CompensatorCheck":
         """Stack the sweeps of replicas that share the sample grid ``times``."""
-        families = sweeps[0].observed
         return cls(
             times=np.array(times, dtype=float),
-            observed={f: np.stack([s.observed[f] for s in sweeps]) for f in families},
-            predicted={f: np.stack([s.predicted[f] for s in sweeps]) for f in families},
-            n_replicas=len(sweeps),
+            observed=np.stack([s.observed for s in sweeps]),
+            predicted=np.stack([s.predicted for s in sweeps]),
         )
 
 
@@ -472,16 +455,20 @@ def compensator_check(
     return CompensatorCheck.from_sweeps(grid, sweeps)
 
 
-def mean_zero_pass_fraction(samples: np.ndarray, sigma: float = 3.0) -> float:
-    """Fraction of cells where the replica mean is within ``sigma`` standard
-    errors of zero.  ``samples`` has replicas on axis 0; remaining axes are
-    cells.  Cells with zero variance pass iff their mean is exactly zero
-    (e.g. every residual at t = 0)."""
+def replica_mean_se(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per cell, the replica mean and its standard error.  ``samples`` has
+    replicas on axis 0; remaining axes are cells."""
     n_rep = samples.shape[0]
     if n_rep < 2:
         raise ValueError("need at least two replicas for a standard error")
-    mean = samples.mean(axis=0)
-    se = samples.std(axis=0, ddof=1) / math.sqrt(n_rep)
+    return samples.mean(axis=0), samples.std(axis=0, ddof=1) / math.sqrt(n_rep)
+
+
+def mean_zero_pass_fraction(samples: np.ndarray, sigma: float = 3.0) -> float:
+    """Fraction of cells where the replica mean is within ``sigma`` standard
+    errors of zero (``replica_mean_se``).  Cells with zero variance pass iff
+    their mean is exactly zero (e.g. every residual at t = 0)."""
+    mean, se = replica_mean_se(samples)
     ok = np.where(se > 0.0, np.abs(mean) <= sigma * np.where(se > 0, se, 1.0), mean == 0.0)
     return float(ok.mean())
 

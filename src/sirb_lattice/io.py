@@ -23,7 +23,6 @@ hashes and fail loudly on any mismatch or truncation.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import math
@@ -36,8 +35,15 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .diagnostics import CompensatorCheck, ConvergenceReport, MartingaleResidual
+from .diagnostics import (
+    FAMILIES,
+    CompensatorCheck,
+    ConvergenceReport,
+    MartingaleResidual,
+    replica_mean_se,
+)
 from .stochastic import (
+    COMPARTMENTS,
     N_EVENT_KINDS,
     RNG_ALGORITHM,
     SOURCES,
@@ -149,7 +155,7 @@ def _scaling_dict(scaling: ScalingParams) -> dict:
 
 
 def _counts_dict(state: SystemState) -> dict:
-    return {c: state.counts(c).tolist() for c in ("s", "i", "r", "b")}
+    return {c.lower(): row.tolist() for c, row in zip(COMPARTMENTS, state.stack())}
 
 
 def _write_csv(path, header: str, rows: Sequence[str], table: np.ndarray):
@@ -318,48 +324,44 @@ def write_convergence_report(directory, report: ConvergenceReport):
     report_summary.csv (per-rung quartiles)."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    with open(directory / "report_distances.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["rung", "n_sites", "h", "k", "replica", "distance"])
-        for idx, rung in enumerate(report.rungs):
-            for rep, d in enumerate(rung.distances):
-                writer.writerow([idx, rung.n_sites, rung.h, rung.k, rep, f"{d:.17g}"])
-    with open(directory / "report_summary.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["rung", "n_sites", "h", "k", "median", "q25", "q75",
-             "rounding_error", "ball_exits"]
-        )
-        for idx, rung in enumerate(report.rungs):
-            writer.writerow(
-                [idx, rung.n_sites, rung.h, rung.k,
-                 f"{rung.median:.17g}", f"{rung.q25:.17g}", f"{rung.q75:.17g}",
-                 f"{rung.rounding_error:.17g}", rung.ball_exits]
-            )
+    rungs = report.rungs
+    distances = np.array([r.distances for r in rungs])  # (rungs, replicas)
+    replica = np.broadcast_to(np.arange(distances.shape[1]), distances.shape)
+    _write_csv(directory / "report_distances.csv", "rung,n_sites,h,k,replica,distance",
+               [f"{idx},{r.n_sites},{r.h},{r.k},%d,%.17g\r\n" for idx, r in enumerate(rungs)],
+               np.stack([replica, distances], axis=-1))
+    summary = np.array([
+        (idx, r.n_sites, r.h, r.k, r.median, r.q25, r.q75, r.rounding_error, r.ball_exits)
+        for idx, r in enumerate(rungs)
+    ], dtype=float)
+    _write_csv(directory / "report_summary.csv",
+               "rung,n_sites,h,k,median,q25,q75,rounding_error,ball_exits",
+               ["%d,%d,%d,%d,%.17g,%.17g,%.17g,%.17g,%d\r\n"], summary[None])
 
 
 def write_martingale_csv(path, residual: MartingaleResidual):
     """Residual fields keyed by (time, site, compartment)."""
-    names = ("S", "I", "R", "B")
     z = residual.z.transpose(1, 0, 2)[..., None]
     table = _sample_site_table(residual.times, z)
     _write_csv(path, "time,site,compartment,z",
-               [f"%.17g,%d,{name},%.17g\r\n" for name in names],
-               table.reshape(len(names), -1, 3))
+               [f"%.17g,%d,{name},%.17g\r\n" for name in COMPARTMENTS],
+               table.reshape(len(COMPARTMENTS), -1, 3))
 
 
 def write_compensator_csv(path, check: CompensatorCheck, sigma: float = 3.0):
-    """Replica-mean residuals and z-scores keyed by (time, site, family)."""
-    families = list(check.observed)
-    res = np.stack([check.residuals(fam) for fam in families], axis=1)
-    mean = res.mean(axis=0)
-    se = res.std(axis=0, ddof=1) / np.sqrt(check.n_replicas)
+    """Replica-mean residuals and z-scores keyed by (time, site, family).
+
+    A cell with zero spread has z-score 0 when its mean is 0 and the sign of
+    its mean times infinity otherwise, so such a cell has |z| <= sigma
+    exactly when ``mean_zero_pass_fraction`` passes it."""
+    mean, se = replica_mean_se(check.residuals())  # (n_times, 6, n)
     with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.where(se > 0, mean / np.where(se > 0, se, 1.0), 0.0)
-    table = _sample_site_table(check.times, np.stack([mean, se, z], axis=-1))
+        z = np.where((mean == 0.0) & (se == 0.0), 0.0, mean / se)
+    values = np.stack([mean, se, z], axis=-1).transpose(1, 0, 2, 3)
+    table = _sample_site_table(check.times, values)
     _write_csv(path, "time,site,family,mean_residual,stderr,zscore",
-               [f"%.17g,%d,{fam},%.17g,%.17g,%.6g\r\n" for fam in families],
-               table.reshape(len(families), -1, 5))
+               [f"%.17g,%d,{fam},%.17g,%.17g,%.6g\r\n" for fam in FAMILIES],
+               table.reshape(len(FAMILIES), -1, 5))
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +402,7 @@ def _check_sources(
         kind = EventKind(int(part.kinds[all_event[bad]]))
         comp, site = divmod(int(all_cell[bad]), n)
         raise ValueError(
-            f"{kind.name} at site {site} requires {'sirb'[comp]}_counts >= 1 "
+            f"{kind.name} at site {site} requires {COMPARTMENTS[comp].lower()}_counts >= 1 "
             f"(got {int(seen[bad])}); zero-propensity event applied"
         )
 

@@ -43,6 +43,7 @@ from .lattice import MIN_SITES, LatticeField, TransportCoefficients
 
 __all__ = [
     "RNG_ALGORITHM",
+    "COMPARTMENTS",
     "EventKind",
     "N_EVENT_KINDS",
     "STOICHIOMETRY",
@@ -86,7 +87,8 @@ class EventKind(IntEnum):
 
 N_EVENT_KINDS = len(EventKind)
 
-_COMPARTMENTS = ("s", "i", "r", "b")
+# The compartment axis of every (..., 4, n) count or density array.
+COMPARTMENTS = ("S", "I", "R", "B")
 
 # The reaction table, one row per kind in EventKind order.  Compartments
 # are 0-3 for S, I, R, B; offsets are relative to the event site, periodic;
@@ -355,7 +357,7 @@ def all_rates(
     _check_compatible(state.n_sites, params, scaling)
     counts = state.stack().astype(float)
     out = np.array(_rate_coefficients(params))[:, None] * counts[list(_RATE_SOURCE)]
-    b = counts[_COMPARTMENTS.index("b")]
+    b = counts[COMPARTMENTS.index("B")]
     out[EventKind.INFECTION] = out[EventKind.INFECTION] * b / (scaling.k + b)
     return out
 
@@ -368,7 +370,7 @@ def _site_weights(params: EpidemicParams) -> tuple[tuple[float, ...], float]:
     weights = tuple(
         math.fsum(coefficients[kind] for kind in range(N_EVENT_KINDS)
                   if _RATE_SOURCE[kind] == c and kind != EventKind.INFECTION)
-        for c in range(len(_COMPARTMENTS))
+        for c in range(len(COMPARTMENTS))
     )
     return weights, coefficients[EventKind.INFECTION]
 
@@ -400,19 +402,19 @@ def apply_event(state: SystemState, e: Event) -> SystemState:
     an exact simulator never selects such an event, so hitting this signals
     an engine or replay bug.
     """
+    counts = state.stack()
     n = state.n_sites
     j = e.site % n
     for c, _, need in SOURCES[e.kind].tolist():
-        have = int(state.counts(_COMPARTMENTS[c])[j])
+        have = int(counts[c, j])
         if have < need:
             raise ValueError(
-                f"{e.kind.name} at site {j} requires {_COMPARTMENTS[c]}_counts >= {need} "
-                f"(got {have}); zero-propensity event applied"
+                f"{e.kind.name} at site {j} requires {COMPARTMENTS[c].lower()}_counts "
+                f">= {need} (got {have}); zero-propensity event applied"
             )
-    out = SystemState(*state.stack())
     for c, offset, delta in STOICHIOMETRY[e.kind].tolist():
-        out.counts(_COMPARTMENTS[c])[(j + offset) % n] += delta
-    return out
+        counts[c, (j + offset) % n] += delta
+    return SystemState(*counts)
 
 
 def log_entries(

@@ -7,6 +7,8 @@ import pytest
 
 from sirb_lattice import diagnostics
 from sirb_lattice.diagnostics import (
+    FAMILIES,
+    CompensatorCheck,
     _drift_stack,
     _sweep_chunk,
     compensator_check,
@@ -18,10 +20,12 @@ from sirb_lattice.diagnostics import (
     pool_size,
     square_amplitudes,
     sup_distance,
+    sweep_log,
 )
 from sirb_lattice.io import replay_trajectory
 from sirb_lattice.lattice import TransportCoefficients
 from sirb_lattice.stochastic import (
+    COMPARTMENTS,
     EpidemicParams,
     EventKind,
     EventLog,
@@ -125,8 +129,8 @@ def test_square_amplitudes_empty_state_zero():
     scaling = ScalingParams(4, 10, 10)
     state = SystemState.from_counts(*(np.zeros(4, int) for _ in range(4)))
     amps = square_amplitudes(state, params, scaling)
-    for field in amps.values():
-        assert np.all(field.values == 0.0)
+    assert amps.shape == (len(FAMILIES), 4)
+    assert np.all(amps == 0.0)
 
 
 def test_square_amplitudes_match_event_table():
@@ -144,8 +148,8 @@ def test_square_amplitudes_match_event_table():
         state = random_state(rng, n)
         closed = square_amplitudes(state, params, scaling)
         brute = event_table_square_sum(state, params, scaling)
-        for fam, expected in brute.items():
-            got = closed[fam].values
+        assert closed.shape == brute.shape == (len(FAMILIES), n)
+        for fam, got, expected in zip(FAMILIES, closed, brute):
             assert np.allclose(got, expected, rtol=1e-12, atol=1e-12), fam
 
 
@@ -155,8 +159,14 @@ def test_cross_terms_are_nonpositive():
     scaling = ScalingParams(5, 10, 10)
     state = random_state(rng, 5)
     amps = square_amplitudes(state, params, scaling)
-    assert np.all(amps["B_cross_plus"].values <= 0.0)
-    assert np.all(amps["B_cross_minus"].values <= 0.0)
+    plus, minus = (amps[FAMILIES.index(f)] for f in ("B_cross_plus", "B_cross_minus"))
+    assert np.all(plus <= 0.0)
+    assert np.all(minus <= 0.0)
+    # the rows named by FAMILIES hold the hop pairs (j, j+1) and (j, j-1)
+    tc = params.transport
+    b = state.rescaled(scaling)[3]
+    assert np.allclose(plus, -tc.ell * (tc.p_out * b + tc.p_in * np.roll(b, -1)))
+    assert np.allclose(minus, -tc.ell * (tc.p_in * b + tc.p_out * np.roll(b, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +182,7 @@ def test_residual_zero_rate_system_is_identically_zero():
     traj = simulate_ssa(state, 1.0, np.linspace(0, 1, 5), params, scaling,
                         seed=1, record_events=True)
     res = martingale_residual(traj, params, scaling)
-    for c in "SIRB":
-        assert np.all(res.component(c) == 0.0)
+    assert np.all(res.z == 0.0)
 
 
 def test_residual_requires_event_log():
@@ -214,9 +223,10 @@ def test_residual_single_event_hand_path():
         (u1 - u0) + mu_b * (u0 * 0.4 + u1 * 0.1),
         (u1 - u0) + mu_b * (u0 * 0.4 + u1 * 0.6),
     ])
-    assert np.allclose(res.component("B")[:, 0], expected, rtol=1e-12, atol=1e-14)
-    assert np.all(res.component("B")[:, 1:] == 0.0)
-    assert np.all(res.component("S") == 0.0)
+    z_b = res.z[:, COMPARTMENTS.index("B")]
+    assert np.allclose(z_b[:, 0], expected, rtol=1e-12, atol=1e-14)
+    assert np.all(z_b[:, 1:] == 0.0)
+    assert np.all(res.z[:, COMPARTMENTS.index("S")] == 0.0)
 
 
 def test_residual_mean_zero_across_replicas():
@@ -231,33 +241,28 @@ def test_residual_mean_zero_across_replicas():
     for r in range(reps):
         traj = simulate_ssa(state, 0.5, grid, params, scaling, seed=77, stream=r,
                             record_events=True)
-        res = martingale_residual(traj, params, scaling)
-        z_all.append(np.stack([res.component(c) for c in "SIRB"]))
+        z_all.append(martingale_residual(traj, params, scaling).z)
     z_all = np.stack(z_all)
     for ci in range(4):
-        assert mean_zero_pass_fraction(z_all[:, ci], sigma=3.0) >= 0.9
+        assert mean_zero_pass_fraction(z_all[:, :, ci], sigma=3.0) >= 0.9
 
 
 # ---------------------------------------------------------------------------
 # The sweep against a per-event reference
 
-FAMILIES = ("S", "I", "R", "B", "B_cross_plus", "B_cross_minus")
-
-
 def reference_sweep(traj, params, scaling):
     """Event-by-event sweep: apply_event for the counts, the closed forms
     (pinned against the event table above) for the integrands, and the
-    observed jump products taken from each event's count change."""
+    observed jump products taken from each event's count change, each
+    written to the row its name has in FAMILIES."""
     h, k = float(scaling.h), float(scaling.k)
-    renorm = np.array([h, h, h, k, k, k])[:, None]
+    renorm = np.array([k if f.startswith("B") else h for f in FAMILIES])[:, None]
+    squares = [FAMILIES.index(c) for c in COMPARTMENTS]
+    plus, minus = FAMILIES.index("B_cross_plus"), FAMILIES.index("B_cross_minus")
 
     def integrands(state):
         drift = _drift_stack(state.rescaled(scaling), params, scaling.h / scaling.k)
-        amps = square_amplitudes(state, params, scaling)
-        return drift, np.stack([amps[f].values for f in FAMILIES]) / renorm
-
-    def count_stack(state):
-        return np.stack([state.counts(c) for c in "sirb"])
+        return drift, square_amplitudes(state, params, scaling) / renorm
 
     state, t = traj.initial, 0.0
     u0 = state.rescaled(scaling)
@@ -274,11 +279,11 @@ def reference_sweep(traj, params, scaling):
             int_drift += drift * (t_event - t)
             int_amp += amp * (t_event - t)
             new = apply_event(state, event)
-            du = count_stack(new) - count_stack(state)
-            db = du[3]
-            jumps[:4] += du**2
-            jumps[4] += db * np.roll(db, -1)
-            jumps[5] += db * np.roll(db, 1)
+            du = new.stack() - state.stack()
+            db = du[COMPARTMENTS.index("B")]
+            jumps[squares] += du**2
+            jumps[plus] += db * np.roll(db, -1)
+            jumps[minus] += db * np.roll(db, 1)
             state, t, e = new, t_event, e + 1
         drift, amp = integrands(state)
         z_out.append(state.rescaled(scaling) - u0 - (int_drift + drift * (g - t)))
@@ -313,18 +318,20 @@ def test_sweep_matches_per_event_reference():
                          np.empty(0, dtype=np.uint32))
         replicas = [Trajectory(grid, t.counts[:1], t.event_log, seed=0) for t in trajs]
         replicas.append(Trajectory(grid, state.stack()[None], empty, seed=0))
-        checks = compensator_check(replicas, params, scaling)
+        sweeps = [sweep_log(traj, params, scaling) for traj in replicas]
+        checks = CompensatorCheck.from_sweeps(grid, sweeps)
+        assert checks.observed.shape == (len(replicas), grid.size, len(FAMILIES), n)
+        assert checks.predicted.shape == checks.observed.shape
+        # compensator_check is the same stack of the same sweeps
+        direct = compensator_check(replicas, params, scaling)
+        np.testing.assert_array_equal(direct.observed, checks.observed)
+        np.testing.assert_array_equal(direct.predicted, checks.predicted)
         for r, traj in enumerate(replicas):
             z_ref, obs_ref, pred_ref = reference_sweep(traj, params, scaling)
-            res = martingale_residual(traj, params, scaling)
-            z = np.stack([res.component(c) for c in "SIRB"], axis=1)
-            assert np.all(z[0] == 0.0)
-            np.testing.assert_allclose(z, z_ref, rtol=1e-12, atol=1e-12)
-            for i, fam in enumerate(FAMILIES):
-                np.testing.assert_allclose(checks.observed[fam][r], obs_ref[:, i],
-                                           rtol=1e-12, atol=1e-12)
-                np.testing.assert_allclose(checks.predicted[fam][r], pred_ref[:, i],
-                                           rtol=1e-12, atol=1e-12)
+            assert np.all(sweeps[r].z[0] == 0.0)
+            np.testing.assert_allclose(sweeps[r].z, z_ref, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(checks.observed[r], obs_ref, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(checks.predicted[r], pred_ref, rtol=1e-12, atol=1e-12)
 
 
 def test_sweep_matches_per_event_reference_on_a_wide_lattice():
@@ -348,9 +355,9 @@ def test_sweep_matches_per_event_reference_on_a_wide_lattice():
     sweep = diagnostics.sweep_log(traj, params, scaling)
     assert np.all(sweep.z[0] == 0.0)
     np.testing.assert_allclose(sweep.z, z_ref, rtol=1e-12, atol=1e-12)
-    for i, fam in enumerate(FAMILIES):
-        np.testing.assert_allclose(sweep.observed[fam], obs_ref[:, i], rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(sweep.predicted[fam], pred_ref[:, i], rtol=1e-12, atol=1e-12)
+    assert sweep.observed.shape == sweep.predicted.shape == (grid.size, len(FAMILIES), n)
+    np.testing.assert_allclose(sweep.observed, obs_ref, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(sweep.predicted, pred_ref, rtol=1e-12, atol=1e-12)
 
 
 def test_sweep_does_not_depend_on_the_chunk_size(monkeypatch):
@@ -371,10 +378,8 @@ def test_sweep_does_not_depend_on_the_chunk_size(monkeypatch):
         assert _sweep_chunk(n) == 1 or _sweep_chunk(n) > len(log)
         sweep = diagnostics.sweep_log(traj, params, scaling)
         np.testing.assert_allclose(sweep.z, default.z, rtol=1e-12, atol=1e-12)
-        for fam in FAMILIES:
-            np.testing.assert_array_equal(sweep.observed[fam], default.observed[fam])
-            np.testing.assert_allclose(sweep.predicted[fam], default.predicted[fam],
-                                       rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(sweep.observed, default.observed)
+        np.testing.assert_allclose(sweep.predicted, default.predicted, rtol=1e-12, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -390,9 +395,8 @@ def test_compensator_zero_rate_system():
     trajs = [simulate_ssa(state, 1.0, [0.0, 1.0], params, scaling, seed=1,
                           stream=r, record_events=True) for r in range(3)]
     check = compensator_check(trajs, params, scaling)
-    for fam in check.observed:
-        assert np.all(check.observed[fam] == 0.0)
-        assert np.all(check.predicted[fam] == 0.0)
+    assert np.all(check.observed == 0.0)
+    assert np.all(check.predicted == 0.0)
 
 
 def test_compensator_pure_death_analytic_mean():
@@ -412,7 +416,7 @@ def test_compensator_pure_death_analytic_mean():
     trajs = [simulate_ssa(state, t_end, [0.0, t_end], params, scaling, seed=5,
                           stream=r, record_events=True) for r in range(reps)]
     check = compensator_check(trajs, params, scaling)
-    observed = check.observed["B"][:, -1, 0]
+    observed = check.observed[:, -1, FAMILIES.index("B"), 0]
     expected_mean = (1.0 - math.exp(-mu_b * t_end)) / k
     se = observed.std(ddof=1) / math.sqrt(reps)
     assert abs(observed.mean() - expected_mean) <= 4 * se
@@ -435,8 +439,8 @@ def test_compensator_pure_transport_cross_terms():
                           stream=r, record_events=True) for r in range(reps)]
     check = compensator_check(trajs, params, scaling)
     for fam in ("B_cross_plus", "B_cross_minus"):
-        assert np.all(check.observed[fam] <= 0.0)
-        assert np.all(check.predicted[fam] <= 0.0)
+        assert np.all(check.observed[:, :, FAMILIES.index(fam)] <= 0.0)
+        assert np.all(check.predicted[:, :, FAMILIES.index(fam)] <= 0.0)
         assert check.pass_fractions(sigma=4.0)[fam] >= 0.9
     # total bacteria conserved: every event is a hop
     for traj in trajs:
@@ -452,9 +456,9 @@ def test_compensator_square_families_nondecreasing_in_time():
     trajs = [simulate_ssa(state, 1.0, np.linspace(0, 1, 6), params, scaling,
                           seed=8, stream=r, record_events=True) for r in range(5)]
     check = compensator_check(trajs, params, scaling)
-    for fam in ("S", "I", "R", "B"):
-        assert np.all(np.diff(check.observed[fam], axis=1) >= 0.0)
-        assert np.all(np.diff(check.predicted[fam], axis=1) >= -1e-15)
+    squares = [FAMILIES.index(c) for c in COMPARTMENTS]
+    assert np.all(np.diff(check.observed[:, :, squares], axis=1) >= 0.0)
+    assert np.all(np.diff(check.predicted[:, :, squares], axis=1) >= -1e-15)
 
 
 def test_mean_zero_pass_fraction_conventions():

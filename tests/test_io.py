@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io as stdio
 import json
+import math
 import struct
 
 import numpy as np
@@ -18,10 +19,19 @@ from sirb_lattice.io import (
     replay_trajectory,
     sha256_file,
     write_compensator_csv,
+    write_convergence_report,
     write_martingale_csv,
     write_trajectory,
 )
-from sirb_lattice.diagnostics import CompensatorCheck, MartingaleResidual
+from sirb_lattice.diagnostics import (
+    FAMILIES,
+    CompensatorCheck,
+    ConvergenceReport,
+    LadderRung,
+    MartingaleResidual,
+    compensator_check,
+    mean_zero_pass_fraction,
+)
 from sirb_lattice.lattice import TransportCoefficients
 from sirb_lattice.stochastic import (
     RNG_ALGORITHM,
@@ -130,7 +140,8 @@ def test_truncated_events_detected(tmp_path):
     path = tmp_path / "events.bin"
     raw = path.read_bytes()
     path.write_bytes(raw[: len(raw) - 5])
-    with pytest.raises(CorruptFileError):
+    rehash(tmp_path)
+    with pytest.raises(CorruptFileError, match="partial event frame"):
         read_trajectory(tmp_path)
 
 
@@ -391,32 +402,49 @@ def test_csv_writers_match_csv_module_reference(tmp_path):
     assert (tmp_path / "det.csv").read_bytes() == csv_reference(times, stacks)
 
 
-def report_reference(residual, check) -> tuple[bytes, bytes]:
-    """Both diagnose reports written row by row through csv.writer."""
+def rows_reference(header, rows) -> bytes:
+    """``rows`` written after ``header`` through csv.writer."""
     buf = stdio.StringIO(newline="")
     writer = csv.writer(buf)
-    writer.writerow(["time", "site", "compartment", "z"])
-    for name in "SIRB":
-        z = residual.component(name)
-        for ti, t in enumerate(residual.times):
-            for j in range(z.shape[1]):
-                writer.writerow([f"{t:.17g}", j + 1, name, f"{z[ti, j]:.17g}"])
-    martingale = buf.getvalue().encode()
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue().encode()
 
-    buf = stdio.StringIO(newline="")
-    writer = csv.writer(buf)
-    writer.writerow(["time", "site", "family", "mean_residual", "stderr", "zscore"])
-    for fam in check.observed:
-        res = check.residuals(fam)
+
+def report_reference(residual, check, report) -> tuple[bytes, ...]:
+    """The diagnose and converge reports written row by row through
+    csv.writer.  A z-score with zero spread is 0 for a zero mean and the
+    sign of the mean times infinity otherwise."""
+    z = residual.z
+    martingale = rows_reference(
+        ["time", "site", "compartment", "z"],
+        [[f"{t:.17g}", j + 1, name, f"{z[ti, ci, j]:.17g}"]
+         for ci, name in enumerate("SIRB")
+         for ti, t in enumerate(residual.times) for j in range(z.shape[2])])
+
+    rows = []
+    for fi, fam in enumerate(("S", "I", "R", "B", "B_cross_plus", "B_cross_minus")):
+        res = check.observed[:, :, fi] - check.predicted[:, :, fi]
         mean = res.mean(axis=0)
-        se = res.std(axis=0, ddof=1) / np.sqrt(check.n_replicas)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            z = np.where(se > 0, mean / np.where(se > 0, se, 1.0), 0.0)
+        se = res.std(axis=0, ddof=1) / np.sqrt(res.shape[0])
         for ti, t in enumerate(check.times):
             for j in range(mean.shape[1]):
-                writer.writerow([f"{t:.17g}", j + 1, fam, f"{mean[ti, j]:.17g}",
-                                 f"{se[ti, j]:.17g}", f"{z[ti, j]:.6g}"])
-    return martingale, buf.getvalue().encode()
+                m, s = mean[ti, j], se[ti, j]
+                zscore = m / s if s > 0 else (0.0 if m == 0 else math.copysign(math.inf, m))
+                rows.append([f"{t:.17g}", j + 1, fam, f"{m:.17g}", f"{s:.17g}",
+                             f"{zscore:.6g}"])
+    compensators = rows_reference(
+        ["time", "site", "family", "mean_residual", "stderr", "zscore"], rows)
+
+    distances = rows_reference(
+        ["rung", "n_sites", "h", "k", "replica", "distance"],
+        [[idx, r.n_sites, r.h, r.k, rep, f"{d:.17g}"]
+         for idx, r in enumerate(report.rungs) for rep, d in enumerate(r.distances)])
+    summary = rows_reference(
+        ["rung", "n_sites", "h", "k", "median", "q25", "q75", "rounding_error", "ball_exits"],
+        [[idx, r.n_sites, r.h, r.k, f"{r.median:.17g}", f"{r.q25:.17g}", f"{r.q75:.17g}",
+          f"{r.rounding_error:.17g}", r.ball_exits] for idx, r in enumerate(report.rungs)])
+    return martingale, compensators, distances, summary
 
 
 def test_report_writers_match_csv_module_reference(tmp_path):
@@ -431,20 +459,50 @@ def test_report_writers_match_csv_module_reference(tmp_path):
     z[:, 0] = 0.0
     z[1, 2, 3] = -0.0
     residual = MartingaleResidual(times, z.transpose(1, 0, 2))
-    families = ("S", "I", "R", "B", "B_cross_plus", "B_cross_minus")
-    observed = {f: field(n_rep, len(times), n) for f in families}
-    predicted = {f: field(n_rep, len(times), n) for f in families}
-    for f in families:  # zero spread: the z-score falls back to 0
-        observed[f][:, 0] = predicted[f][:, 0] = 0.0
-    observed["I"][:, 1, 2] = 1e17
-    predicted["I"][:, 1, 2] = 0.5
-    check = CompensatorCheck(times, observed, predicted, n_rep)
+    observed = field(n_rep, len(times), len(FAMILIES), n)
+    predicted = field(n_rep, len(times), len(FAMILIES), n)
+    observed[:, 0] = predicted[:, 0] = 0.0  # zero spread and mean: z-score 0
+    observed[:, 1, 1, 2] = 1e17  # zero spread, positive mean: +inf
+    predicted[:, 1, 1, 2] = 0.5
+    observed[:, 2, 4, 0] = -1.0  # zero spread, negative mean: -inf
+    predicted[:, 2, 4, 0] = 0.0
+    check = CompensatorCheck(times, observed, predicted)
+
+    report = ConvergenceReport("theorem1", 1.0, 3, 7, [
+        LadderRung(n, h, k, field(3) ** 2, 0.5 / h, exits)
+        for n, h, k, exits in ((8, 10, 10, 0), (16, 10**6, 10**6, 2), (8, 2**40, 2**41, 3))
+    ])
+    report.rungs[1].distances[1] = 1e-300
 
     write_martingale_csv(tmp_path / "martingale.csv", residual)
     write_compensator_csv(tmp_path / "compensators.csv", check)
-    martingale, compensators = report_reference(residual, check)
-    assert (tmp_path / "martingale.csv").read_bytes() == martingale
-    assert (tmp_path / "compensators.csv").read_bytes() == compensators
+    write_convergence_report(tmp_path, report)
+    written = [(tmp_path / name).read_bytes() for name in (
+        "martingale.csv", "compensators.csv", "report_distances.csv", "report_summary.csv")]
+    assert written == list(report_reference(residual, check, report))
+    assert b"inf" in written[1] and b"-inf" in written[1]
+
+
+def test_report_zscores_agree_with_the_pass_test(tmp_path):
+    # Quickstart rates on a small lattice: at t = 0.01 both replicas are
+    # still at their initial counts, so some cells have zero spread and a
+    # nonzero mean (the compensator has grown, the jumps have not).
+    n, sigma = 3, 3.0
+    scaling = ScalingParams(n, 10, 10)
+    state = SystemState.from_counts(np.full(n, 9), np.full(n, 1), np.zeros(n, int),
+                                    np.full(n, 5))
+    trajs = [simulate_ssa(state, 1.0, [0.0, 0.01, 1.0], make_params(n), scaling, seed=1,
+                          stream=r, record_events=True) for r in range(2)]
+    check = compensator_check(trajs, make_params(n), scaling)
+    write_compensator_csv(tmp_path / "compensators.csv", check, sigma)
+    with open(tmp_path / "compensators.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    res = check.residuals()
+    passes = [mean_zero_pass_fraction(res[:, ti, fi, j:j + 1], sigma) == 1.0
+              for fi in range(len(FAMILIES)) for ti in range(3) for j in range(n)]
+    zscores = [float(row["zscore"]) for row in rows]
+    assert [abs(z) <= sigma for z in zscores] == passes
+    assert any(math.isinf(z) for z, row in zip(zscores, rows) if row["family"] == "S")
 
 
 # ---------------------------------------------------------------------------
