@@ -8,6 +8,13 @@ Three views of the same dynamics:
 * the continuum reaction-advection-diffusion system, represented as a
   high-resolution instance of the lattice system (method of lines).
 
+Every vector field here is one contraction of the reaction table: the
+density-form rates of the fourteen kinds against their STOICHIOMETRY
+entries (``table_contraction``), so transport is the two hop kinds and the
+well-mixed system is the one-site lattice.  The paper's closed forms of the
+reaction terms and of the transport stencil live in the tests, as the
+independent oracle the table is checked against.
+
 All integration is classical fixed-step RK4 with a conservative,
 stability-derived step; the transport CFL is mild because the diffusion
 coefficient scales like 1/n^2 by construction.  A closed-form
@@ -18,20 +25,31 @@ serves as an independent oracle for the linear part.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .lattice import LatticeField, TransportCoefficients, project
-from .stochastic import EpidemicParams, _resolve_grid
+from .stochastic import (
+    COMPARTMENTS,
+    N_EVENT_KINDS,
+    STOICHIOMETRY,
+    EpidemicParams,
+    EventKind,
+    _RATE_SOURCE,
+    _rate_coefficients,
+    _resolve_grid,
+)
 
 __all__ = [
     "ReactionField",
     "DeterministicState",
     "IntegrationError",
-    "reaction_stack",
     "infection_stack",
+    "density_rates",
+    "table_contraction",
+    "drift_field",
     "growth_constant",
     "auto_dt",
     "integrate",
@@ -72,11 +90,15 @@ class ReactionField:
             raise ValueError(f"hk_ratio must be finite and >= 0, got {self.hk_ratio}")
 
     @property
+    def coupling(self) -> float:
+        """Weight of a human-sourced kind's entry on the bacteria row: H/K,
+        or 0 in decoupled mode."""
+        return 0.0 if self.mode == "decoupled" else self.hk_ratio
+
+    @property
     def contamination_coeff(self) -> float:
         """Coefficient of the infected-human source in the bacteria equation."""
-        if self.mode == "decoupled":
-            return 0.0
-        return self.hk_ratio * self.params.p_over_w
+        return self.coupling * self.params.p_over_w
 
 
 @dataclass
@@ -126,26 +148,78 @@ def infection_stack(y: np.ndarray, params: EpidemicParams) -> np.ndarray:
     return params.beta * (b / (1.0 + b)) * s
 
 
-def reaction_stack(
-    y: np.ndarray, rf: ReactionField, infection: Optional[np.ndarray] = None
+def density_rates(
+    y: np.ndarray, params: EpidemicParams, infection: Optional[np.ndarray] = None
 ) -> np.ndarray:
-    """Vectorized reaction terms on a (..., 4, n) stack.  No domain check: the
-    integrator may probe infinitesimally negative values inside RK stages.
+    """The rates of the fourteen kinds per unit of renormalization on a
+    (..., 4, n) density stack: (..., 14, n), rows EventKind.  Row k is
+    ``_rate_coefficients(params)[k]`` times the density of the kind's rate
+    source; the infection row is ``infection_stack(y, params)`` unless
+    given.  Times the renormalization (H or K) of each kind's source, this
+    is ``all_rates`` of the counts.
 
-    Every term is affine in y except the infection term, which is
-    ``infection_stack(y, rf.params)`` unless given.  Passing the time
-    integrals of y and of that term yields the time integral of the field.
+    No domain check: the integrator may probe infinitesimally negative
+    values inside RK stages.  Every row is linear in y except infection, so
+    the time integrals of y and of the infection term give the time
+    integral of every rate.
     """
-    p = rf.params
-    s, i, r, b = (y[..., c, :] for c in range(4))
-    if infection is None:
-        infection = infection_stack(y, p)
-    out = np.empty_like(y)
-    out[..., 0, :] = p.mu * i + (p.mu + p.rho) * r - infection
-    out[..., 1, :] = infection - (p.gamma + p.alpha + p.mu) * i
-    out[..., 2, :] = p.gamma * i - (p.mu + p.rho) * r
-    out[..., 3, :] = -p.mu_b * b + rf.contamination_coeff * i
-    return out
+    rates = np.array(_rate_coefficients(params))[:, None] * y[..., list(_RATE_SOURCE), :]
+    rates[..., EventKind.INFECTION, :] = (
+        infection_stack(y, params) if infection is None else infection
+    )
+    return rates
+
+
+def table_contraction(
+    table: np.ndarray, row_compartments: Sequence[int], rf: ReactionField, n_sites: int
+) -> Callable[..., np.ndarray]:
+    """The map (y, infection=None) -> the sum over the kinds' entries of an
+    entry table such as STOICHIOMETRY of rate times value times weight, on
+    a (..., 4, n_sites) density stack: (..., rows, n_sites).
+
+    The rates are ``density_rates(y, rf.params, infection)``.  The entry
+    (row, offset, value) of a kind firing at site j adds to ``row`` at site
+    j + offset, periodic; ``row_compartments[row]`` is the compartment
+    whose renormalization divides that row.  An entry that carries a
+    human-sourced kind onto a bacteria row is weighted by ``rf.coupling``
+    (H/K, or 0 when decoupled); every other weight is 1.  STOICHIOMETRY
+    gives the drift, the jump-product table of ``diagnostics`` the square
+    and cross amplitudes.
+
+    Offsets are taken modulo n_sites, so on one site a hop lands where it
+    leaves and its entries cancel in the weights.  The weights are built
+    here, once; each call is one gather of the rates over the table's site
+    shifts and one matrix product.
+    """
+    b = COMPARTMENTS.index("B")
+    entries = [
+        (kind, row, off % n_sites, value)
+        for kind, kind_entries in enumerate(table.tolist())
+        for row, off, value in kind_entries if value
+    ]
+    shifts = sorted({shift for _, _, shift, _ in entries})
+    weights = np.zeros((len(row_compartments), N_EVENT_KINDS, len(shifts)))
+    for kind, row, shift, value in entries:
+        onto_b = _RATE_SOURCE[kind] != b and row_compartments[row] == b
+        weights[row, kind, shifts.index(shift)] += value * (rf.coupling if onto_b else 1.0)
+    weights = weights.reshape(len(row_compartments), -1)
+    # gather[s, j]: the site whose kinds land on site j through shifts[s]
+    gather = (np.arange(n_sites) - np.array(shifts)[:, None]) % n_sites
+    params = rf.params
+
+    def contract(y: np.ndarray, infection: Optional[np.ndarray] = None) -> np.ndarray:
+        rates = density_rates(y, params, infection)[..., gather]  # (..., 14, shifts, n)
+        return weights @ rates.reshape(rates.shape[:-3] + (-1, n_sites))
+
+    return contract
+
+
+def drift_field(rf: ReactionField, n_sites: int) -> Callable[..., np.ndarray]:
+    """The lattice companion system's vector field, reactions and bacterial
+    transport: the contraction of STOICHIOMETRY (``table_contraction``),
+    (..., 4, n_sites) -> (..., 4, n_sites).  On one site it is the
+    well-mixed system."""
+    return table_contraction(STOICHIOMETRY, range(len(COMPARTMENTS)), rf, n_sites)
 
 
 def growth_constant(rf: ReactionField) -> float:
@@ -164,26 +238,6 @@ def growth_constant(rf: ReactionField) -> float:
     m_r = max(p.gamma, p.mu + p.rho)
     m_b = max(p.mu_b, rf.contamination_coeff)
     return m_s + m_i + m_r + m_b
-
-
-def _transport_stencil(b: np.ndarray, tc: TransportCoefficients) -> np.ndarray:
-    """Transport of bacteria fields laid out along the last axis."""
-    n = b.shape[-1]
-    up = np.roll(b, -1, axis=-1)
-    dn = np.roll(b, 1, axis=-1)
-    return tc.diffusion * n**2 * (up - 2.0 * b + dn) - tc.nu * 0.5 * n * (up - dn)
-
-
-def _lattice_rhs(
-    y: np.ndarray, rf: ReactionField, tc: TransportCoefficients,
-    infection: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """F(y) plus transport on the bacteria row, on a (..., 4, n) stack: the
-    lattice companion system's vector field.  ``infection`` as in
-    reaction_stack."""
-    out = reaction_stack(y, rf, infection)
-    out[..., 3, :] += _transport_stencil(y[..., 3, :], tc)
-    return out
 
 
 def auto_dt(rf: ReactionField, tc: TransportCoefficients) -> float:
@@ -281,7 +335,8 @@ def integrate(
     step = auto_dt(rf, tc) if dt == "auto" else float(dt)
     if step <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    return _rk4_march(y0, grid, step, lambda y: _lattice_rhs(y, rf, tc), stats)
+    rhs = drift_field(replace(rf, params=replace(rf.params, transport=tc)), tc.n_sites)
+    return _rk4_march(y0, grid, step, rhs, stats)
 
 
 def homogeneous_ode(
@@ -305,10 +360,7 @@ def homogeneous_ode(
     step = STABILITY_SAFETY / max(growth_constant(rf), 1e-12) if dt == "auto" else float(dt)
     if step <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    ys = _rk4_march(
-        y0.reshape(4, 1), grid, step, lambda y: reaction_stack(y, rf), stats
-    )
-    return ys[:, :, 0]
+    return _rk4_march(y0.reshape(4, 1), grid, step, drift_field(rf, 1), stats)[:, :, 0]
 
 
 def linear_oracle(

@@ -1,10 +1,11 @@
 """Quantitative verification machinery for the lattice SIRB process.
 
-Three layers of checks, in increasing strength:
+The drift and the square and cross amplitudes are contractions of the
+fourteen-entry reaction table (``deterministic.table_contraction`` with
+STOICHIOMETRY and with its jump products), so they are written nowhere
+else; the tests check the table against the paper's closed forms.  On that
+table rest two layers of checks, in increasing strength:
 
-* algebraic identities at a fixed state: the drift and the per-site
-  square-amplitude/cross-amplitude formulas must equal brute-force sums
-  over the fourteen-entry event table (no simulation involved);
 * pathwise residuals: the centered fluctuation Z(t) = u(t) - u(0) -
   integral of the drift, computed exactly from an event log, and the
   compensated sums of squared/crossed jumps, which are mean-zero
@@ -20,17 +21,18 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .deterministic import (
     DeterministicState,
     ReactionField,
+    drift_field,
     growth_constant,
     infection_stack,
     integrate,
-    _lattice_rhs,
+    table_contraction,
 )
 from .stochastic import (
     COMPARTMENTS,
@@ -41,7 +43,6 @@ from .stochastic import (
     SystemState,
     Trajectory,
     _renormalization,
-    all_rates,
     log_entries,
     simulate_ssa,
 )
@@ -49,9 +50,7 @@ from .stochastic import (
 __all__ = [
     "FAMILIES",
     "sup_distance",
-    "event_table_drift",
     "square_amplitudes",
-    "event_table_square_sum",
     "Sweep",
     "sweep_log",
     "MartingaleResidual",
@@ -119,7 +118,6 @@ def sup_distance(
     traj: Trajectory,
     det_states: np.ndarray,
     scaling: ScalingParams,
-    det_times: Optional[np.ndarray] = None,
     compartments: Sequence[str] = COMPARTMENTS,
 ) -> float:
     """Sup over sample times, compartments and sites of |u - v|.
@@ -128,10 +126,6 @@ def sup_distance(
     it, one (n_samples, 4, n) array.  Both sides must live on the same
     lattice and the same sample grid.
     """
-    if det_times is not None and not np.array_equal(
-        np.asarray(det_times, dtype=float), traj.sample_times
-    ):
-        raise ValueError("trajectory and deterministic sample grids differ")
     u = traj.densities(scaling)
     if len(det_states) != len(u):
         raise ValueError(
@@ -145,96 +139,31 @@ def sup_distance(
 
 
 # ---------------------------------------------------------------------------
-# Drift and square amplitudes (closed form and brute force)
+# Square amplitudes
 
-def _drift_stack(
-    u: np.ndarray, params: EpidemicParams, hk_ratio: float,
-    infection: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Operator-form drift on a (..., 4, n) density stack: F(u) plus
-    transport on the bacteria row.  ``infection`` as in reaction_stack."""
-    rf = ReactionField(params, hk_ratio=hk_ratio, mode="coupled")
-    return _lattice_rhs(u, rf, params.transport, infection)
-
-
-def _event_table_sum(rates: np.ndarray, table: np.ndarray, renorm: np.ndarray) -> np.ndarray:
-    """Sum over the event kinds of rate times value / renorm[row], for every
-    (row, site offset, value) entry of a kind's ``table`` row: (rows, n)."""
-    out = np.zeros((len(renorm), rates.shape[1]))
-    for kind, entries in enumerate(table.tolist()):
-        for row, off, v in entries:
-            if v:
-                out[row] += np.roll(rates[kind], off) * (v / renorm[row])
-    return out
-
-
-def event_table_drift(
-    state: SystemState, params: EpidemicParams, scaling: ScalingParams
-) -> np.ndarray:
-    """Brute-force drift: sum over the event table of rate times rescaled
-    jump, per compartment and site.  Shape (4, n)."""
-    return _event_table_sum(all_rates(state, params, scaling), STOICHIOMETRY,
-                            _renormalization(scaling)[:, 0])
-
-
-def _amp_stack(
-    u: np.ndarray, params: EpidemicParams, hk_ratio: float,
-    infection: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Closed-form square and cross amplitudes on a (..., 4, n) density
-    stack, as a (..., 6, n) stack on the FAMILIES axis.
-
-    Per site: the S amplitude is 2 mu u_S + mu u_I + (mu+rho) u_R plus the
-    infection term; the B amplitude splits into the local-reaction part
-    mu_b u_B + (H/K)(p/W) u_I and the transport part
-    ell (p_in u_B[j+1] + u_B[j] + p_out u_B[j-1]).  The cross amplitudes of
-    the simultaneous bacteria jumps on the pairs (j, j+1) and (j, j-1) are
-    -ell (p_out u_B[j] + p_in u_B[j+1]) and -ell (p_in u_B[j] + p_out u_B[j-1]).
-    ``infection`` as in reaction_stack.
-    """
-    p = params
-    s, i, r, b = (u[..., c, :] for c in range(4))
-    if infection is None:
-        infection = infection_stack(u, p)
-    tc = p.transport
-    b_next, b_prev = np.roll(b, -1, axis=-1), np.roll(b, 1, axis=-1)
-    out = np.empty(u.shape[:-2] + (len(FAMILIES), u.shape[-1]))
-    out[..., 0, :] = 2.0 * p.mu * s + p.mu * i + (p.mu + p.rho) * r + infection
-    out[..., 1, :] = infection + (p.mu + p.alpha + p.gamma) * i
-    out[..., 2, :] = p.gamma * i + (p.mu + p.rho) * r
-    out[..., 3, :] = (
-        p.mu_b * b
-        + hk_ratio * p.p_over_w * i
-        + tc.ell * (tc.p_in * b_next + b + tc.p_out * b_prev)
-    )
-    out[..., 4, :] = -tc.ell * (tc.p_out * b + tc.p_in * b_next)
-    out[..., 5, :] = -tc.ell * (tc.p_in * b + tc.p_out * b_prev)
-    return out
+def _amplitude_field(
+    params: EpidemicParams, hk_ratio: float, n_sites: int
+) -> Callable[..., np.ndarray]:
+    """The map from a (..., 4, n) density stack to its square and cross
+    amplitudes, (..., 6, n) on the FAMILIES axis: the contraction of
+    ``_JUMP_PRODUCTS``, each family's row in the units of its compartment
+    (``_FAMILY_COMPARTMENT``)."""
+    rf = ReactionField(params, hk_ratio=hk_ratio)
+    return table_contraction(_JUMP_PRODUCTS, _FAMILY_COMPARTMENT, rf, n_sites)
 
 
 def square_amplitudes(
     state: SystemState, params: EpidemicParams, scaling: ScalingParams
 ) -> np.ndarray:
     """Square-amplitude fields |psi|^2 per compartment plus the two bacteria
-    cross-product fields, evaluated from the closed forms: (6, n), rows
-    FAMILIES."""
-    return _amp_stack(state.rescaled(scaling), params, scaling.h / scaling.k)
-
-
-def event_table_square_sum(
-    state: SystemState, params: EpidemicParams, scaling: ScalingParams
-) -> np.ndarray:
-    """Brute-force square and cross amplitudes from the event table's jump
-    products (``_JUMP_PRODUCTS``, derived from STOICHIOMETRY): (6, n), rows
-    FAMILIES.
+    cross-product fields: (6, n), rows FAMILIES.
 
     For each compartment: renorm * sum over events of rate * (rescaled jump
     at the site)^2.  For the cross fields: K * sum over events of the
-    product of the rescaled bacteria jumps at neighbouring sites.  This is
-    the authoritative definition every closed form is tested against.
+    product of the rescaled bacteria jumps at neighbouring sites.
     """
-    return _event_table_sum(all_rates(state, params, scaling), _JUMP_PRODUCTS,
-                            _renormalization(scaling)[_FAMILY_COMPARTMENT, 0])
+    field = _amplitude_field(params, scaling.h / scaling.k, state.n_sites)
+    return field(state.rescaled(scaling))
 
 
 # ---------------------------------------------------------------------------
@@ -303,9 +232,9 @@ def sweep_log(
 
     Every drift and amplitude integrand is affine in the densities u and in
     the infection field beta s b/(1+b).  So the sweep integrates only those
-    5n columns of each state and evaluates the closed forms once per sample,
-    on the integrals, with the integrated infection field in place of the
-    infection term.
+    5n columns of each state and evaluates the table contractions once per
+    sample, on the integrals, with the integrated infection field in place
+    of the infection term.
 
     States are taken in chunks of ``_sweep_chunk(n)``, carrying the counts,
     the integrals and the time of the last event from chunk to chunk, so the
@@ -383,10 +312,11 @@ def sweep_log(
         u_int[lo:hi] = cols[rows] + at_row * (grid[lo:hi] - starts[rows])[:, None, None]
 
     u_bar, infection = u_int[:, :4], u_int[:, 4]
+    drift = drift_field(ReactionField(params, hk_ratio=hk), n)
     return Sweep(
-        z=u_seen - u0 - _drift_stack(u_bar, params, hk, infection),
+        z=u_seen - u0 - drift(u_bar, infection),
         observed=_jump_sums(log, grid, n, n_events) * (1.0 / family_scale**2),
-        predicted=_amp_stack(u_bar, params, hk, infection) / family_scale,
+        predicted=_amplitude_field(params, hk, n)(u_bar, infection) / family_scale,
     )
 
 
@@ -590,7 +520,6 @@ def lln_experiment(
     seed: int,
     mode: str = "theorem1",
     n_samples: int = 21,
-    quadrature_points: int = 16,
     workers: int = 1,
 ) -> ConvergenceReport:
     """Measure sup-distance between the jump process and its deterministic
@@ -612,7 +541,6 @@ def lln_experiment(
         seed: master seed; replica streams derive from (seed, rung, index).
         mode: "theorem1" or "theorem2".
         n_samples: size of the uniform sample grid approximating the sup.
-        quadrature_points: projection accuracy for the initial profiles.
         workers: process count for replica-level parallelism.
 
     Returns:
@@ -631,7 +559,7 @@ def lln_experiment(
     for rung_idx, (n, h, k) in enumerate(ladder):
         scaling = ScalingParams(int(n), int(h), int(k))
         prm = params.with_lattice(int(n))
-        v0 = DeterministicState.from_functions(initial_fns, int(n), quadrature_points)
+        v0 = DeterministicState.from_functions(initial_fns, int(n))
         state0 = SystemState.from_densities(v0.s, v0.i, v0.r, v0.b, scaling=scaling)
         rounding = float(np.max(np.abs(state0.rescaled(scaling) - v0.stack())))
         rf = ReactionField(

@@ -348,12 +348,12 @@ def write_martingale_csv(path, residual: MartingaleResidual):
                table.reshape(len(COMPARTMENTS), -1, 3))
 
 
-def write_compensator_csv(path, check: CompensatorCheck, sigma: float = 3.0):
+def write_compensator_csv(path, check: CompensatorCheck):
     """Replica-mean residuals and z-scores keyed by (time, site, family).
 
     A cell with zero spread has z-score 0 when its mean is 0 and the sign of
-    its mean times infinity otherwise, so such a cell has |z| <= sigma
-    exactly when ``mean_zero_pass_fraction`` passes it."""
+    its mean times infinity otherwise, so for every sigma such a cell has
+    |z| <= sigma exactly when ``mean_zero_pass_fraction`` passes it."""
     mean, se = replica_mean_se(check.residuals())  # (n_times, 6, n)
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where((mean == 0.0) & (se == 0.0), 0.0, mean / se)

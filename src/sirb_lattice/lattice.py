@@ -6,8 +6,8 @@ The unit interval is split into ``n`` sites; site ``j`` (0-based) covers
 output elsewhere in the package reports sites 1-based; internally everything
 is 0-based.
 
-The transport operator itself is one stencil,
-``deterministic._transport_stencil``.
+The transport operator is the two hop kinds of the reaction table, applied
+by ``deterministic.table_contraction``.
 """
 
 from __future__ import annotations

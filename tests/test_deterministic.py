@@ -5,21 +5,28 @@ import math
 import numpy as np
 import pytest
 
+import closed_forms
 from sirb_lattice.deterministic import (
     DeterministicState,
     IntegrationError,
     ReactionField,
-    _lattice_rhs,
-    _transport_stencil,
+    density_rates,
+    drift_field,
     growth_constant,
     homogeneous_ode,
     integrate,
     linear_oracle,
-    reaction_stack,
     refine_compare,
 )
 from sirb_lattice.lattice import LatticeField, TransportCoefficients
-from sirb_lattice.stochastic import EpidemicParams
+from sirb_lattice.stochastic import (
+    _RATE_SOURCE,
+    EpidemicParams,
+    ScalingParams,
+    SystemState,
+    _renormalization,
+    all_rates,
+)
 
 # Decay factor of the m=1 wave with diffusion 0.01, speed 0.1, death rate 1
 # after t = 0.5: exp(-(1 + 0.01 * (2 pi)^2) * 0.5).
@@ -48,8 +55,9 @@ def bacteria_only_setup(m, diffusion=0.01, nu=0.05, mu_b=1.0):
 # Reaction field
 
 def reaction(y, rf):
-    """The reaction field at one 4-vector (S, I, R, B): a one-site stack."""
-    return reaction_stack(np.asarray(y, dtype=float).reshape(4, 1), rf)[:, 0]
+    """The drift at one 4-vector (S, I, R, B): the one-site lattice, where
+    transport hops cancel and only the reaction field is left."""
+    return drift_field(rf, 1)(np.asarray(y, dtype=float).reshape(4, 1))[:, 0]
 
 
 def test_reaction_disease_free_is_fixed_point():
@@ -82,6 +90,52 @@ def test_decoupled_mode_zeroes_contamination():
     assert f[3] == pytest.approx(-rf.params.mu_b * 2.0)
 
 
+def test_one_site_drift_matches_the_closed_form_reaction_field():
+    rng = np.random.default_rng(6)
+    for hk, mode in ((1.0, "coupled"), (0.3, "coupled"), (0.7, "decoupled")):
+        rf = ReactionField(make_params(), hk_ratio=hk, mode=mode)
+        for _ in range(200):
+            y = rng.uniform(0, 10, size=4)
+            expected = closed_forms.reaction(y.reshape(4, 1), rf)[:, 0]
+            np.testing.assert_allclose(reaction(y, rf), expected, rtol=1e-13, atol=1e-13)
+
+
+def test_drift_matches_the_closed_forms_on_a_batch():
+    # A (times, 4, n) stack with its own infection field, as the sweep
+    # passes the time integrals, in both modes.
+    rng = np.random.default_rng(7)
+    for n, mode in ((3, "coupled"), (8, "decoupled"), (64, "coupled")):
+        params = make_params(n=n, ell=rng.uniform(0.1, 2), p_out=rng.uniform(0, 1))
+        rf = ReactionField(params, hk_ratio=rng.uniform(0, 2), mode=mode)
+        y = rng.uniform(0, 5, size=(6, 4, n))
+        infection = rng.uniform(0, 5, size=(6, n))
+        got = drift_field(rf, n)(y, infection)
+        expected = closed_forms.drift(y, rf, params.transport, infection)
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
+
+
+def test_density_rates_are_the_simulators_rates():
+    # The ODE's rates are the simulator's: the density-rate table times
+    # each kind's source renormalization is all_rates of the counts.
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        n = int(rng.integers(3, 9))
+        params = make_params(
+            n=n, mu=rng.uniform(0.05, 2), alpha=rng.uniform(0.05, 2),
+            gamma=rng.uniform(0.05, 2), rho=rng.uniform(0.05, 2),
+            beta=rng.uniform(0.05, 2), p_over_w=rng.uniform(0.05, 2),
+            mu_b=rng.uniform(0.05, 2), ell=rng.uniform(0.05, 2), p_out=rng.uniform(0, 1),
+        )
+        scaling = ScalingParams(n, int(rng.integers(1, 1000)), int(rng.integers(1, 1000)))
+        # about a third of the counts are zero
+        state = SystemState.from_counts(
+            *(rng.integers(0, 300, n) * (rng.random(n) < 0.7) for _ in range(4))
+        )
+        source_scale = _renormalization(scaling)[list(_RATE_SOURCE)]
+        got = density_rates(state.rescaled(scaling), params) * source_scale
+        np.testing.assert_allclose(got, all_rates(state, params, scaling), rtol=1e-13, atol=0)
+
+
 def test_reaction_field_validation():
     with pytest.raises(ValueError):
         ReactionField(make_params(), hk_ratio=-1.0)
@@ -96,7 +150,7 @@ def test_rhs_constant_disease_free_is_zero():
     params = make_params(n=6)
     rf = ReactionField(params, hk_ratio=1.0)
     v = DeterministicState.constant([1.0, 0.0, 0.0, 0.0], 6)
-    out = _lattice_rhs(v.stack(), rf, params.transport)
+    out = drift_field(rf, 6)(v.stack())
     assert np.allclose(out, 0.0, atol=1e-14)
 
 
@@ -106,8 +160,8 @@ def test_rhs_decoupled_bacteria_reduces_to_linear_operator():
     b = LatticeField(1.0 + 0.3 * np.sin(2 * np.pi * (np.arange(m) + 0.5) / m))
     zero = LatticeField(np.zeros(m))
     v = DeterministicState(zero, zero, zero, b)
-    out = _lattice_rhs(v.stack(), rf, tc)
-    expected = _transport_stencil(b.values, tc) - params.mu_b * b.values
+    out = drift_field(rf, m)(v.stack())
+    expected = closed_forms.transport(b.values, tc) - params.mu_b * b.values
     assert np.allclose(out[3], expected, rtol=1e-12, atol=1e-12)
     assert np.allclose(out[:3], 0.0)
 

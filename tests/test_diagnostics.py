@@ -5,15 +5,14 @@ import math
 import numpy as np
 import pytest
 
+import closed_forms
 from sirb_lattice import diagnostics
+from sirb_lattice.deterministic import ReactionField, drift_field
 from sirb_lattice.diagnostics import (
     FAMILIES,
     CompensatorCheck,
-    _drift_stack,
     _sweep_chunk,
     compensator_check,
-    event_table_drift,
-    event_table_square_sum,
     lln_experiment,
     martingale_residual,
     mean_zero_pass_fraction,
@@ -89,9 +88,6 @@ def test_sup_distance_rejects_mismatched_grids():
     det = as_det([state], scaling)
     with pytest.raises(ValueError):
         sup_distance(traj, det, scaling)
-    with pytest.raises(ValueError):
-        sup_distance(traj, as_det([state] * 2, scaling), scaling,
-                     det_times=np.array([0.0, 0.9]))
     with pytest.raises(ValueError, match="lattice sizes differ"):
         sup_distance(traj, np.zeros((2, 4, 5)), scaling)
 
@@ -111,16 +107,18 @@ def test_sup_distance_symmetry_and_triangle():
 
 
 # ---------------------------------------------------------------------------
-# Algebraic identities
+# The reaction table against the closed forms
 
 def test_drift_event_form_equals_operator_form():
     rng = np.random.default_rng(11)
     params = make_params(n=6)
     scaling = ScalingParams(6, 40, 70)
+    rf = ReactionField(params, hk_ratio=scaling.h / scaling.k)
+    table_drift = drift_field(rf, 6)
     for _ in range(100):
-        state = random_state(rng, 6)
-        brute = event_table_drift(state, params, scaling)
-        closed = _drift_stack(state.rescaled(scaling), params, scaling.h / scaling.k)
+        u = random_state(rng, 6).rescaled(scaling)
+        brute = table_drift(u)
+        closed = closed_forms.drift(u, rf, params.transport)
         assert np.allclose(brute, closed, rtol=1e-12, atol=1e-12)
 
 
@@ -146,8 +144,9 @@ def test_square_amplitudes_match_event_table():
         )
         scaling = ScalingParams(n, int(rng.integers(1, 500)), int(rng.integers(1, 500)))
         state = random_state(rng, n)
-        closed = square_amplitudes(state, params, scaling)
-        brute = event_table_square_sum(state, params, scaling)
+        closed = closed_forms.amplitudes(state.rescaled(scaling), params,
+                                         scaling.h / scaling.k)
+        brute = square_amplitudes(state, params, scaling)
         assert closed.shape == brute.shape == (len(FAMILIES), n)
         for fam, got, expected in zip(FAMILIES, closed, brute):
             assert np.allclose(got, expected, rtol=1e-12, atol=1e-12), fam
@@ -252,17 +251,20 @@ def test_residual_mean_zero_across_replicas():
 
 def reference_sweep(traj, params, scaling):
     """Event-by-event sweep: apply_event for the counts, the closed forms
-    (pinned against the event table above) for the integrands, and the
-    observed jump products taken from each event's count change, each
-    written to the row its name has in FAMILIES."""
+    of ``closed_forms`` for the integrands, and the observed jump products
+    taken from each event's count change, each written to the row its name
+    has in FAMILIES."""
     h, k = float(scaling.h), float(scaling.k)
     renorm = np.array([k if f.startswith("B") else h for f in FAMILIES])[:, None]
     squares = [FAMILIES.index(c) for c in COMPARTMENTS]
     plus, minus = FAMILIES.index("B_cross_plus"), FAMILIES.index("B_cross_minus")
 
+    rf = ReactionField(params, hk_ratio=scaling.h / scaling.k)
+
     def integrands(state):
-        drift = _drift_stack(state.rescaled(scaling), params, scaling.h / scaling.k)
-        return drift, square_amplitudes(state, params, scaling) / renorm
+        u = state.rescaled(scaling)
+        amp = closed_forms.amplitudes(u, params, rf.hk_ratio)
+        return closed_forms.drift(u, rf, params.transport), amp / renorm
 
     state, t = traj.initial, 0.0
     u0 = state.rescaled(scaling)

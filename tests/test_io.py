@@ -494,7 +494,7 @@ def test_report_zscores_agree_with_the_pass_test(tmp_path):
     trajs = [simulate_ssa(state, 1.0, [0.0, 0.01, 1.0], make_params(n), scaling, seed=1,
                           stream=r, record_events=True) for r in range(2)]
     check = compensator_check(trajs, make_params(n), scaling)
-    write_compensator_csv(tmp_path / "compensators.csv", check, sigma)
+    write_compensator_csv(tmp_path / "compensators.csv", check)
     with open(tmp_path / "compensators.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     res = check.residuals()

@@ -8,7 +8,7 @@ import pytest
 from sirb_lattice.deterministic import (
     DeterministicState,
     ReactionField,
-    _transport_stencil,
+    drift_field,
     integrate,
 )
 from sirb_lattice.lattice import LatticeField, TransportCoefficients, project
@@ -34,8 +34,17 @@ def inner(f, g):
 
 
 def transport(f, tc):
-    """The package's one transport stencil, on a LatticeField."""
-    return LatticeField(_transport_stencil(f.values, tc))
+    """The package's transport on a LatticeField: the bacteria row of the
+    drift of a bacteria-only state when every reaction rate is zero.  The
+    infection field is given as zero, since b/(1+b) is undefined at the
+    field values -1 that these tests may hold."""
+    n = f.n_sites
+    params = EpidemicParams(mu=0.0, alpha=0.0, gamma=0.0, rho=0.0, beta=0.0,
+                            p_over_w=0.0, mu_b=0.0, transport=tc)
+    y = np.zeros((4, n))
+    y[3] = f.values
+    field = drift_field(ReactionField(params, hk_ratio=1.0), n)
+    return LatticeField(field(y, np.zeros(n))[3])
 
 
 # ---------------------------------------------------------------------------
