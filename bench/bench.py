@@ -2,9 +2,10 @@
 
 Usage, from the root of a checkout:
 
-    python bench/bench.py --label change [--repeats 5]
+    python bench/bench.py --label change
 
-It times the package in this checkout's ``src`` and records:
+It times the package in this checkout's ``src`` and adds one run to
+``BENCH_<label>.json`` (delete the file to start afresh).  Each run records:
 
 * the machine (CPU model, core count, Python, numpy) and the git SHA;
 * the exact simulator, in µs per event, at the three baseline configs
@@ -13,8 +14,11 @@ It times the package in this checkout's ``src`` and records:
   (``io.replay_trajectory``) at n = 8, in µs per event, with H = K = 10^3;
 * the RK4 lattice integrator, in µs per step, at n = 8, 64 and 256.
 
-Every figure is the median of ``--repeats`` (at least 3) timed runs of the
-same seeded work, with the minimum, the maximum and every run.  The model is
+Every figure is the median of ``REPEATS`` timed repeats of the same seeded
+work, with the minimum, the maximum and every repeat.  The file's ``summary``
+gives, per figure, the median and quartiles of the runs' medians, so runs of
+two checkouts taken in turn (parent, change, change, parent, ...) compare as
+pairs on the same machine state.  The model is
 ``demos/configs/quickstart.cfg``: its rates, its initial profiles and its
 transport rebuilt for each lattice size.  Runs at n = 8 span the horizon
 T = 1 and runs at n = 64 T = 0.1, about 10^4 to 3 * 10^5 events each.
@@ -58,12 +62,15 @@ from sirb_lattice.stochastic import (  # noqa: E402
 )
 
 SEED = 20261018
+# timed repeats per figure in one run
+REPEATS = 7
 # RK4 steps per timed integration
 RK4_STEPS = 400
 SSA_CONFIGS = ((8, 1000, 1000), (8, 1000, 100_000), (64, 1000, 1000))
 SWEEP_SIZES = (8, 64)
 REPLAY_SIZE = 8
 RK4_SIZES = (8, 64, 256)
+LAYERS = ("ssa", "sweep", "replay", "rk4")
 
 
 def horizon(n: int) -> float:
@@ -92,10 +99,10 @@ def initial_counts(v0: DeterministicState, scaling: ScalingParams) -> SystemStat
     return SystemState.from_densities(v0.s, v0.i, v0.r, v0.b, scaling=scaling)
 
 
-def timed(run, units: int, repeats: int, unit: str) -> dict:
-    """Median, min and max over ``repeats`` calls of ``run``, per unit of work."""
+def timed(run, units: int, unit: str) -> dict:
+    """Median, min and max over ``REPEATS`` calls of ``run``, per unit of work."""
     runs = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         start = time.perf_counter()
         run()
         runs.append((time.perf_counter() - start) / units * 1e6)
@@ -105,7 +112,7 @@ def timed(run, units: int, repeats: int, unit: str) -> dict:
     }
 
 
-def bench_ssa(n: int, h: int, k: int, repeats: int) -> dict:
+def bench_ssa(n: int, h: int, k: int) -> dict:
     params, v0 = model(n)
     scaling = ScalingParams(n, h, k)
     state = initial_counts(v0, scaling)
@@ -114,7 +121,7 @@ def bench_ssa(n: int, h: int, k: int, repeats: int) -> dict:
         return simulate_ssa(state, horizon(n), grid(n), params, scaling, SEED)
 
     events = run().stats["n_events"]
-    return timed(run, events, repeats, "us/event")
+    return timed(run, events, "us/event")
 
 
 def logged_run(n: int):
@@ -126,19 +133,18 @@ def logged_run(n: int):
     return traj, params, scaling, state
 
 
-def bench_sweep(n: int, repeats: int) -> dict:
+def bench_sweep(n: int) -> dict:
     traj, params, scaling, _ = logged_run(n)
-    return timed(lambda: sweep_log(traj, params, scaling), len(traj.event_log), repeats,
-                 "us/event")
+    return timed(lambda: sweep_log(traj, params, scaling), len(traj.event_log), "us/event")
 
 
-def bench_replay(n: int, repeats: int) -> dict:
+def bench_replay(n: int) -> dict:
     traj, _, _, state = logged_run(n)
     return timed(lambda: run_io.replay_trajectory(state, traj.event_log, grid(n)),
-                 len(traj.event_log), repeats, "us/event")
+                 len(traj.event_log), "us/event")
 
 
-def bench_rk4(n: int, repeats: int) -> dict:
+def bench_rk4(n: int) -> dict:
     params, v0 = model(n)
     rf = ReactionField(params, hk_ratio=1.0)
     dt = auto_dt(rf, params.transport)
@@ -146,7 +152,7 @@ def bench_rk4(n: int, repeats: int) -> dict:
     stats: dict = {}
     integrate(v0, span, rf, params.transport, dt=dt, stats=stats)
     return timed(lambda: integrate(v0, span, rf, params.transport, dt=dt),
-                 stats["n_steps"], repeats, "us/step")
+                 stats["n_steps"], "us/step")
 
 
 def git_sha() -> str:
@@ -176,30 +182,43 @@ def machine() -> dict:
     }
 
 
+def quartiles(values: list) -> dict:
+    """Median and quartiles of the runs' medians; one run gives three equal values."""
+    q25, q50, q75 = statistics.quantiles(values * 2 if len(values) == 1 else values, n=4,
+                                         method="inclusive")
+    return {"median": q50, "q25": q25, "q75": q75, "n_runs": len(values)}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--label", required=True, help="names the output BENCH_<label>.json")
-    parser.add_argument("--repeats", type=int, default=5, help="timed runs per figure (>= 3)")
     args = parser.parse_args(argv)
-    if args.repeats < 3:
-        parser.error("--repeats must be at least 3")
-    r = args.repeats
-    result = {
-        "label": args.label, "git_sha": git_sha(), "machine": machine(), "repeats": r,
-        "ssa": {f"n={n},h={h},k={k}": bench_ssa(n, h, k, r) for n, h, k in SSA_CONFIGS},
-        "sweep": {f"n={n}": bench_sweep(n, r) for n in SWEEP_SIZES},
-        "replay": {f"n={REPLAY_SIZE}": bench_replay(REPLAY_SIZE, r)},
-        "rk4": {f"n={n}": bench_rk4(n, r) for n in RK4_SIZES},
+    run = {
+        "git_sha": git_sha(), "machine": machine(),
+        "ssa": {f"n={n},h={h},k={k}": bench_ssa(n, h, k) for n, h, k in SSA_CONFIGS},
+        "sweep": {f"n={n}": bench_sweep(n) for n in SWEEP_SIZES},
+        "replay": {f"n={REPLAY_SIZE}": bench_replay(REPLAY_SIZE)},
+        "rk4": {f"n={n}": bench_rk4(n) for n in RK4_SIZES},
     }
     out = ROOT / f"BENCH_{args.label}.json"
-    out.write_text(json.dumps(result, indent=2) + "\n")
-    for layer in ("ssa", "sweep", "replay", "rk4"):
-        for key, fig in result[layer].items():
+    runs = json.loads(out.read_text())["runs"] if out.exists() else []
+    runs.append(run)
+    summary = {
+        layer: {key: {"unit": fig["unit"],
+                      **quartiles([r[layer][key]["median"] for r in runs])}
+                for key, fig in run[layer].items()}
+        for layer in LAYERS
+    }
+    out.write_text(json.dumps({"label": args.label, "repeats": REPEATS, "summary": summary,
+                               "runs": runs}, indent=2) + "\n")
+    for layer in LAYERS:
+        for key, fig in run[layer].items():
+            total = summary[layer][key]
             print(f"{layer:6s} {key:22s} {fig['median']:9.2f} {fig['unit']} "
-                  f"[{fig['min']:.2f}, {fig['max']:.2f}]")
+                  f"[{fig['min']:.2f}, {fig['max']:.2f}]; over {total['n_runs']} runs "
+                  f"{total['median']:.2f} [{total['q25']:.2f}, {total['q75']:.2f}]")
     print(f"wrote {out}")
     return 0
-
 
 if __name__ == "__main__":
     sys.exit(main())
