@@ -12,6 +12,10 @@ It times the package in this checkout's ``src`` and adds one run to
   (n = 8, H = K = 10^3; n = 8, H = 10^3, K = 10^5; n = 64, H = K = 10^3);
 * the event-log sweep (``sweep_log``) at n = 8 and n = 64 and the replay
   (``io.replay_trajectory``) at n = 8, in µs per event, with H = K = 10^3;
+* the run-directory I/O, ``io.write_trajectory`` then ``io.read_trajectory``
+  of one logged run at n = 256, H = K = 10^3, T = 0.1, with quickstart's
+  hop rate (the shape of the benchmark's roundtrip workload, about 3.6 * 10^4
+  events), in µs per run directory;
 * the RK4 lattice integrator, in µs per step, at n = 8, 64 and 256.
 
 Every figure is the median of ``REPEATS`` timed repeats of the same seeded
@@ -21,7 +25,7 @@ two checkouts taken in turn (parent, change, change, parent, ...) compare as
 pairs on the same machine state.  The model is
 ``demos/configs/quickstart.cfg``: its rates, its initial profiles and its
 transport rebuilt for each lattice size.  Runs at n = 8 span the horizon
-T = 1 and runs at n = 64 T = 0.1, about 10^4 to 3 * 10^5 events each.
+T = 1 and runs at n >= 64 T = 0.1, about 10^4 to 3 * 10^5 events each.
 Uses only the standard library and numpy; BLAS is held to one thread.
 """
 
@@ -34,6 +38,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -69,8 +74,9 @@ RK4_STEPS = 400
 SSA_CONFIGS = ((8, 1000, 1000), (8, 1000, 100_000), (64, 1000, 1000))
 SWEEP_SIZES = (8, 64)
 REPLAY_SIZE = 8
+IO_SIZE = 256
 RK4_SIZES = (8, 64, 256)
-LAYERS = ("ssa", "sweep", "replay", "rk4")
+LAYERS = ("ssa", "sweep", "replay", "io", "rk4")
 
 
 def horizon(n: int) -> float:
@@ -82,11 +88,13 @@ def grid(n: int) -> np.ndarray:
     return np.linspace(0.0, horizon(n), 21)
 
 
-def model(n: int) -> tuple[EpidemicParams, DeterministicState]:
-    """Quickstart rates and initial profiles on an n-site lattice."""
+def model(n: int, continuum: bool = True) -> tuple[EpidemicParams, DeterministicState]:
+    """Quickstart rates and initial profiles on an n-site lattice.  The
+    transport keeps quickstart's continuum limit or, with ``continuum`` off,
+    its hop rate and bias, as the benchmark's configs do."""
     params = EpidemicParams(
         mu=0.2, alpha=0.15, gamma=0.6, rho=0.3, beta=1.2, p_over_w=0.8, mu_b=0.5,
-        transport=TransportCoefficients(0.5, 0.7, 8),
+        transport=TransportCoefficients(0.5, 0.7, 8 if continuum else n),
     ).with_lattice(n)
     x = (np.arange(n) + 0.5) / n
     v0 = DeterministicState.from_stack(np.stack([
@@ -124,8 +132,8 @@ def bench_ssa(n: int, h: int, k: int) -> dict:
     return timed(run, events, "us/event")
 
 
-def logged_run(n: int):
-    params, v0 = model(n)
+def logged_run(n: int, continuum: bool = True):
+    params, v0 = model(n, continuum)
     scaling = ScalingParams(n, 1000, 1000)
     state = initial_counts(v0, scaling)
     traj = simulate_ssa(state, horizon(n), grid(n), params, scaling, SEED,
@@ -142,6 +150,16 @@ def bench_replay(n: int) -> dict:
     traj, _, _, state = logged_run(n)
     return timed(lambda: run_io.replay_trajectory(state, traj.event_log, grid(n)),
                  len(traj.event_log), "us/event")
+
+
+def bench_io(n: int) -> dict:
+    traj, params, scaling, _ = logged_run(n, continuum=False)
+    with tempfile.TemporaryDirectory() as tmp:
+        def run():
+            run_io.write_trajectory(tmp, traj, params, scaling)
+            return run_io.read_trajectory(tmp)
+
+        return timed(run, 1, "us/run")
 
 
 def bench_rk4(n: int) -> dict:
@@ -198,14 +216,17 @@ def main(argv=None) -> int:
         "ssa": {f"n={n},h={h},k={k}": bench_ssa(n, h, k) for n, h, k in SSA_CONFIGS},
         "sweep": {f"n={n}": bench_sweep(n) for n in SWEEP_SIZES},
         "replay": {f"n={REPLAY_SIZE}": bench_replay(REPLAY_SIZE)},
+        "io": {f"n={IO_SIZE}": bench_io(IO_SIZE)},
         "rk4": {f"n={n}": bench_rk4(n) for n in RK4_SIZES},
     }
     out = ROOT / f"BENCH_{args.label}.json"
     runs = json.loads(out.read_text())["runs"] if out.exists() else []
     runs.append(run)
+    # runs recorded before a figure existed have no median for it
     summary = {
         layer: {key: {"unit": fig["unit"],
-                      **quartiles([r[layer][key]["median"] for r in runs])}
+                      **quartiles([r[layer][key]["median"] for r in runs
+                                   if key in r.get(layer, {})])}
                 for key, fig in run[layer].items()}
         for layer in LAYERS
     }

@@ -12,14 +12,15 @@ a density plot.
 import numpy as np
 
 from sirb_lattice import (
-    CompensatorCheck,
     EpidemicParams,
     ScalingParams,
+    Sweep,
     SystemState,
     TransportCoefficients,
     simulate_ssa,
+    sweep_log,
 )
-from sirb_lattice.diagnostics import FAMILIES, mean_zero_pass_fraction, sweep_log
+from sirb_lattice.diagnostics import FAMILIES, pass_fractions
 from sirb_lattice.stochastic import COMPARTMENTS
 from sirb_lattice.lattice import project
 
@@ -42,20 +43,19 @@ print(f"{REPS} replicas at N={N}, H=K={POP}, logging every event...")
 trajs = [simulate_ssa(state0, HORIZON, grid, params, scaling, seed=31, stream=r,
                       record_events=True) for r in range(REPS)]
 print(f"  ~{trajs[0].stats['n_events']} events per replica")
-# one pass over each event log yields both martingales
-sweeps = [sweep_log(t, params, scaling) for t in trajs]
+# one pass over each event log yields both martingales; every field of the
+# stack is (replicas, times, rows, sites)
+sweeps = Sweep.stack([sweep_log(t, params, scaling) for t in trajs])
 
 print("\ncentered fluctuations (3-sigma mean-zero test, fraction of cells):")
-z_all = np.stack([s.z for s in sweeps])  # (replicas, times, compartments, sites)
-for ci, c in enumerate(COMPARTMENTS):
-    print(f"  Z_{c}: {mean_zero_pass_fraction(z_all[:, :, ci]):.3f}")
+for name, frac in pass_fractions(sweeps.z, [f"Z_{c}" for c in COMPARTMENTS]).items():
+    print(f"  {name}: {frac:.3f}")
 
 print("\ncompensated squared/crossed jumps:")
-check = CompensatorCheck.from_sweeps(grid, sweeps)
-for fam, frac in check.pass_fractions().items():
+for fam, frac in pass_fractions(sweeps.observed - sweeps.predicted, FAMILIES).items():
     print(f"  {fam:>14}: {frac:.3f}")
 
 print("\nthe cross families are negative by construction "
       "(a hop moves one unit out exactly when it moves one unit in):")
 print("  mean observed cross at T:",
-      f"{check.observed[:, -1, FAMILIES.index('B_cross_plus')].mean():.3e}")
+      f"{sweeps.observed[:, -1, FAMILIES.index('B_cross_plus')].mean():.3e}")

@@ -38,12 +38,10 @@ from .deterministic import (  # noqa: F401
     refine_compare,
 )
 from .diagnostics import (  # noqa: F401
-    CompensatorCheck,
     ConvergenceReport,
-    MartingaleResidual,
-    compensator_check,
+    Sweep,
     lln_experiment,
-    martingale_residual,
     square_amplitudes,
     sup_distance,
+    sweep_log,
 )

@@ -67,15 +67,9 @@ import numpy as np
 from . import __version__
 from . import io as run_io
 from .deterministic import DeterministicState, ReactionField, homogeneous_ode, integrate
-from .diagnostics import (
-    CompensatorCheck,
-    MartingaleResidual,
-    lln_experiment,
-    map_jobs,
-    sweep_log,
-)
+from .diagnostics import Sweep, lln_experiment, map_jobs, starting_point, sweep_log
 from .lattice import TransportCoefficients
-from .stochastic import COMPARTMENTS, EpidemicParams, ScalingParams, SystemState, simulate_ssa
+from .stochastic import COMPARTMENTS, EpidemicParams, ScalingParams, simulate_ssa, uniform_grid
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "run", "main"]
 
@@ -160,9 +154,7 @@ class RunConfig:
         return [_preset_fn(self.initial_spec[c.lower()]) for c in COMPARTMENTS]
 
     def sample_grid(self) -> np.ndarray:
-        if self.horizon == 0 or self.samples == 1:
-            return np.array([0.0])
-        return np.linspace(0.0, self.horizon, self.samples)
+        return uniform_grid(self.horizon, self.samples)
 
 
 def _preset_fn(spec: tuple) -> Callable:
@@ -400,17 +392,10 @@ def _check_ladder_regime(ladder, theorem: str):
 # ---------------------------------------------------------------------------
 # Orchestration
 
-def _initial_state(cfg: RunConfig) -> tuple[SystemState, DeterministicState]:
-    v0 = DeterministicState.from_functions(cfg.initial_fns(), cfg.n_sites)
-    state0 = SystemState.from_densities(v0.s, v0.i, v0.r, v0.b, scaling=cfg.scaling())
-    return state0, v0
-
-
 def _one_simulation(args) -> None:
     """Worker: run one replica and persist it (top level for pickling)."""
     cfg, rep, directory = args
-    state0, v0 = _initial_state(cfg)
-    rounding = float(np.max(np.abs(state0.rescaled(cfg.scaling()) - v0.stack())))
+    state0, _, rounding = starting_point(cfg.initial_fns(), cfg.scaling())
     traj = simulate_ssa(
         state0, cfg.horizon, cfg.sample_grid(), cfg.params(), cfg.scaling(),
         seed=cfg.seed, stream=rep, record_events=cfg.record_events,
@@ -479,7 +464,7 @@ def _one_diagnose_replica(args):
     """Worker: simulate one logged replica and sweep its log here, so only
     the swept (time, site) arrays and the run stats travel back."""
     cfg, rep = args
-    state0, _ = _initial_state(cfg)
+    state0, _, _ = starting_point(cfg.initial_fns(), cfg.scaling())
     traj = simulate_ssa(
         state0, cfg.horizon, cfg.sample_grid(), cfg.params(), cfg.scaling(),
         seed=cfg.seed, stream=rep, record_events=True,
@@ -490,17 +475,17 @@ def _one_diagnose_replica(args):
 def _run_diagnose(cfg: RunConfig) -> None:
     jobs = [(cfg, rep) for rep in range(cfg.replicas)]
     sweeps, stats = zip(*map_jobs(_one_diagnose_replica, jobs, cfg.workers))
+    sweep = Sweep.stack(sweeps)
     grid = cfg.sample_grid()
     cfg.out.mkdir(parents=True, exist_ok=True)
-    run_io.write_martingale_csv(
-        cfg.out / "report_martingale.csv", MartingaleResidual(grid, sweeps[0].z)
-    )
+    run_io.write_martingale_csv(cfg.out / "report_martingale.csv", grid, sweep.z[0])
     files = ["report_martingale.csv"]
     if cfg.replicas >= 2:
-        check = CompensatorCheck.from_sweeps(grid, sweeps)
-        run_io.write_compensator_csv(cfg.out / "report_compensators.csv", check)
+        run_io.write_compensator_csv(
+            cfg.out / "report_compensators.csv", grid, sweep.observed - sweep.predicted
+        )
         files.append("report_compensators.csv")
-    state0, _ = _initial_state(cfg)
+    state0, _, _ = starting_point(cfg.initial_fns(), cfg.scaling())
     run_io.RunManifest(
         seed=cfg.seed, config=cfg.echo, scaling=run_io._scaling_dict(cfg.scaling()),
         params=run_io._params_dict(cfg.params()), initial_counts=run_io._counts_dict(state0),

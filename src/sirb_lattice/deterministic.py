@@ -40,6 +40,7 @@ from .stochastic import (
     _RATE_SOURCE,
     _rate_coefficients,
     _resolve_grid,
+    uniform_grid,
 )
 
 __all__ = [
@@ -414,7 +415,7 @@ def refine_compare(
     if tc.n_sites != m_coarse:
         raise ValueError(f"tc is built for n={tc.n_sites}, expected m_coarse={m_coarse}")
     tc_fine = TransportCoefficients.from_continuum(tc.diffusion, tc.nu, 2 * m_coarse)
-    grid = np.linspace(0.0, horizon, n_samples) if horizon > 0 else np.array([0.0])
+    grid = uniform_grid(horizon, n_samples)
     v0_c = DeterministicState.from_functions(initial_fns, m_coarse, quadrature_points)
     v0_f = DeterministicState.from_functions(initial_fns, 2 * m_coarse, quadrature_points)
     coarse = integrate(v0_c, horizon, rf, tc, dt=dt, sample_times=grid)

@@ -45,6 +45,7 @@ from .stochastic import (
     _renormalization,
     log_entries,
     simulate_ssa,
+    uniform_grid,
 )
 
 __all__ = [
@@ -53,12 +54,10 @@ __all__ = [
     "square_amplitudes",
     "Sweep",
     "sweep_log",
-    "MartingaleResidual",
-    "martingale_residual",
-    "CompensatorCheck",
-    "compensator_check",
     "replica_mean_se",
     "mean_zero_pass_fraction",
+    "pass_fractions",
+    "starting_point",
     "LadderRung",
     "ConvergenceReport",
     "lln_experiment",
@@ -169,22 +168,24 @@ def square_amplitudes(
 # ---------------------------------------------------------------------------
 # Pathwise residual sweep
 
-@dataclass
-class MartingaleResidual:
-    """Centered fluctuation Z(t) = u(t) - u(0) - integral of the drift,
-    per compartment, sampled on a time grid.  Z(0) = 0 identically."""
-
-    times: np.ndarray
-    z: np.ndarray  # (n_times, 4, n_sites), rows COMPARTMENTS
-
-
 class Sweep(NamedTuple):
     """What one pass over a replica's event log yields: every array the
-    martingale and compensator reports need, on the replica's sample grid."""
+    martingale and compensator reports need, on the replica's sample grid.
+    ``Sweep.stack`` gives each field a leading replica axis.
+
+    The square families' jump sums and compensators are nonnegative and
+    nondecreasing in time; the cross families' are nonpositive, as the two
+    jumps of a hop have opposite signs."""
 
     z: np.ndarray  # (n_times, 4, n) residual fields, rows COMPARTMENTS
     observed: np.ndarray  # (n_times, 6, n) jump sums, rows FAMILIES
     predicted: np.ndarray  # (n_times, 6, n) compensators, rows FAMILIES
+
+    @classmethod
+    def stack(cls, sweeps: Sequence["Sweep"]) -> "Sweep":
+        """The sweeps of replicas on one sample grid as one Sweep whose
+        fields are (n_replicas, n_times, ..., n), replicas in order."""
+        return cls(*(np.stack(fields) for fields in zip(*sweeps)))
 
 
 def _jump_sums(log: EventLog, grid: np.ndarray, n_sites: int, n_events: int) -> np.ndarray:
@@ -320,71 +321,6 @@ def sweep_log(
     )
 
 
-def martingale_residual(
-    traj: Trajectory, params: EpidemicParams, scaling: ScalingParams
-) -> MartingaleResidual:
-    """Exact centered fluctuation of a logged trajectory on its sample grid.
-
-    Requires the event log: the drift integral is computed exactly as a sum
-    over the inter-event intervals on which the state is constant.
-    """
-    return MartingaleResidual(traj.sample_times, sweep_log(traj, params, scaling).z)
-
-
-@dataclass
-class CompensatorCheck:
-    """Observed jump sums vs predicted compensator integrals, per replica.
-
-    ``observed`` and ``predicted`` have shape
-    (n_replicas, n_times, 6, n_sites), the family axis following FAMILIES:
-    the four compartment square families, then the two bacteria cross
-    families.  For the square families both accumulators are nonnegative
-    and nondecreasing in time; the cross accumulators are nonpositive
-    (co-jumps have opposite signs).
-    """
-
-    times: np.ndarray
-    observed: np.ndarray
-    predicted: np.ndarray
-
-    def residuals(self) -> np.ndarray:
-        """Observed minus predicted, (n_replicas, n_times, 6, n_sites)."""
-        return self.observed - self.predicted
-
-    def pass_fractions(self, sigma: float = 3.0) -> dict[str, float]:
-        """Fraction of (time, site) cells whose replica-mean residual is
-        within sigma standard errors of zero, per family."""
-        res = self.residuals()
-        return {f: mean_zero_pass_fraction(res[:, :, i], sigma) for i, f in enumerate(FAMILIES)}
-
-    @classmethod
-    def from_sweeps(cls, times: np.ndarray, sweeps: Sequence[Sweep]) -> "CompensatorCheck":
-        """Stack the sweeps of replicas that share the sample grid ``times``."""
-        return cls(
-            times=np.array(times, dtype=float),
-            observed=np.stack([s.observed for s in sweeps]),
-            predicted=np.stack([s.predicted for s in sweeps]),
-        )
-
-
-def compensator_check(
-    replicas: Sequence[Trajectory],
-    params: EpidemicParams,
-    scaling: ScalingParams,
-) -> CompensatorCheck:
-    """Accumulate observed squared/crossed jumps and their compensators for
-    a batch of logged replicas sharing one sample grid."""
-    if not replicas:
-        raise ValueError("need at least one replica trajectory")
-    grid = replicas[0].sample_times
-    sweeps = []
-    for traj in replicas:
-        if not np.array_equal(traj.sample_times, grid):
-            raise ValueError("replicas must share one sample grid")
-        sweeps.append(sweep_log(traj, params, scaling))
-    return CompensatorCheck.from_sweeps(grid, sweeps)
-
-
 def replica_mean_se(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per cell, the replica mean and its standard error.  ``samples`` has
     replicas on axis 0; remaining axes are cells."""
@@ -401,6 +337,17 @@ def mean_zero_pass_fraction(samples: np.ndarray, sigma: float = 3.0) -> float:
     mean, se = replica_mean_se(samples)
     ok = np.where(se > 0.0, np.abs(mean) <= sigma * np.where(se > 0, se, 1.0), mean == 0.0)
     return float(ok.mean())
+
+
+def pass_fractions(
+    samples: np.ndarray, names: Sequence[str], sigma: float = 3.0
+) -> dict[str, float]:
+    """``mean_zero_pass_fraction`` of each row of (n_replicas, n_times,
+    rows, n) samples, keyed by the rows' ``names``: COMPARTMENTS for the
+    residuals Z, FAMILIES for the compensated jump sums."""
+    if len(names) != samples.shape[2]:
+        raise ValueError(f"{len(names)} names for {samples.shape[2]} rows")
+    return {name: mean_zero_pass_fraction(samples[:, :, i], sigma) for i, name in enumerate(names)}
 
 
 # ---------------------------------------------------------------------------
@@ -502,6 +449,17 @@ def map_jobs(fn: Callable, jobs: Sequence, workers: int) -> list:
         return list(pool.map(fn, jobs))
 
 
+def starting_point(
+    initial_fns: Sequence[Callable], scaling: ScalingParams
+) -> tuple[SystemState, DeterministicState, float]:
+    """Where every run starts: the four profiles projected onto the
+    lattice of ``scaling``, the counts they round to, and the rounding
+    error, the sup of |counts / renormalization - projection|."""
+    v0 = DeterministicState.from_functions(initial_fns, scaling.n_sites)
+    state0 = SystemState.from_densities(v0.s, v0.i, v0.r, v0.b, scaling=scaling)
+    return state0, v0, float(np.max(np.abs(state0.rescaled(scaling) - v0.stack())))
+
+
 def _replica_distance(payload) -> tuple[float, float]:
     """One replica of one rung: (sup distance, sup density).  Top level so a
     process pool can ship it."""
@@ -549,7 +507,7 @@ def lln_experiment(
     _validate_ladder(ladder, mode)
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
-    grid = np.linspace(0.0, horizon, n_samples) if horizon > 0 else np.array([0.0])
+    grid = uniform_grid(horizon, n_samples)
     comps = COMPARTMENTS if mode == "theorem1" else ("B",)
     # Integrate every rung first, then run all rungs' replicas through one
     # map, so a pool's workers start once.  Replica rep of rung g draws
@@ -559,9 +517,7 @@ def lln_experiment(
     for rung_idx, (n, h, k) in enumerate(ladder):
         scaling = ScalingParams(int(n), int(h), int(k))
         prm = params.with_lattice(int(n))
-        v0 = DeterministicState.from_functions(initial_fns, int(n))
-        state0 = SystemState.from_densities(v0.s, v0.i, v0.r, v0.b, scaling=scaling)
-        rounding = float(np.max(np.abs(state0.rescaled(scaling) - v0.stack())))
+        state0, v0, rounding = starting_point(initial_fns, scaling)
         rf = ReactionField(
             prm, hk_ratio=h / k, mode="coupled" if mode == "theorem1" else "decoupled"
         )

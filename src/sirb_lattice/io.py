@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import struct
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
@@ -35,13 +34,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .diagnostics import (
-    FAMILIES,
-    CompensatorCheck,
-    ConvergenceReport,
-    MartingaleResidual,
-    replica_mean_se,
-)
+from .diagnostics import FAMILIES, ConvergenceReport, replica_mean_se
 from .stochastic import (
     COMPARTMENTS,
     N_EVENT_KINDS,
@@ -65,7 +58,6 @@ __all__ = [
     "write_convergence_report",
     "write_martingale_csv",
     "write_compensator_csv",
-    "replay",
     "replay_trajectory",
     "sha256_file",
 ]
@@ -339,26 +331,28 @@ def write_convergence_report(directory, report: ConvergenceReport):
                ["%d,%d,%d,%d,%.17g,%.17g,%.17g,%.17g,%d\r\n"], summary[None])
 
 
-def write_martingale_csv(path, residual: MartingaleResidual):
-    """Residual fields keyed by (time, site, compartment)."""
-    z = residual.z.transpose(1, 0, 2)[..., None]
-    table = _sample_site_table(residual.times, z)
+def write_martingale_csv(path, times: Sequence[float], z: np.ndarray):
+    """Residual fields Z, (n_times, 4, n) on the grid ``times``, keyed by
+    (time, site, compartment)."""
+    table = _sample_site_table(times, z.transpose(1, 0, 2)[..., None])
     _write_csv(path, "time,site,compartment,z",
                [f"%.17g,%d,{name},%.17g\r\n" for name in COMPARTMENTS],
                table.reshape(len(COMPARTMENTS), -1, 3))
 
 
-def write_compensator_csv(path, check: CompensatorCheck):
-    """Replica-mean residuals and z-scores keyed by (time, site, family).
+def write_compensator_csv(path, times: Sequence[float], residuals: np.ndarray):
+    """Replica-mean residuals and z-scores keyed by (time, site, family),
+    from the (n_replicas, n_times, 6, n) observed minus predicted jump sums
+    on the grid ``times``.
 
     A cell with zero spread has z-score 0 when its mean is 0 and the sign of
     its mean times infinity otherwise, so for every sigma such a cell has
     |z| <= sigma exactly when ``mean_zero_pass_fraction`` passes it."""
-    mean, se = replica_mean_se(check.residuals())  # (n_times, 6, n)
+    mean, se = replica_mean_se(residuals)  # (n_times, 6, n)
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where((mean == 0.0) & (se == 0.0), 0.0, mean / se)
     values = np.stack([mean, se, z], axis=-1).transpose(1, 0, 2, 3)
-    table = _sample_site_table(check.times, values)
+    table = _sample_site_table(times, values)
     _write_csv(path, "time,site,family,mean_residual,stderr,zscore",
                [f"%.17g,%d,{fam},%.17g,%.17g,%.6g\r\n" for fam in FAMILIES],
                table.reshape(len(FAMILIES), -1, 5))
@@ -405,12 +399,6 @@ def _check_sources(
             f"{kind.name} at site {site} requires {COMPARTMENTS[comp].lower()}_counts >= 1 "
             f"(got {int(seen[bad])}); zero-propensity event applied"
         )
-
-
-def replay(initial: SystemState, log: EventLog) -> SystemState:
-    """Fold the event log over the initial state; equals the simulator's
-    terminal state exactly.  Raises if the log does not fit the state."""
-    return replay_trajectory(initial, log, [math.inf])[0]
 
 
 def replay_trajectory(

@@ -61,6 +61,7 @@ __all__ = [
     "log_entries",
     "step_ssa",
     "simulate_ssa",
+    "uniform_grid",
 ]
 
 RNG_ALGORITHM = "philox4x64/site-major-2u"
@@ -507,6 +508,12 @@ def _resolve_grid(horizon: float, sample_times: Optional[Sequence[float]] = None
     if grid[-1] > horizon:
         raise ValueError("sample grid must lie within [0, horizon]")
     return grid
+
+
+def uniform_grid(horizon: float, n_samples: int) -> np.ndarray:
+    """``n_samples`` equally spaced sample times over [0, horizon], both ends
+    included.  A zero horizon, or a count of 1, gives the single time 0."""
+    return np.linspace(0.0, horizon, n_samples) if horizon > 0 else np.array([0.0])
 
 
 # Events per block of uniforms the simulator draws at once.

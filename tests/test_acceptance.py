@@ -17,9 +17,10 @@ from sirb_lattice.deterministic import (
     refine_compare,
 )
 from sirb_lattice.diagnostics import (
-    CompensatorCheck,
+    FAMILIES,
+    Sweep,
     lln_experiment,
-    mean_zero_pass_fraction,
+    pass_fractions,
     square_amplitudes,
     sweep_log,
 )
@@ -134,12 +135,9 @@ def test_criterion_5_martingale_suite():
     grid = np.linspace(0.0, horizon, 11)
     trajs = [simulate_ssa(state0, horizon, grid, params, scaling, seed=20240805,
                           stream=r, record_events=True) for r in range(reps)]
-    sweeps = [sweep_log(t, params, scaling) for t in trajs]
-    z_all = np.stack([s.z for s in sweeps])
-    fractions = {f"Z_{c}": mean_zero_pass_fraction(z_all[:, :, ci])
-                 for ci, c in enumerate(COMPARTMENTS)}
-    check = CompensatorCheck.from_sweeps(grid, sweeps)
-    fractions.update(check.pass_fractions(sigma=3.0))
+    sweeps = Sweep.stack([sweep_log(t, params, scaling) for t in trajs])
+    fractions = pass_fractions(sweeps.z, [f"Z_{c}" for c in COMPARTMENTS])
+    fractions.update(pass_fractions(sweeps.observed - sweeps.predicted, FAMILIES, sigma=3.0))
     worst = min(fractions.values())
     _criterion(5, "mean-zero 3-sigma test passes in >= 95% of cells for every family",
                worst >= 0.95,

@@ -16,7 +16,7 @@ from sirb_lattice import cli, diagnostics
 from sirb_lattice import io as run_io
 from sirb_lattice.cli import ConfigError, main, parse_config, run
 from sirb_lattice.deterministic import ReactionField, homogeneous_ode
-from sirb_lattice.diagnostics import compensator_check, martingale_residual
+from sirb_lattice.diagnostics import Sweep, starting_point, sweep_log
 from sirb_lattice.stochastic import RNG_ALGORITHM, EventKind, EventLog, Trajectory, simulate_ssa
 
 BASE_CONFIG = """
@@ -413,19 +413,19 @@ def test_diagnose_workers_do_not_change_results(tmp_path):
     assert outputs[1] == outputs[2]
 
     # the same reports built from the same seeded trajectories in this process
-    state0, _ = cli._initial_state(cfg)
     params, scaling = cfg.params(), cfg.scaling()
+    state0, _, _ = starting_point(cfg.initial_fns(), scaling)
     trajs = [
         simulate_ssa(state0, cfg.horizon, cfg.sample_grid(), params, scaling,
                      seed=cfg.seed, stream=rep, record_events=True)
         for rep in range(3)
     ]
+    sweep = Sweep.stack([sweep_log(t, params, scaling) for t in trajs])
     ref = tmp_path / "reference"
     ref.mkdir()
-    run_io.write_martingale_csv(ref / DIAGNOSE_REPORTS[0],
-                                martingale_residual(trajs[0], params, scaling))
-    run_io.write_compensator_csv(ref / DIAGNOSE_REPORTS[1],
-                                 compensator_check(trajs, params, scaling))
+    run_io.write_martingale_csv(ref / DIAGNOSE_REPORTS[0], cfg.sample_grid(), sweep.z[0])
+    run_io.write_compensator_csv(ref / DIAGNOSE_REPORTS[1], cfg.sample_grid(),
+                                 sweep.observed - sweep.predicted)
     assert outputs[1] == [(ref / name).read_bytes() for name in DIAGNOSE_REPORTS]
 
 

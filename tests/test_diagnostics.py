@@ -10,12 +10,11 @@ from sirb_lattice import diagnostics
 from sirb_lattice.deterministic import ReactionField, drift_field
 from sirb_lattice.diagnostics import (
     FAMILIES,
-    CompensatorCheck,
+    Sweep,
     _sweep_chunk,
-    compensator_check,
     lln_experiment,
-    martingale_residual,
     mean_zero_pass_fraction,
+    pass_fractions,
     pool_size,
     square_amplitudes,
     sup_distance,
@@ -171,6 +170,10 @@ def test_cross_terms_are_nonpositive():
 # ---------------------------------------------------------------------------
 # Martingale residuals
 
+def stacked_sweeps(trajs, params, scaling) -> Sweep:
+    return Sweep.stack([sweep_log(t, params, scaling) for t in trajs])
+
+
 def test_residual_zero_rate_system_is_identically_zero():
     params = EpidemicParams(
         mu=0, alpha=0, gamma=0, rho=0, beta=0, p_over_w=0, mu_b=0,
@@ -180,8 +183,7 @@ def test_residual_zero_rate_system_is_identically_zero():
     state = SystemState.from_counts(*(np.full(4, 7) for _ in range(4)))
     traj = simulate_ssa(state, 1.0, np.linspace(0, 1, 5), params, scaling,
                         seed=1, record_events=True)
-    res = martingale_residual(traj, params, scaling)
-    assert np.all(res.z == 0.0)
+    assert np.all(sweep_log(traj, params, scaling).z == 0.0)
 
 
 def test_residual_requires_event_log():
@@ -190,7 +192,7 @@ def test_residual_requires_event_log():
     state = SystemState.from_counts(*(np.full(4, 7) for _ in range(4)))
     traj = simulate_ssa(state, 0.5, [0.0, 0.5], params, scaling, seed=1)
     with pytest.raises(ValueError, match="event log"):
-        martingale_residual(traj, params, scaling)
+        sweep_log(traj, params, scaling)
 
 
 def test_residual_single_event_hand_path():
@@ -213,7 +215,7 @@ def test_residual_single_event_hand_path():
     grid = np.array([0.0, 0.2, 0.4, 0.5, 1.0])
     counts = replay_trajectory(initial, log, grid).counts
     traj = Trajectory(sample_times=grid, counts=counts, event_log=log, seed=0)
-    res = martingale_residual(traj, params, scaling)
+    z = sweep_log(traj, params, scaling).z
     u0, u1 = 2.0, 1.9
     expected = np.array([
         0.0,
@@ -222,10 +224,10 @@ def test_residual_single_event_hand_path():
         (u1 - u0) + mu_b * (u0 * 0.4 + u1 * 0.1),
         (u1 - u0) + mu_b * (u0 * 0.4 + u1 * 0.6),
     ])
-    z_b = res.z[:, COMPARTMENTS.index("B")]
+    z_b = z[:, COMPARTMENTS.index("B")]
     assert np.allclose(z_b[:, 0], expected, rtol=1e-12, atol=1e-14)
     assert np.all(z_b[:, 1:] == 0.0)
-    assert np.all(res.z[:, COMPARTMENTS.index("S")] == 0.0)
+    assert np.all(z[:, COMPARTMENTS.index("S")] == 0.0)
 
 
 def test_residual_mean_zero_across_replicas():
@@ -236,14 +238,11 @@ def test_residual_mean_zero_across_replicas():
     )
     grid = np.linspace(0, 0.5, 6)
     reps = 100
-    z_all = []
-    for r in range(reps):
-        traj = simulate_ssa(state, 0.5, grid, params, scaling, seed=77, stream=r,
-                            record_events=True)
-        z_all.append(martingale_residual(traj, params, scaling).z)
-    z_all = np.stack(z_all)
-    for ci in range(4):
-        assert mean_zero_pass_fraction(z_all[:, :, ci], sigma=3.0) >= 0.9
+    trajs = [simulate_ssa(state, 0.5, grid, params, scaling, seed=77, stream=r,
+                          record_events=True) for r in range(reps)]
+    z = stacked_sweeps(trajs, params, scaling).z
+    for frac in pass_fractions(z, COMPARTMENTS, sigma=3.0).values():
+        assert frac >= 0.9
 
 
 # ---------------------------------------------------------------------------
@@ -321,19 +320,18 @@ def test_sweep_matches_per_event_reference():
         replicas = [Trajectory(grid, t.counts[:1], t.event_log, seed=0) for t in trajs]
         replicas.append(Trajectory(grid, state.stack()[None], empty, seed=0))
         sweeps = [sweep_log(traj, params, scaling) for traj in replicas]
-        checks = CompensatorCheck.from_sweeps(grid, sweeps)
-        assert checks.observed.shape == (len(replicas), grid.size, len(FAMILIES), n)
-        assert checks.predicted.shape == checks.observed.shape
-        # compensator_check is the same stack of the same sweeps
-        direct = compensator_check(replicas, params, scaling)
-        np.testing.assert_array_equal(direct.observed, checks.observed)
-        np.testing.assert_array_equal(direct.predicted, checks.predicted)
+        stacked = Sweep.stack(sweeps)
+        assert stacked.observed.shape == (len(replicas), grid.size, len(FAMILIES), n)
+        assert stacked.z.shape == (len(replicas), grid.size, len(COMPARTMENTS), n)
+        # field by field np.stack of the replicas' sweeps, replicas first
+        for name, stack in zip(Sweep._fields, stacked):
+            np.testing.assert_array_equal(stack, np.stack([getattr(s, name) for s in sweeps]))
         for r, traj in enumerate(replicas):
             z_ref, obs_ref, pred_ref = reference_sweep(traj, params, scaling)
-            assert np.all(sweeps[r].z[0] == 0.0)
-            np.testing.assert_allclose(sweeps[r].z, z_ref, rtol=1e-12, atol=1e-12)
-            np.testing.assert_allclose(checks.observed[r], obs_ref, rtol=1e-12, atol=1e-12)
-            np.testing.assert_allclose(checks.predicted[r], pred_ref, rtol=1e-12, atol=1e-12)
+            assert np.all(stacked.z[r, 0] == 0.0)
+            np.testing.assert_allclose(stacked.z[r], z_ref, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(stacked.observed[r], obs_ref, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(stacked.predicted[r], pred_ref, rtol=1e-12, atol=1e-12)
 
 
 def test_sweep_matches_per_event_reference_on_a_wide_lattice():
@@ -396,7 +394,7 @@ def test_compensator_zero_rate_system():
     state = SystemState.from_counts(*(np.full(4, 7) for _ in range(4)))
     trajs = [simulate_ssa(state, 1.0, [0.0, 1.0], params, scaling, seed=1,
                           stream=r, record_events=True) for r in range(3)]
-    check = compensator_check(trajs, params, scaling)
+    check = stacked_sweeps(trajs, params, scaling)
     assert np.all(check.observed == 0.0)
     assert np.all(check.predicted == 0.0)
 
@@ -417,12 +415,12 @@ def test_compensator_pure_death_analytic_mean():
     reps = 200
     trajs = [simulate_ssa(state, t_end, [0.0, t_end], params, scaling, seed=5,
                           stream=r, record_events=True) for r in range(reps)]
-    check = compensator_check(trajs, params, scaling)
+    check = stacked_sweeps(trajs, params, scaling)
     observed = check.observed[:, -1, FAMILIES.index("B"), 0]
     expected_mean = (1.0 - math.exp(-mu_b * t_end)) / k
     se = observed.std(ddof=1) / math.sqrt(reps)
     assert abs(observed.mean() - expected_mean) <= 4 * se
-    assert check.pass_fractions(sigma=4.0)["B"] >= 0.9
+    assert pass_fractions(check.observed - check.predicted, FAMILIES, sigma=4.0)["B"] >= 0.9
 
 
 def test_compensator_pure_transport_cross_terms():
@@ -439,11 +437,12 @@ def test_compensator_pure_transport_cross_terms():
     reps = 150
     trajs = [simulate_ssa(state, 0.4, [0.0, 0.2, 0.4], params, scaling, seed=6,
                           stream=r, record_events=True) for r in range(reps)]
-    check = compensator_check(trajs, params, scaling)
+    check = stacked_sweeps(trajs, params, scaling)
+    fractions = pass_fractions(check.observed - check.predicted, FAMILIES, sigma=4.0)
     for fam in ("B_cross_plus", "B_cross_minus"):
         assert np.all(check.observed[:, :, FAMILIES.index(fam)] <= 0.0)
         assert np.all(check.predicted[:, :, FAMILIES.index(fam)] <= 0.0)
-        assert check.pass_fractions(sigma=4.0)[fam] >= 0.9
+        assert fractions[fam] >= 0.9
     # total bacteria conserved: every event is a hop
     for traj in trajs:
         assert traj.final.b_counts.sum() == 3 * k
@@ -457,7 +456,7 @@ def test_compensator_square_families_nondecreasing_in_time():
     )
     trajs = [simulate_ssa(state, 1.0, np.linspace(0, 1, 6), params, scaling,
                           seed=8, stream=r, record_events=True) for r in range(5)]
-    check = compensator_check(trajs, params, scaling)
+    check = stacked_sweeps(trajs, params, scaling)
     squares = [FAMILIES.index(c) for c in COMPARTMENTS]
     assert np.all(np.diff(check.observed[:, :, squares], axis=1) >= 0.0)
     assert np.all(np.diff(check.predicted[:, :, squares], axis=1) >= -1e-15)
@@ -470,6 +469,16 @@ def test_mean_zero_pass_fraction_conventions():
     assert mean_zero_pass_fraction(samples) == 0.0  # zero variance, mean off
     with pytest.raises(ValueError):
         mean_zero_pass_fraction(np.zeros((1, 3)))
+
+    # pass_fractions: one fraction per row of axis 2, keyed by the names
+    samples = np.zeros((10, 2, 3, 4))
+    samples[:, :, 1] = 1.0  # zero spread, nonzero mean: every cell fails
+    samples[:, 1, 2, :2] = 2.0  # zero spread again: half of row c fails
+    assert pass_fractions(samples, ["a", "b", "c"]) == {"a": 1.0, "b": 0.0, "c": 0.75}
+    samples[::2, :, 1] = -1.0  # now spread around a zero mean: every cell passes
+    assert pass_fractions(samples, ("a", "b", "c"), sigma=1.0)["b"] == 1.0
+    with pytest.raises(ValueError, match="3 rows"):
+        pass_fractions(samples, COMPARTMENTS)
 
 
 # ---------------------------------------------------------------------------

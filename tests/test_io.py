@@ -15,7 +15,6 @@ from sirb_lattice.io import (
     CorruptFileError,
     _write_density_csv,
     read_trajectory,
-    replay,
     replay_trajectory,
     sha256_file,
     write_compensator_csv,
@@ -25,12 +24,11 @@ from sirb_lattice.io import (
 )
 from sirb_lattice.diagnostics import (
     FAMILIES,
-    CompensatorCheck,
     ConvergenceReport,
     LadderRung,
-    MartingaleResidual,
-    compensator_check,
+    Sweep,
     mean_zero_pass_fraction,
+    sweep_log,
 )
 from sirb_lattice.lattice import TransportCoefficients
 from sirb_lattice.stochastic import (
@@ -271,7 +269,7 @@ def test_replay_empty_log_returns_initial():
     state = SystemState.from_counts(*(np.full(4, 3) for _ in range(4)))
     log = EventLog(np.empty(0), np.empty(0, dtype=np.uint8),
                    np.empty(0, dtype=np.uint32))
-    assert replay(state, log) == state
+    assert replay_trajectory(state, log, [math.inf])[0] == state
 
 
 def test_replay_single_event():
@@ -279,12 +277,13 @@ def test_replay_single_event():
     log = EventLog(np.array([0.1]),
                    np.array([int(EventKind.RECOVERY)], dtype=np.uint8),
                    np.array([2], dtype=np.uint32))
-    assert replay(state, log) == apply_event(state, Event(EventKind.RECOVERY, 2))
+    final = replay_trajectory(state, log, [math.inf])[0]
+    assert final == apply_event(state, Event(EventKind.RECOVERY, 2))
 
 
 def test_replay_reproduces_simulated_snapshots():
     traj, params, scaling = sample_run()
-    final = replay(traj.initial, traj.event_log)
+    final = replay_trajectory(traj.initial, traj.event_log, [math.inf])[0]
     assert final == traj.final
     snaps = replay_trajectory(traj.initial, traj.event_log, traj.sample_times)
     for a, b in zip(snaps, traj.states):
@@ -299,7 +298,7 @@ def test_replay_detects_mismatched_log():
                    np.array([int(EventKind.BACTERIA_DEATH)], dtype=np.uint8),
                    np.array([0], dtype=np.uint32))
     with pytest.raises(ValueError):
-        replay(state, log)
+        replay_trajectory(state, log, [math.inf])[0]
 
 
 @pytest.mark.parametrize("kind, site", [(14, 0), (255, 0), (0, 4), (12, 2**32 - 1)])
@@ -309,7 +308,7 @@ def test_replay_rejects_unknown_kind_or_site(kind, site):
                    np.array([0, kind], dtype=np.uint8),
                    np.array([1, site], dtype=np.uint32))
     with pytest.raises(ValueError, match="kind" if kind >= 14 else "site"):
-        replay(state, log)
+        replay_trajectory(state, log, [math.inf])[0]
     with pytest.raises(ValueError):
         replay_trajectory(state, log, [0.0, 0.3])
 
@@ -337,7 +336,7 @@ def test_replay_detects_source_emptied_then_refilled(padding):
         for _, event in log:
             oracle = apply_event(oracle, event)
     with pytest.raises(ValueError, match=message):
-        replay(state, log)
+        replay_trajectory(state, log, [math.inf])[0]
     with pytest.raises(ValueError, match=message):
         replay_trajectory(state, log, [0.0, 0.5])
 
@@ -360,7 +359,7 @@ def test_replay_trajectory_bit_identical_on_wide_lattice():
         for c in "sirb":
             assert a.counts(c).dtype == b.counts(c).dtype
             assert np.array_equal(a.counts(c), b.counts(c))
-    assert replay(traj.initial, traj.event_log) == traj.final
+    assert replay_trajectory(traj.initial, traj.event_log, [math.inf])[0] == traj.final
 
 
 def test_replayed_round_trip_matches_terminal_state(tmp_path):
@@ -370,7 +369,7 @@ def test_replayed_round_trip_matches_terminal_state(tmp_path):
     initial = SystemState.from_counts(
         *(np.array(manifest.initial_counts[c]) for c in "sirb")
     )
-    assert replay(initial, loaded.event_log) == traj.final
+    assert replay_trajectory(initial, loaded.event_log, [math.inf])[0] == traj.final
 
 
 # ---------------------------------------------------------------------------
@@ -411,23 +410,22 @@ def rows_reference(header, rows) -> bytes:
     return buf.getvalue().encode()
 
 
-def report_reference(residual, check, report) -> tuple[bytes, ...]:
+def report_reference(times, z, observed, predicted, report) -> tuple[bytes, ...]:
     """The diagnose and converge reports written row by row through
     csv.writer.  A z-score with zero spread is 0 for a zero mean and the
     sign of the mean times infinity otherwise."""
-    z = residual.z
     martingale = rows_reference(
         ["time", "site", "compartment", "z"],
         [[f"{t:.17g}", j + 1, name, f"{z[ti, ci, j]:.17g}"]
          for ci, name in enumerate("SIRB")
-         for ti, t in enumerate(residual.times) for j in range(z.shape[2])])
+         for ti, t in enumerate(times) for j in range(z.shape[2])])
 
     rows = []
     for fi, fam in enumerate(("S", "I", "R", "B", "B_cross_plus", "B_cross_minus")):
-        res = check.observed[:, :, fi] - check.predicted[:, :, fi]
+        res = observed[:, :, fi] - predicted[:, :, fi]
         mean = res.mean(axis=0)
         se = res.std(axis=0, ddof=1) / np.sqrt(res.shape[0])
-        for ti, t in enumerate(check.times):
+        for ti, t in enumerate(times):
             for j in range(mean.shape[1]):
                 m, s = mean[ti, j], se[ti, j]
                 zscore = m / s if s > 0 else (0.0 if m == 0 else math.copysign(math.inf, m))
@@ -458,7 +456,7 @@ def test_report_writers_match_csv_module_reference(tmp_path):
     z = field(4, len(times), n)
     z[:, 0] = 0.0
     z[1, 2, 3] = -0.0
-    residual = MartingaleResidual(times, z.transpose(1, 0, 2))
+    z = z.transpose(1, 0, 2)
     observed = field(n_rep, len(times), len(FAMILIES), n)
     predicted = field(n_rep, len(times), len(FAMILIES), n)
     observed[:, 0] = predicted[:, 0] = 0.0  # zero spread and mean: z-score 0
@@ -466,7 +464,6 @@ def test_report_writers_match_csv_module_reference(tmp_path):
     predicted[:, 1, 1, 2] = 0.5
     observed[:, 2, 4, 0] = -1.0  # zero spread, negative mean: -inf
     predicted[:, 2, 4, 0] = 0.0
-    check = CompensatorCheck(times, observed, predicted)
 
     report = ConvergenceReport("theorem1", 1.0, 3, 7, [
         LadderRung(n, h, k, field(3) ** 2, 0.5 / h, exits)
@@ -474,12 +471,12 @@ def test_report_writers_match_csv_module_reference(tmp_path):
     ])
     report.rungs[1].distances[1] = 1e-300
 
-    write_martingale_csv(tmp_path / "martingale.csv", residual)
-    write_compensator_csv(tmp_path / "compensators.csv", check)
+    write_martingale_csv(tmp_path / "martingale.csv", times, z)
+    write_compensator_csv(tmp_path / "compensators.csv", times, observed - predicted)
     write_convergence_report(tmp_path, report)
     written = [(tmp_path / name).read_bytes() for name in (
         "martingale.csv", "compensators.csv", "report_distances.csv", "report_summary.csv")]
-    assert written == list(report_reference(residual, check, report))
+    assert written == list(report_reference(times, z, observed, predicted, report))
     assert b"inf" in written[1] and b"-inf" in written[1]
 
 
@@ -493,11 +490,11 @@ def test_report_zscores_agree_with_the_pass_test(tmp_path):
                                     np.full(n, 5))
     trajs = [simulate_ssa(state, 1.0, [0.0, 0.01, 1.0], make_params(n), scaling, seed=1,
                           stream=r, record_events=True) for r in range(2)]
-    check = compensator_check(trajs, make_params(n), scaling)
-    write_compensator_csv(tmp_path / "compensators.csv", check)
+    check = Sweep.stack([sweep_log(t, make_params(n), scaling) for t in trajs])
+    res = check.observed - check.predicted
+    write_compensator_csv(tmp_path / "compensators.csv", trajs[0].sample_times, res)
     with open(tmp_path / "compensators.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
-    res = check.residuals()
     passes = [mean_zero_pass_fraction(res[:, ti, fi, j:j + 1], sigma) == 1.0
               for fi in range(len(FAMILIES)) for ti in range(3) for j in range(n)]
     zscores = [float(row["zscore"]) for row in rows]
@@ -519,4 +516,4 @@ def test_golden_regression_terminal_state():
     blob = b"".join(traj.final.counts(c).astype("<i8").tobytes() for c in "sirb")
     assert hashlib.sha256(blob).hexdigest() == GOLDEN_TERMINAL_SHA256
     # and the log replays to the same state
-    assert replay(state, traj.event_log) == traj.final
+    assert replay_trajectory(state, traj.event_log, [math.inf])[0] == traj.final
