@@ -97,9 +97,9 @@ def model(n: int, continuum: bool = True) -> tuple[EpidemicParams, Deterministic
         transport=TransportCoefficients(0.5, 0.7, 8 if continuum else n),
     ).with_lattice(n)
     x = (np.arange(n) + 0.5) / n
-    v0 = DeterministicState.from_stack(np.stack([
+    v0 = DeterministicState(
         0.9 + 0.05 * np.sin(2 * np.pi * x), np.full(n, 0.1), np.zeros(n), np.full(n, 0.5),
-    ]))
+    )
     return params, v0
 
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from sirb_lattice import EpidemicParams, ReactionField
 from sirb_lattice.deterministic import DeterministicState, integrate, linear_oracle
-from sirb_lattice.lattice import LatticeField, TransportCoefficients
+from sirb_lattice.lattice import TransportCoefficients
 
 DIFFUSION, SPEED, DECAY = 0.01, 0.05, 1.0
 BASELINE, AMPLITUDE = 1.0, 0.5
@@ -28,10 +28,9 @@ for m in (16, 32, 64, 128):
                             p_over_w=0.0, mu_b=DECAY, transport=tc)
     rf = ReactionField(params, hk_ratio=0.0, mode="decoupled")
     centers = (np.arange(m) + 0.5) / m
-    zero = LatticeField(np.zeros(m))
+    zero = np.zeros(m)
     v0 = DeterministicState(
-        zero, zero, zero,
-        LatticeField(BASELINE + AMPLITUDE * np.sin(2 * np.pi * centers)),
+        zero, zero, zero, BASELINE + AMPLITUDE * np.sin(2 * np.pi * centers),
     )
     states = integrate(v0, HORIZON, rf, tc, sample_times=[0.0, HORIZON])
     exact = linear_oracle(1, AMPLITUDE, tc, DECAY, HORIZON, centers, baseline=BASELINE)

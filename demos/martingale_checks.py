@@ -36,7 +36,7 @@ profiles = [
     lambda x: np.full_like(np.asarray(x, dtype=float), 0.5),
 ]
 fields = [project(f, N) for f in profiles]
-state0 = SystemState.from_densities(*(f.values for f in fields), scaling=scaling)
+state0 = SystemState.from_densities(*fields, scaling=scaling)
 grid = np.linspace(0.0, HORIZON, 11)
 
 print(f"{REPS} replicas at N={N}, H=K={POP}, logging every event...")

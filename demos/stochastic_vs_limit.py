@@ -37,7 +37,7 @@ profiles = [
 pop = 2000
 scaling = ScalingParams(N, pop, pop)
 fields = [project(f, N) for f in profiles]
-state0 = SystemState.from_densities(*(f.values for f in fields), scaling=scaling)
+state0 = SystemState.from_densities(*fields, scaling=scaling)
 grid = np.linspace(0.0, 1.0, 21)
 traj = simulate_ssa(state0, 1.0, grid, params, scaling, seed=7)
 rf = ReactionField(params, hk_ratio=1.0)

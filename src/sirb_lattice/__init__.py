@@ -10,7 +10,6 @@ the limits.
 __version__ = "0.1.0"
 
 from .lattice import (  # noqa: F401
-    LatticeField,
     TransportCoefficients,
     project,
 )

@@ -30,7 +30,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .lattice import LatticeField, TransportCoefficients, project
+from .lattice import MIN_SITES, TransportCoefficients, project
 from .stochastic import (
     COMPARTMENTS,
     N_EVENT_KINDS,
@@ -104,33 +104,30 @@ class ReactionField:
 
 @dataclass
 class DeterministicState:
-    """Four density fields on a common lattice."""
+    """Four float density arrays on one lattice of at least MIN_SITES sites."""
 
-    s: LatticeField
-    i: LatticeField
-    r: LatticeField
-    b: LatticeField
+    s: np.ndarray
+    i: np.ndarray
+    r: np.ndarray
+    b: np.ndarray
 
     def __post_init__(self):
-        n = self.s.n_sites
-        if any(f.n_sites != n for f in (self.i, self.r, self.b)):
-            raise ValueError("all four fields must share one lattice")
+        y = np.stack((self.s, self.i, self.r, self.b)).astype(float)
+        if y.ndim != 2 or y.shape[1] < MIN_SITES:
+            raise ValueError(f"fields must be 1-D on at least {MIN_SITES} sites: {y.shape}")
+        self.s, self.i, self.r, self.b = y
 
     @property
     def n_sites(self) -> int:
-        return self.s.n_sites
+        return self.s.shape[0]
 
     def stack(self) -> np.ndarray:
         """(4, n) array in the order (S, I, R, B)."""
-        return np.stack([self.s.values, self.i.values, self.r.values, self.b.values])
-
-    @classmethod
-    def from_stack(cls, y: np.ndarray) -> "DeterministicState":
-        return cls(*(LatticeField(row) for row in y))
+        return np.stack([self.s, self.i, self.r, self.b])
 
     @classmethod
     def constant(cls, values: Sequence[float], n_sites: int) -> "DeterministicState":
-        return cls.from_stack(np.outer(np.asarray(values, dtype=float), np.ones(n_sites)))
+        return cls(*np.outer(np.asarray(values, dtype=float), np.ones(n_sites)))
 
     @classmethod
     def from_functions(

@@ -26,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional, Sequence
@@ -47,6 +47,7 @@ from .stochastic import (
     ScalingParams,
     SystemState,
     Trajectory,
+    _increasing_grid,
     log_entries,
 )
 
@@ -100,7 +101,8 @@ class RunManifest:
     stats: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
+        # the fields as they are: dataclasses.asdict would deep-copy them
+        return json.dumps(vars(self), indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "RunManifest":
@@ -147,7 +149,7 @@ def _scaling_dict(scaling: ScalingParams) -> dict:
 
 
 def _counts_dict(state: SystemState) -> dict:
-    return {c.lower(): row.tolist() for c, row in zip(COMPARTMENTS, state.stack())}
+    return {c.lower(): row.tolist() for c, row in zip(COMPARTMENTS, state.counts)}
 
 
 def _write_csv(path, header: str, rows: Sequence[str], table: np.ndarray):
@@ -411,10 +413,11 @@ def replay_trajectory(
 
     Checks what apply_event checks, for every event: a known kind, a site
     on the lattice, and a source count of at least one just before it.
+    The sample times must strictly increase; the last may be +inf.
     """
-    grid = np.asarray(sample_times, dtype=float)
+    grid = _increasing_grid(sample_times)
     n = initial.n_sites
-    initial_counts = initial.stack().ravel().astype(np.int64)
+    initial_counts = initial.counts.ravel()
     counts = initial_counts.copy()
     # row g: deltas of the events that snapshot g is the first to see
     binned = np.zeros((grid.size + 1, counts.size), dtype=np.int64)

@@ -1,5 +1,5 @@
-"""Periodic 1-D lattice: step-function fields, their projection, and the
-coefficients of the biased nearest-neighbour transport.
+"""Periodic 1-D lattice: the projection of profiles onto per-site float
+arrays, and the coefficients of the biased nearest-neighbour transport.
 
 The unit interval is split into ``n`` sites; site ``j`` (0-based) covers
 ``(j/n, (j+1)/n]`` and all indexing wraps around modulo ``n``.  User-facing
@@ -19,40 +19,12 @@ import numpy as np
 
 __all__ = [
     "MIN_SITES",
-    "LatticeField",
     "TransportCoefficients",
     "project",
 ]
 
 # Centered stencils need two distinct neighbours per site.
 MIN_SITES = 3
-
-
-@dataclass(frozen=True)
-class LatticeField:
-    """A real step function on the periodic lattice: one value per site.
-
-    Treat instances as immutable; operators return new fields.
-    """
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1:
-            raise ValueError(f"lattice field must be 1-D, got shape {v.shape}")
-        if v.shape[0] < MIN_SITES:
-            raise ValueError(
-                f"lattice needs at least {MIN_SITES} sites, got {v.shape[0]}"
-            )
-        object.__setattr__(self, "values", v)
-
-    @property
-    def n_sites(self) -> int:
-        return self.values.shape[0]
-
-    def __len__(self) -> int:
-        return self.n_sites
 
 
 @dataclass(frozen=True)
@@ -117,7 +89,7 @@ class TransportCoefficients:
         return cls(ell=ell, p_out=0.5 * (1.0 + bias), n_sites=n_sites)
 
 
-def project(f: Callable, n_sites: int, quadrature_points: int = 16) -> LatticeField:
+def project(f: Callable, n_sites: int, quadrature_points: int = 16) -> np.ndarray:
     """Project a 1-periodic function onto the lattice by per-site averaging.
 
     Site j receives ``n * integral of f over (j/n, (j+1)/n]``, approximated
@@ -130,7 +102,7 @@ def project(f: Callable, n_sites: int, quadrature_points: int = 16) -> LatticeFi
         quadrature_points: midpoint sub-points per site (>= 1).
 
     Returns:
-        The projected LatticeField.
+        The site averages, a float array of length ``n_sites``.
 
     Raises:
         ValueError: on non-finite function values or bad arguments.
@@ -150,4 +122,4 @@ def project(f: Callable, n_sites: int, quadrature_points: int = 16) -> LatticeFi
         vals = np.array([[float(f(xi)) for xi in row] for row in x])
     if not np.all(np.isfinite(vals)):
         raise ValueError("function returned non-finite values on [0, 1]")
-    return LatticeField(vals.mean(axis=1))
+    return vals.mean(axis=1)

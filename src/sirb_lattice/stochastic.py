@@ -1,6 +1,6 @@
 """Exact event-driven simulation of the lattice SIRB jump process.
 
-The state is four per-site integer count vectors (susceptible, infected,
+The state is one (4, n) array of integer counts (susceptible, infected,
 recovered humans and bacteria).  Fourteen event kinds fire with propensities
 proportional to local counts; rescaled densities are counts divided by the
 renormalization constants H (humans) and K (bacteria).  Counts, not rescaled
@@ -39,7 +39,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .lattice import MIN_SITES, LatticeField, TransportCoefficients
+from .lattice import MIN_SITES, TransportCoefficients
 
 __all__ = [
     "RNG_ALGORITHM",
@@ -184,58 +184,47 @@ class ScalingParams:
                 raise ValueError(f"{name} must be an integer >= {lo}, got {v!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SystemState:
-    """Per-site integer counts for the four compartments."""
+    """Per-site counts, a (4, n) int64 array with rows COMPARTMENTS; every
+    state is checked to hold nonnegative integers on at least MIN_SITES sites."""
 
-    s_counts: np.ndarray
-    i_counts: np.ndarray
-    r_counts: np.ndarray
-    b_counts: np.ndarray
+    counts: np.ndarray
+
+    def __post_init__(self):
+        counts = np.asarray(self.counts)
+        if counts.ndim != 2 or len(counts) != len(COMPARTMENTS) or counts.shape[1] < MIN_SITES:
+            raise ValueError(f"counts must be (4, n) with n >= {MIN_SITES}, got {counts.shape}")
+        if not np.issubdtype(counts.dtype, np.integer):
+            if not np.all(np.isfinite(counts) & (counts == np.round(counts))):
+                raise ValueError("counts must be integers")
+        if np.any(counts < 0):
+            raise ValueError("counts must be nonnegative")
+        object.__setattr__(self, "counts", counts.astype(np.int64, copy=False))
 
     @classmethod
     def from_counts(cls, s, i, r, b) -> "SystemState":
-        """Validated constructor: equal lengths, nonnegative integers."""
-        arrs = [np.asarray(a) for a in (s, i, r, b)]
-        n = arrs[0].shape[0] if arrs[0].ndim == 1 else -1
-        for a in arrs:
-            if a.ndim != 1 or a.shape[0] != n:
-                raise ValueError("compartment count vectors must be 1-D of equal length")
-            if not np.issubdtype(a.dtype, np.integer):
-                if not np.all(a == np.round(a)):
-                    raise ValueError("counts must be integers")
-            if np.any(a < 0):
-                raise ValueError("counts must be nonnegative")
-        if n < MIN_SITES:
-            raise ValueError(f"lattice needs at least {MIN_SITES} sites, got {n}")
-        return cls(*(a.astype(np.int64) for a in arrs))
+        """The state of four per-site count vectors of equal length."""
+        return cls(np.stack((s, i, r, b)))
 
     @classmethod
     def from_densities(cls, s, i, r, b, scaling: ScalingParams) -> "SystemState":
         """Round rescaled densities to the nearest integer counts."""
-        v = np.stack([a.values if isinstance(a, LatticeField) else np.asarray(a, dtype=float)
-                      for a in (s, i, r, b)])
-        return cls.from_counts(*np.rint(v * _renormalization(scaling)).astype(np.int64))
+        v = np.stack((s, i, r, b))
+        return cls(np.rint(v * _renormalization(scaling)).astype(np.int64))
 
     @property
     def n_sites(self) -> int:
-        return self.s_counts.shape[0]
-
-    def counts(self, compartment: str) -> np.ndarray:
-        return getattr(self, f"{compartment}_counts")
-
-    def stack(self) -> np.ndarray:
-        """Counts as a (4, n) int64 array in the order (S, I, R, B)."""
-        return np.stack([self.s_counts, self.i_counts, self.r_counts, self.b_counts])
+        return self.counts.shape[1]
 
     def rescaled(self, scaling: ScalingParams) -> np.ndarray:
         """Densities as a (4, n) float array in the order (S, I, R, B)."""
-        return self.stack() / _renormalization(scaling)
+        return self.counts / _renormalization(scaling)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SystemState):
             return NotImplemented
-        return np.array_equal(self.stack(), other.stack())
+        return np.array_equal(self.counts, other.counts)
 
 
 @dataclass(frozen=True)
@@ -286,7 +275,7 @@ class SampledStates(Sequence):
         return self.counts.shape[0]
 
     def __getitem__(self, sample: int) -> SystemState:
-        return SystemState(*self.counts[operator.index(sample)])
+        return SystemState(self.counts[operator.index(sample)])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Sequence):
@@ -356,7 +345,7 @@ def all_rates(
 ) -> np.ndarray:
     """All propensities as a (14, n_sites) array indexed by EventKind."""
     _check_compatible(state.n_sites, params, scaling)
-    counts = state.stack().astype(float)
+    counts = state.counts.astype(float)
     out = np.array(_rate_coefficients(params))[:, None] * counts[list(_RATE_SOURCE)]
     b = counts[COMPARTMENTS.index("B")]
     out[EventKind.INFECTION] = out[EventKind.INFECTION] * b / (scaling.k + b)
@@ -403,7 +392,7 @@ def apply_event(state: SystemState, e: Event) -> SystemState:
     an exact simulator never selects such an event, so hitting this signals
     an engine or replay bug.
     """
-    counts = state.stack()
+    counts = state.counts.copy()
     n = state.n_sites
     j = e.site % n
     for c, _, need in SOURCES[e.kind].tolist():
@@ -415,7 +404,7 @@ def apply_event(state: SystemState, e: Event) -> SystemState:
             )
     for c, offset, delta in STOICHIOMETRY[e.kind].tolist():
         counts[c, (j + offset) % n] += delta
-    return SystemState(*counts)
+    return SystemState(counts)
 
 
 def log_entries(
@@ -470,7 +459,7 @@ def step_ssa(
     """
     _check_compatible(state.n_sites, params, scaling)
     weights, beta = _site_weights(params)
-    totals = _site_total(weights, beta, float(scaling.k), *state.stack())
+    totals = _site_total(weights, beta, float(scaling.k), *state.counts)
     cum = np.cumsum(totals)
     total = float(cum[-1])
     if total <= 0.0:
@@ -498,15 +487,19 @@ def _resolve_grid(horizon: float, sample_times: Optional[Sequence[float]] = None
     if sample_times is None:
         grid = np.array([0.0, horizon]) if horizon > 0 else np.array([0.0])
     else:
-        grid = np.asarray(sample_times, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValueError("sample grid must be a nonempty 1-D array")
+        grid = _increasing_grid(sample_times)
     if grid[0] != 0.0:
         raise ValueError("sample grid must start at t = 0")
-    if grid.size > 1 and not np.all(np.diff(grid) > 0):
-        raise ValueError("sample times must be strictly increasing")
     if grid[-1] > horizon:
         raise ValueError("sample grid must lie within [0, horizon]")
+    return grid
+
+
+def _increasing_grid(sample_times: Sequence[float]) -> np.ndarray:
+    """The sample times as a nonempty, strictly increasing 1-D float array."""
+    grid = np.asarray(sample_times, dtype=float)
+    if grid.ndim != 1 or grid.size == 0 or np.isnan(grid[0]) or not np.all(np.diff(grid) > 0):
+        raise ValueError("sample times must be a nonempty, strictly increasing 1-D array")
     return grid
 
 
@@ -584,11 +577,11 @@ def simulate_ssa(
 
     weights, beta = _site_weights(params)
     kcap = float(scaling.k)
-    totals = _site_total(weights, beta, kcap, *initial.stack())
+    totals = _site_total(weights, beta, kcap, *initial.counts)
     cum = np.empty_like(totals)
     site_totals, cum_view = memoryview(totals), memoryview(cum)
     # Counts as one list of 4n cells, compartment * n + site.
-    counts = initial.stack().ravel().tolist()
+    counts = initial.counts.ravel().tolist()
     b_row = 3 * n
 
     # Each kind's coefficient and the row of its source compartment, in

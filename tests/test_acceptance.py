@@ -24,7 +24,7 @@ from sirb_lattice.diagnostics import (
     square_amplitudes,
     sweep_log,
 )
-from sirb_lattice.lattice import LatticeField, TransportCoefficients
+from sirb_lattice.lattice import TransportCoefficients
 from sirb_lattice.stochastic import (
     COMPARTMENTS,
     EpidemicParams,
@@ -97,9 +97,9 @@ def test_criterion_3_linear_oracle():
     params = EpidemicParams(transport=tc, **{**RATES, "mu_b": 1.0})
     rf = ReactionField(params, hk_ratio=0.0, mode="decoupled")
     xc = (np.arange(m) + 0.5) / m
-    zero = LatticeField(np.zeros(m))
+    zero = np.zeros(m)
     v0 = DeterministicState(zero, zero, zero,
-                            LatticeField(1.0 + 0.5 * np.sin(2 * np.pi * xc)))
+                            1.0 + 0.5 * np.sin(2 * np.pi * xc))
     states = integrate(v0, 1.0, rf, tc, sample_times=[0.0, 1.0])
     expected = linear_oracle(1, 0.5, tc, params.mu_b, 1.0, xc, baseline=1.0)
     rel = float(np.max(np.abs(states[-1, 3] - expected))
@@ -130,8 +130,8 @@ def test_criterion_5_martingale_suite():
     params = params_for(n)
     scaling = ScalingParams(n, pop, pop)
     fns = smooth_profiles()
-    fields = [LatticeField(fn((np.arange(n) + 0.5) / n)) for fn in fns]
-    state0 = SystemState.from_densities(*(f.values for f in fields), scaling=scaling)
+    fields = [fn((np.arange(n) + 0.5) / n) for fn in fns]
+    state0 = SystemState.from_densities(*fields, scaling=scaling)
     grid = np.linspace(0.0, horizon, 11)
     trajs = [simulate_ssa(state0, horizon, grid, params, scaling, seed=20240805,
                           stream=r, record_events=True) for r in range(reps)]
@@ -197,8 +197,8 @@ def test_criterion_7_structural_invariants():
         # recovers the integer counts to within an ulp
         for st in traj.states:
             dens = st.rescaled(scaling)
-            for row, (comp, scale) in enumerate(zip("sirb", (h, h, h, k))):
-                counts = st.counts(comp)
+            for row, scale in enumerate((h, h, h, k)):
+                counts = st.counts[row]
                 ok_positive &= counts.min() >= 0
                 back = dens[row] * scale
                 ok_grid &= (np.array_equal(np.rint(back), counts.astype(float))
@@ -207,10 +207,9 @@ def test_criterion_7_structural_invariants():
         state = state0
         for t, event in log:
             nxt = apply_event(state, event)
-            for comp in "sirb":
-                delta = nxt.counts(comp) - state.counts(comp)
-                ok_jumps &= int(np.abs(delta).max()) <= 1
-            db = int(nxt.b_counts.sum() - state.b_counts.sum())
+            delta = nxt.counts - state.counts
+            ok_jumps &= int(np.abs(delta).max()) <= 1
+            db = int(nxt.counts[3].sum() - state.counts[3].sum())
             if event.kind in (EventKind.TRANSPORT_OUT, EventKind.TRANSPORT_IN):
                 ok_conserve &= db == 0
             else:

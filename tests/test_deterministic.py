@@ -18,7 +18,7 @@ from sirb_lattice.deterministic import (
     linear_oracle,
     refine_compare,
 )
-from sirb_lattice.lattice import LatticeField, TransportCoefficients
+from sirb_lattice.lattice import TransportCoefficients
 from sirb_lattice.stochastic import (
     _RATE_SOURCE,
     EpidemicParams,
@@ -157,11 +157,11 @@ def test_rhs_constant_disease_free_is_zero():
 def test_rhs_decoupled_bacteria_reduces_to_linear_operator():
     m = 16
     params, rf, tc = bacteria_only_setup(m)
-    b = LatticeField(1.0 + 0.3 * np.sin(2 * np.pi * (np.arange(m) + 0.5) / m))
-    zero = LatticeField(np.zeros(m))
+    b = 1.0 + 0.3 * np.sin(2 * np.pi * (np.arange(m) + 0.5) / m)
+    zero = np.zeros(m)
     v = DeterministicState(zero, zero, zero, b)
     out = drift_field(rf, m)(v.stack())
-    expected = closed_forms.transport(b.values, tc) - params.mu_b * b.values
+    expected = closed_forms.transport(b, tc) - params.mu_b * b
     assert np.allclose(out[3], expected, rtol=1e-12, atol=1e-12)
     assert np.allclose(out[:3], 0.0)
 
@@ -185,9 +185,9 @@ def test_integrate_matches_linear_oracle():
     m = 32
     params, rf, tc = bacteria_only_setup(m)
     xc = (np.arange(m) + 0.5) / m
-    zero = LatticeField(np.zeros(m))
+    zero = np.zeros(m)
     v0 = DeterministicState(zero, zero, zero,
-                            LatticeField(1.0 + 0.5 * np.sin(2 * np.pi * xc)))
+                            1.0 + 0.5 * np.sin(2 * np.pi * xc))
     states = integrate(v0, 1.0, rf, tc, sample_times=[0.0, 1.0])
     expected = linear_oracle(1, 0.5, tc, params.mu_b, 1.0, xc, baseline=1.0)
     rel = np.max(np.abs(states[-1, 3] - expected)) / np.max(np.abs(expected))
@@ -200,9 +200,9 @@ def test_integrate_matches_linear_oracle_tightly_for_gentle_transport():
     m = 64
     params, rf, tc = bacteria_only_setup(m, diffusion=1e-5, nu=1e-4)
     xc = (np.arange(m) + 0.5) / m
-    zero = LatticeField(np.zeros(m))
+    zero = np.zeros(m)
     v0 = DeterministicState(zero, zero, zero,
-                            LatticeField(1.0 + 0.5 * np.sin(2 * np.pi * xc)))
+                            1.0 + 0.5 * np.sin(2 * np.pi * xc))
     states = integrate(v0, 1.0, rf, tc, dt=1e-3, sample_times=[0.0, 1.0])
     expected = linear_oracle(1, 0.5, tc, params.mu_b, 1.0, xc, baseline=1.0)
     rel = np.max(np.abs(states[-1, 3] - expected)) / np.max(np.abs(expected))
@@ -213,9 +213,9 @@ def test_integrate_self_convergence_under_dt_halving():
     m = 16
     params, rf, tc = bacteria_only_setup(m)
     xc = (np.arange(m) + 0.5) / m
-    zero = LatticeField(np.zeros(m))
+    zero = np.zeros(m)
     v0 = DeterministicState(zero, zero, zero,
-                            LatticeField(1.0 + 0.4 * np.sin(2 * np.pi * xc)))
+                            1.0 + 0.4 * np.sin(2 * np.pi * xc))
     coarse = integrate(v0, 1.0, rf, tc, dt=2e-3, sample_times=[0.0, 1.0])
     fine = integrate(v0, 1.0, rf, tc, dt=1e-3, sample_times=[0.0, 1.0])
     diff = np.max(np.abs(coarse[-1] - fine[-1]))
@@ -227,9 +227,9 @@ def test_integrate_positivity_with_clamp_counters():
     rf = ReactionField(params, hk_ratio=1.0)
     x = (np.arange(8) + 0.5) / 8
     v0 = DeterministicState(
-        LatticeField(0.9 + 0.05 * np.sin(2 * np.pi * x)),
-        LatticeField(np.full(8, 0.1)), LatticeField(np.zeros(8)),
-        LatticeField(np.full(8, 0.5)),
+        0.9 + 0.05 * np.sin(2 * np.pi * x),
+        np.full(8, 0.1), np.zeros(8),
+        np.full(8, 0.5),
     )
     stats = {}
     states = integrate(v0, 5.0, rf, params.transport,
@@ -244,9 +244,9 @@ def test_integrate_sup_norm_growth_bound():
     rf = ReactionField(params, hk_ratio=1.0)
     x = (np.arange(8) + 0.5) / 8
     v0 = DeterministicState(
-        LatticeField(0.8 + 0.2 * np.sin(2 * np.pi * x)),
-        LatticeField(np.full(8, 0.3)), LatticeField(np.full(8, 0.1)),
-        LatticeField(np.full(8, 0.6)),
+        0.8 + 0.2 * np.sin(2 * np.pi * x),
+        np.full(8, 0.3), np.full(8, 0.1),
+        np.full(8, 0.6),
     )
     c0 = float(np.max(np.abs(v0.stack())))
     horizon = 2.0
@@ -260,12 +260,17 @@ def test_integrate_detects_blowup():
     m = 32
     params, rf, tc = bacteria_only_setup(m, diffusion=0.05)
     xc = (np.arange(m) + 0.5) / m
-    zero = LatticeField(np.zeros(m))
+    zero = np.zeros(m)
     v0 = DeterministicState(zero, zero, zero,
-                            LatticeField(1.0 + 0.5 * np.sin(2 * np.pi * xc)))
+                            1.0 + 0.5 * np.sin(2 * np.pi * xc))
     # dt far beyond the diffusion stability limit
     with pytest.raises(IntegrationError):
         integrate(v0, 5.0, rf, tc, dt=0.5, sample_times=[0.0, 5.0])
+
+
+def test_state_rejects_fields_of_unequal_length():
+    with pytest.raises(ValueError, match="same shape"):
+        DeterministicState(np.zeros(4), np.zeros(4), np.zeros(5), np.zeros(4))
 
 
 def test_integrate_rejects_negative_initial():
@@ -280,13 +285,13 @@ def test_decoupled_bacteria_invariant_to_human_perturbation():
     m = 8
     params, rf, tc = bacteria_only_setup(m)
     x = (np.arange(m) + 0.5) / m
-    b0 = LatticeField(1.0 + 0.2 * np.sin(2 * np.pi * x))
-    zero = LatticeField(np.zeros(m))
+    b0 = 1.0 + 0.2 * np.sin(2 * np.pi * x)
+    zero = np.zeros(m)
     grid = np.linspace(0, 1, 5)
     v_zero = DeterministicState(zero, zero, zero, b0)
     v_perturbed = DeterministicState(
-        LatticeField(np.full(m, 0.7)), LatticeField(np.full(m, 0.3)),
-        LatticeField(np.full(m, 0.1)), b0,
+        np.full(m, 0.7), np.full(m, 0.3),
+        np.full(m, 0.1), b0,
     )
     sol_a = integrate(v_zero, 1.0, rf, tc, sample_times=grid)
     sol_b = integrate(v_perturbed, 1.0, rf, tc, sample_times=grid)

@@ -48,7 +48,7 @@ def random_state(rng, n, hi=300):
 
 def as_trajectory(states, grid, scaling):
     return Trajectory(sample_times=np.asarray(grid, dtype=float),
-                      counts=np.stack([s.stack() for s in states]), event_log=None, seed=0)
+                      counts=np.stack([s.counts for s in states]), event_log=None, seed=0)
 
 
 def as_det(states, scaling):
@@ -280,7 +280,7 @@ def reference_sweep(traj, params, scaling):
             int_drift += drift * (t_event - t)
             int_amp += amp * (t_event - t)
             new = apply_event(state, event)
-            du = new.stack() - state.stack()
+            du = new.counts - state.counts
             db = du[COMPARTMENTS.index("B")]
             jumps[squares] += du**2
             jumps[plus] += db * np.roll(db, -1)
@@ -318,7 +318,7 @@ def test_sweep_matches_per_event_reference():
         empty = EventLog(np.empty(0), np.empty(0, dtype=np.uint8),
                          np.empty(0, dtype=np.uint32))
         replicas = [Trajectory(grid, t.counts[:1], t.event_log, seed=0) for t in trajs]
-        replicas.append(Trajectory(grid, state.stack()[None], empty, seed=0))
+        replicas.append(Trajectory(grid, state.counts[None], empty, seed=0))
         sweeps = [sweep_log(traj, params, scaling) for traj in replicas]
         stacked = Sweep.stack(sweeps)
         assert stacked.observed.shape == (len(replicas), grid.size, len(FAMILIES), n)
@@ -371,7 +371,7 @@ def test_sweep_does_not_depend_on_the_chunk_size(monkeypatch):
     assert len(log) > 2 * _sweep_chunk(n)
     # one sample exactly at an event, and events after the last sample
     grid = np.sort(np.append(rng.uniform(0.0, 0.9, 5), [0.0, log.times[len(log) // 2]]))
-    traj = Trajectory(grid, state.stack()[None], log, seed=0)
+    traj = Trajectory(grid, state.counts[None], log, seed=0)
     default = diagnostics.sweep_log(traj, params, scaling)
     for budget in (1, 1 << 40):  # one event per chunk, then the whole log in one
         monkeypatch.setattr(diagnostics, "_SWEEP_CHUNK_BYTES", budget)
@@ -445,7 +445,7 @@ def test_compensator_pure_transport_cross_terms():
         assert fractions[fam] >= 0.9
     # total bacteria conserved: every event is a hop
     for traj in trajs:
-        assert traj.final.b_counts.sum() == 3 * k
+        assert traj.final.counts[3].sum() == 3 * k
 
 
 def test_compensator_square_families_nondecreasing_in_time():

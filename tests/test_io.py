@@ -6,6 +6,7 @@ import io as stdio
 import json
 import math
 import struct
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ import pytest
 from sirb_lattice.io import (
     _REPLAY_CHUNK,
     CorruptFileError,
+    RunManifest,
     _write_density_csv,
     read_trajectory,
     replay_trajectory,
@@ -113,6 +115,14 @@ def test_manifest_records_events_by_kind(tmp_path):
     assert stats["stream"] == 0
     assert len(stats["events_by_kind"]) == len(EventKind)
     assert sum(stats["events_by_kind"]) == stats["n_events"] == frames > 0
+
+
+def test_manifest_json_matches_the_dataclass_as_dict():
+    manifest = RunManifest(
+        seed=7, config={"run": {"replicas": 2}, "scaling": {"ladder": [[8, 10, 10]]}},
+        stats={"events_by_kind": [3, 0, 1], "rungs": [{"n_events": 4, "wall": 0.5}]},
+    )
+    assert manifest.to_json() == json.dumps(asdict(manifest), indent=2, sort_keys=True)
 
 
 def test_run_directory_from_an_older_rng_contract(tmp_path):
@@ -290,6 +300,13 @@ def test_replay_reproduces_simulated_snapshots():
         assert a == b
 
 
+@pytest.mark.parametrize("grid", [[0.0, 1.0, 0.5], [0.0, 0.5, 0.5, 1.0]])
+def test_replay_rejects_unsorted_or_repeated_sample_times(grid):
+    traj, _, _ = sample_run()
+    with pytest.raises(ValueError, match="strictly increasing"):
+        replay_trajectory(traj.initial, traj.event_log, grid)
+
+
 def test_replay_detects_mismatched_log():
     state = SystemState.from_counts(
         np.full(4, 3), np.zeros(4, int), np.zeros(4, int), np.zeros(4, int)
@@ -356,9 +373,8 @@ def test_replay_trajectory_bit_identical_on_wide_lattice():
     snaps = replay_trajectory(traj.initial, traj.event_log, grid)
     assert len(snaps) == len(traj.states)
     for a, b in zip(snaps, traj.states):
-        for c in "sirb":
-            assert a.counts(c).dtype == b.counts(c).dtype
-            assert np.array_equal(a.counts(c), b.counts(c))
+        assert a.counts.dtype == b.counts.dtype
+        assert np.array_equal(a.counts, b.counts)
     assert replay_trajectory(traj.initial, traj.event_log, [math.inf])[0] == traj.final
 
 
@@ -513,7 +529,7 @@ def test_golden_regression_terminal_state():
     )
     traj = simulate_ssa(state, 1.0, [0.0, 1.0], params, scaling,
                         seed=987654321, record_events=True)
-    blob = b"".join(traj.final.counts(c).astype("<i8").tobytes() for c in "sirb")
+    blob = traj.final.counts.astype("<i8").tobytes()
     assert hashlib.sha256(blob).hexdigest() == GOLDEN_TERMINAL_SHA256
     # and the log replays to the same state
     assert replay_trajectory(state, traj.event_log, [math.inf])[0] == traj.final

@@ -11,7 +11,7 @@ from sirb_lattice.deterministic import (
     drift_field,
     integrate,
 )
-from sirb_lattice.lattice import LatticeField, TransportCoefficients, project
+from sirb_lattice.lattice import TransportCoefficients, project
 from sirb_lattice.stochastic import (
     STOICHIOMETRY,
     EpidemicParams,
@@ -25,26 +25,26 @@ RNG = np.random.default_rng(20240811)
 
 
 def random_field(n):
-    return LatticeField(RNG.normal(size=n))
+    return RNG.normal(size=n)
 
 
 def inner(f, g):
     """Lattice L2 inner product (1/n) * sum f_j g_j."""
-    return float(np.mean(f.values * g.values))
+    return float(np.mean(f * g))
 
 
 def transport(f, tc):
-    """The package's transport on a LatticeField: the bacteria row of the
+    """The package's transport on a lattice field: the bacteria row of the
     drift of a bacteria-only state when every reaction rate is zero.  The
     infection field is given as zero, since b/(1+b) is undefined at the
     field values -1 that these tests may hold."""
-    n = f.n_sites
+    n = f.size
     params = EpidemicParams(mu=0.0, alpha=0.0, gamma=0.0, rho=0.0, beta=0.0,
                             p_over_w=0.0, mu_b=0.0, transport=tc)
     y = np.zeros((4, n))
-    y[3] = f.values
+    y[3] = f
     field = drift_field(ReactionField(params, hk_ratio=1.0), n)
-    return LatticeField(field(y, np.zeros(n))[3])
+    return field(y, np.zeros(n))[3]
 
 
 # ---------------------------------------------------------------------------
@@ -71,23 +71,28 @@ def transport_matrix(tc):
 def grad_centered(f):
     """Centered difference (n/2) * (f[j+1] - f[j-1]) through its matrix: the
     oracle of the stencil's advection term."""
-    return LatticeField(grad_matrix(f.n_sites) @ f.values)
+    return grad_matrix(f.size) @ f
 
 
 def laplace(f):
     """Centered second difference n^2 * (f[j+1] - 2 f[j] + f[j-1]) read off
     the stencil: unbiased hops at rate 2 n^2 give diffusion 1 and no
     advection."""
-    n = f.n_sites
+    n = f.size
     return transport(f, TransportCoefficients(ell=2.0 * n**2, p_out=0.5, n_sites=n))
 
 
 # ---------------------------------------------------------------------------
-# LatticeField basics
+# Lattice size
 
 def test_field_rejects_too_few_sites():
-    with pytest.raises(ValueError):
-        LatticeField(np.array([1.0, 2.0]))
+    two = np.array([1.0, 2.0])
+    with pytest.raises(ValueError, match="at least 3 sites"):
+        project(lambda x: np.ones_like(np.asarray(x, float)), 2)
+    with pytest.raises(ValueError, match="at least 3 sites"):
+        DeterministicState(two, two, two, two)
+    with pytest.raises(ValueError, match="n >= 3"):
+        SystemState(np.ones((4, 2), dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -95,14 +100,14 @@ def test_field_rejects_too_few_sites():
 
 def test_project_constant_is_constant():
     f = project(lambda x: np.full_like(np.asarray(x, float), 2.5), 8)
-    assert np.allclose(f.values, 2.5)
+    assert np.allclose(f, 2.5)
 
 
 def test_project_fixes_step_functions():
     values = RNG.normal(size=6)
     step = lambda x: values[(np.floor(np.asarray(x) * 6).astype(int)) % 6]
     f = project(step, 6, quadrature_points=7)
-    assert np.allclose(f.values, values, rtol=0, atol=1e-15)
+    assert np.allclose(f, values, rtol=0, atol=1e-15)
 
 
 def test_project_sine_matches_antiderivative():
@@ -110,12 +115,12 @@ def test_project_sine_matches_antiderivative():
     # (2/pi) * (1, 1, -1, -1).
     expected = (2.0 / math.pi) * np.array([1.0, 1.0, -1.0, -1.0])
     f = project(lambda x: np.sin(2 * np.pi * np.asarray(x)), 4, quadrature_points=4096)
-    assert np.allclose(f.values, expected, atol=1e-8)
+    assert np.allclose(f, expected, atol=1e-8)
 
 
 def test_project_scalar_function_fallback():
     f = project(lambda x: 1.0 if x < 0.5 else 2.0, 4, quadrature_points=8)
-    assert np.allclose(f.values, [1.0, 1.0, 2.0, 2.0])
+    assert np.allclose(f, [1.0, 1.0, 2.0, 2.0])
 
 
 def test_project_rejects_nonfinite():
@@ -136,21 +141,21 @@ def test_project_sup_contraction():
         xs = np.linspace(0, 1, 4001)
         sup = np.max(np.abs(fn(xs)))
         f = project(fn, 16, quadrature_points=32)
-        assert np.max(np.abs(f.values)) <= sup + 1e-12
+        assert np.max(np.abs(f)) <= sup + 1e-12
 
 
 # ---------------------------------------------------------------------------
 # Difference operators
 
 def test_grad_centered_constant_is_zero():
-    f = LatticeField(np.full(7, 3.3))
-    assert np.allclose(grad_centered(f).values, 0.0)
+    f = np.full(7, 3.3)
+    assert np.allclose(grad_centered(f), 0.0)
 
 
 def test_grad_centered_hand_stencil():
     # (n/2)(f[j+1] - f[j-1]) on f = (0, 1, 0, -1) with n = 4.
-    f = LatticeField(np.array([0.0, 1.0, 0.0, -1.0]))
-    assert np.array_equal(grad_centered(f).values, np.array([4.0, 0.0, -4.0, 0.0]))
+    f = np.array([0.0, 1.0, 0.0, -1.0])
+    assert np.array_equal(grad_centered(f), np.array([4.0, 0.0, -4.0, 0.0]))
 
 
 def test_grad_centered_skew_adjoint():
@@ -162,15 +167,15 @@ def test_grad_centered_skew_adjoint():
 
 
 def test_laplace_constant_is_zero():
-    f = LatticeField(np.full(6, 9.9))
-    assert np.allclose(laplace(f).values, 0.0)
+    f = np.full(6, 9.9)
+    assert np.allclose(laplace(f), 0.0)
 
 
 def test_laplace_cosine_eigenvector():
     n = 12
-    f = LatticeField(np.cos(2 * np.pi * np.arange(n) / n))
+    f = np.cos(2 * np.pi * np.arange(n) / n)
     eig = 2.0 * n**2 * (math.cos(2 * math.pi / n) - 1.0)
-    assert np.allclose(laplace(f).values, eig * f.values, atol=1e-9)
+    assert np.allclose(laplace(f), eig * f, atol=1e-9)
 
 
 def test_laplace_matrix_row_sums_zero():
@@ -202,8 +207,8 @@ def test_operators_commute_with_cyclic_shift():
     f = random_field(n)
     tc = TransportCoefficients(ell=1.3, p_out=0.8, n_sites=n)
     for op in (grad_centered, laplace, lambda g: transport(g, tc)):
-        shifted_then_op = op(LatticeField(np.roll(f.values, 3))).values
-        op_then_shifted = np.roll(op(f).values, 3)
+        shifted_then_op = op(np.roll(f, 3))
+        op_then_shifted = np.roll(op(f), 3)
         assert np.allclose(shifted_then_op, op_then_shifted, atol=1e-9)
 
 
@@ -216,7 +221,7 @@ def test_matrices_agree_with_stencils():
         (transport_matrix(tc), lambda g: transport(g, tc)),
     ]
     for mat, op in pairs:
-        assert np.allclose(mat @ f.values, op(f).values, atol=1e-9)
+        assert np.allclose(mat @ f, op(f), atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +229,8 @@ def test_matrices_agree_with_stencils():
 
 def test_transport_annihilates_constants():
     tc = TransportCoefficients(ell=2.0, p_out=0.9, n_sites=6)
-    f = LatticeField(np.full(6, 4.2))
-    assert np.allclose(transport(f, tc).values, 0.0, atol=1e-12)
+    f = np.full(6, 4.2)
+    assert np.allclose(transport(f, tc), 0.0, atol=1e-12)
 
 
 def test_transport_unbiased_is_pure_diffusion():
@@ -234,8 +239,8 @@ def test_transport_unbiased_is_pure_diffusion():
     assert tc.nu == 0.0
     f = random_field(n)
     assert np.allclose(
-        transport(f, tc).values,
-        tc.diffusion * laplace(f).values,
+        transport(f, tc),
+        tc.diffusion * laplace(f),
         rtol=1e-12, atol=1e-12,
     )
 
@@ -247,10 +252,10 @@ def test_transport_matches_event_form():
         tc = TransportCoefficients(ell=1.9, p_out=p_out, n_sites=n)
         for _ in range(5):
             f = random_field(n)
-            v = f.values
+            v = f
             event_form = tc.ell * tc.p_out * (np.roll(v, 1) - v) + \
                 tc.ell * tc.p_in * (np.roll(v, -1) - v)
-            assert np.allclose(transport(f, tc).values, event_form,
+            assert np.allclose(transport(f, tc), event_form,
                                rtol=1e-12, atol=1e-12)
 
 

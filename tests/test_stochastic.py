@@ -17,6 +17,7 @@ from sirb_lattice.stochastic import (
     EventLog,
     ScalingParams,
     SystemState,
+    Trajectory,
     all_rates,
     apply_event,
     replica_rng,
@@ -73,7 +74,7 @@ EVENT_SOURCES = {
 def count_form_rate(state, params, scaling, kind, j):
     """Propensity of one event at site j, as the module docstring's table
     writes it in count form."""
-    s, i, r, b = (float(state.counts(c)[j]) for c in "sirb")
+    s, i, r, b = (float(row[j]) for row in state.counts)
     p, tc = params, params.transport
     return {
         EventKind.BIRTH_FROM_S: p.mu * s, EventKind.BIRTH_FROM_I: p.mu * i,
@@ -160,14 +161,13 @@ def test_apply_event_deltas_for_every_kind():
     state = uniform_state(n)
     for kind, deltas in EVENT_DELTAS.items():
         out = apply_event(state, Event(kind, 1))
-        expected = {c: state.counts(c).copy() for c in "sirb"}
+        expected = state.counts.copy()
         for comp, off, d in deltas:
-            expected[comp][(1 + off) % n] += d
-        for comp in "sirb":
-            assert np.array_equal(out.counts(comp), expected[comp]), kind
+            expected["sirb".index(comp), (1 + off) % n] += d
+        assert np.array_equal(out.counts, expected), kind
         # conservation: transports move bacteria, contamination/death change
         # the total by one, human events never touch bacteria
-        db = out.b_counts.sum() - state.b_counts.sum()
+        db = out.counts[3].sum() - state.counts[3].sum()
         if kind in (EventKind.TRANSPORT_OUT, EventKind.TRANSPORT_IN):
             assert db == 0
         elif kind == EventKind.CONTAMINATION:
@@ -177,34 +177,33 @@ def test_apply_event_deltas_for_every_kind():
         else:
             assert db == 0
         # humans change by at most one individual in total
-        dh = (out.s_counts.sum() + out.i_counts.sum() + out.r_counts.sum()
-              - state.s_counts.sum() - state.i_counts.sum() - state.r_counts.sum())
+        dh = out.counts[:3].sum() - state.counts[:3].sum()
         assert dh in (-1, 0, 1)
 
 
 def test_infection_preserves_site_population():
     state = uniform_state(4)
     out = apply_event(state, Event(EventKind.INFECTION, 2))
-    total_before = state.s_counts[2] + state.i_counts[2] + state.r_counts[2]
-    total_after = out.s_counts[2] + out.i_counts[2] + out.r_counts[2]
+    total_before = state.counts[:3, 2].sum()
+    total_after = out.counts[:3, 2].sum()
     assert total_after == total_before
 
 
 def test_transport_wraps_around():
     state = uniform_state(4)
     out = apply_event(state, Event(EventKind.TRANSPORT_OUT, 3))
-    assert out.b_counts[3] == state.b_counts[3] - 1
-    assert out.b_counts[0] == state.b_counts[0] + 1
+    assert out.counts[3, 3] == state.counts[3, 3] - 1
+    assert out.counts[3, 0] == state.counts[3, 0] + 1
     out = apply_event(state, Event(EventKind.TRANSPORT_IN, 0))
-    assert out.b_counts[0] == state.b_counts[0] - 1
-    assert out.b_counts[3] == state.b_counts[3] + 1
+    assert out.counts[3, 0] == state.counts[3, 0] - 1
+    assert out.counts[3, 3] == state.counts[3, 3] + 1
 
 
 def test_apply_event_is_pure():
     state = uniform_state(4)
-    before = state.b_counts.copy()
+    before = state.counts.copy()
     apply_event(state, Event(EventKind.BACTERIA_DEATH, 0))
-    assert np.array_equal(state.b_counts, before)
+    assert np.array_equal(state.counts, before)
 
 
 def test_apply_event_rejects_empty_source():
@@ -337,7 +336,7 @@ def test_selection_fallbacks_at_a_subnormal_total(engine, monkeypatch):
         monkeypatch.setattr(stochastic, "replica_rng", lambda seed, stream=0: uniforms)
         traj = simulate_ssa(state, 1.0, [0.0, 1.0], params, scaling, seed=0,
                             record_events=True)
-        assert len(traj.event_log) == 1 and not traj.final.b_counts.any()
+        assert len(traj.event_log) == 1 and not traj.final.counts[3].any()
         _, event = next(iter(traj.event_log))
     assert event == Event(EventKind.BACTERIA_DEATH, 1)
 
@@ -395,7 +394,7 @@ def test_simulate_pure_death_matches_exponential_decay():
     vals = []
     for rep in range(1000):
         traj = simulate_ssa(state, t, [0.0, t], params, scaling, seed=11, stream=rep)
-        vals.append(traj.final.b_counts[0] / k)
+        vals.append(traj.final.counts[3, 0] / k)
     vals = np.array(vals)
     se = vals.std(ddof=1) / math.sqrt(len(vals))
     assert abs(vals.mean() - math.exp(-t)) <= 3 * se
@@ -492,8 +491,7 @@ def event_log_digest(traj):
     h.update(log.kinds.astype("u1").tobytes())
     h.update(log.sites.astype("<u4").tobytes())
     for st in traj.states:
-        for c in "sirb":
-            h.update(st.counts(c).astype("<i8").tobytes())
+        h.update(st.counts.astype("<i8").tobytes())
     return h.hexdigest()
 
 
@@ -536,7 +534,7 @@ def test_golden_event_log_reaching_absorption():
     traj = simulate_ssa(state, horizon, grid, params, scaling, seed=seed,
                         stream=stream, record_events=True)
     assert traj.event_log.times[-1] < grid[-2]
-    assert all(not np.any(traj.final.counts(c)) for c in "sirb")
+    assert not np.any(traj.final.counts)
     assert traj.states[-1] == traj.states[-2]
     assert event_log_digest(traj) == GOLDEN_ABSORBED_LOG_SHA256
 
@@ -585,10 +583,8 @@ def test_simulate_counts_stay_nonnegative_and_on_grid():
         traj = simulate_ssa(state, 0.5, np.linspace(0, 0.5, 6), params, scaling,
                             seed=trial)
         for st in traj.states:
-            for comp in "sirb":
-                counts = st.counts(comp)
-                assert counts.dtype == np.int64
-                assert counts.min() >= 0
+            assert st.counts.dtype == np.int64
+            assert st.counts.min() >= 0
 
 
 def test_simulate_rejects_bad_sample_grid():
@@ -625,6 +621,23 @@ def test_from_counts_validation():
     with pytest.raises(ValueError):
         SystemState.from_counts(np.zeros(2, int), np.zeros(2, int),
                                 np.zeros(2, int), np.zeros(2, int))
+    with pytest.raises(ValueError, match="same shape"):
+        SystemState.from_counts(np.zeros(3, int), np.zeros(4, int),
+                                np.zeros(3, int), np.zeros(3, int))
+
+
+def test_state_is_one_checked_count_array():
+    with pytest.raises(ValueError, match=r"\(4, n\)"):
+        SystemState(np.zeros((3, 5), dtype=np.int64))
+    state = SystemState(np.full((4, 3), 2.0))
+    assert state.counts.dtype == np.int64
+    assert np.array_equal(state.counts, np.full((4, 3), 2))
+    # states built from a trajectory's rows are checked too
+    counts = np.full((1, 4, 3), 5, dtype=np.int64)
+    counts[0, 1, 2] = -1
+    traj = Trajectory(np.zeros(1), counts, event_log=None, seed=0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        traj.states[0]
 
 
 def test_from_densities_rounds_to_nearest():
@@ -633,7 +646,7 @@ def test_from_densities_rounds_to_nearest():
         np.array([0.94, 0.05, 0.0, 0.26]), np.zeros(4), np.zeros(4),
         np.array([0.503, 0.0, 0.0, 0.0]), scaling,
     )
-    assert np.array_equal(state.s_counts, [9, 0, 0, 3])  # 0.5 rounds to even
-    assert state.b_counts[0] == 50
+    assert np.array_equal(state.counts[0], [9, 0, 0, 3])  # 0.5 rounds to even
+    assert state.counts[3, 0] == 50
     dens = state.rescaled(scaling)
     assert np.array_equal(dens[0] * scaling.h, np.rint(dens[0] * scaling.h))
