@@ -9,7 +9,9 @@ It times the package in this checkout's ``src`` and adds one run to
 
 * the machine (CPU model, core count, Python, numpy) and the git SHA;
 * the exact simulator, in µs per event, at the three baseline configs
-  (n = 8, H = K = 10^3; n = 8, H = 10^3, K = 10^5; n = 64, H = K = 10^3);
+  (n = 8, H = K = 10^3; n = 8, H = 10^3, K = 10^5; n = 64, H = K = 10^3)
+  and at the shape of the benchmark's roundtrip workload (n = 256,
+  H = K = 10^3, T = 0.1, with quickstart's hop rate, event log recorded);
 * the event-log sweep (``sweep_log``) at n = 8 and n = 64 and the replay
   (``io.replay_trajectory``) at n = 8, in µs per event, with H = K = 10^3;
 * the run-directory I/O, ``io.write_trajectory`` then ``io.read_trajectory``
@@ -71,7 +73,10 @@ SEED = 20261018
 REPEATS = 7
 # RK4 steps per timed integration
 RK4_STEPS = 400
-SSA_CONFIGS = ((8, 1000, 1000), (8, 1000, 100_000), (64, 1000, 1000))
+# (n, H, K, logged); a logged run keeps quickstart's hop rate, as the
+# roundtrip workload's does
+SSA_CONFIGS = ((8, 1000, 1000, False), (8, 1000, 100_000, False), (64, 1000, 1000, False),
+               (256, 1000, 1000, True))
 SWEEP_SIZES = (8, 64)
 REPLAY_SIZE = 8
 IO_SIZE = 256
@@ -120,13 +125,14 @@ def timed(run, units: int, unit: str) -> dict:
     }
 
 
-def bench_ssa(n: int, h: int, k: int) -> dict:
-    params, v0 = model(n)
+def bench_ssa(n: int, h: int, k: int, logged: bool) -> dict:
+    params, v0 = model(n, continuum=not logged)
     scaling = ScalingParams(n, h, k)
     state = initial_counts(v0, scaling)
 
     def run():
-        return simulate_ssa(state, horizon(n), grid(n), params, scaling, SEED)
+        return simulate_ssa(state, horizon(n), grid(n), params, scaling, SEED,
+                            record_events=logged)
 
     events = run().stats["n_events"]
     return timed(run, events, "us/event")
@@ -213,7 +219,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     run = {
         "git_sha": git_sha(), "machine": machine(),
-        "ssa": {f"n={n},h={h},k={k}": bench_ssa(n, h, k) for n, h, k in SSA_CONFIGS},
+        "ssa": {f"n={n},h={h},k={k}" + (",logged" if logged else ""): bench_ssa(n, h, k, logged)
+                for n, h, k, logged in SSA_CONFIGS},
         "sweep": {f"n={n}": bench_sweep(n) for n in SWEEP_SIZES},
         "replay": {f"n={REPLAY_SIZE}": bench_replay(REPLAY_SIZE)},
         "io": {f"n={IO_SIZE}": bench_io(IO_SIZE)},
@@ -235,7 +242,7 @@ def main(argv=None) -> int:
     for layer in LAYERS:
         for key, fig in run[layer].items():
             total = summary[layer][key]
-            print(f"{layer:6s} {key:22s} {fig['median']:9.2f} {fig['unit']} "
+            print(f"{layer:6s} {key:28s} {fig['median']:9.2f} {fig['unit']} "
                   f"[{fig['min']:.2f}, {fig['max']:.2f}]; over {total['n_runs']} runs "
                   f"{total['median']:.2f} [{total['q25']:.2f}, {total['q75']:.2f}]")
     print(f"wrote {out}")

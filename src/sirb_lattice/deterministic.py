@@ -125,6 +125,11 @@ class DeterministicState:
         """(4, n) array in the order (S, I, R, B)."""
         return np.stack([self.s, self.i, self.r, self.b])
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DeterministicState):
+            return NotImplemented
+        return np.array_equal(self.stack(), other.stack())
+
     @classmethod
     def constant(cls, values: Sequence[float], n_sites: int) -> "DeterministicState":
         return cls(*np.outer(np.asarray(values, dtype=float), np.ones(n_sites)))

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 import operator
+import textwrap
 from array import array
 from bisect import bisect_right
 from collections.abc import Sequence
@@ -62,6 +63,7 @@ __all__ = [
     "step_ssa",
     "simulate_ssa",
     "uniform_grid",
+    "EVENT_LOOP_SOURCE",
 ]
 
 RNG_ALGORITHM = "philox4x64/site-major-2u"
@@ -509,16 +511,118 @@ def uniform_grid(horizon: float, n_samples: int) -> np.ndarray:
     return np.linspace(0.0, horizon, n_samples) if horizon > 0 else np.array([0.0])
 
 
-# Events per block of uniforms the simulator draws at once.
+# ---------------------------------------------------------------------------
+# The event loop, generated from the reaction table
+
+# Events per block of uniforms the loop draws at once: a block of
+# ``random()`` holds the same doubles as that many successive calls.
 _UNIFORM_BLOCK = 256
 
-
-def _uniform_pairs(rng: np.random.Generator) -> Iterator[tuple[float, float]]:
-    """(u1, u2) per event, drawn in blocks: a block of ``random()`` holds the
-    same doubles as that many successive ``random()`` calls."""
+_EVENT_LOOP_HEAD = """\
+def _event_loop(S, I, R, B, totals, weights, beta, kcap, coefficients, samples,
+                horizon, snapshots, rng, record):
+    n, table, rows = len(S), STOICHIOMETRY.tolist(), (S, I, R, B)
+    {coefficients} = coefficients
+    a_s, a_i, a_r, a_b = weights
+    cum = np.empty_like(totals)
+    site_totals, cum_view = memoryview(totals), memoryview(cum)
+    cumulate, search, log1p, inf = np.add.accumulate, bisect_right, math.log1p, math.inf
+    fired, times, kinds, sites = [0] * N_EVENT_KINDS, array("d"), array("B"), array("I")
+    uniforms, u, k_sample, t = None, {block}, 0, 0.0
     while True:
-        block = iter(rng.random(2 * _UNIFORM_BLOCK).tolist())
-        yield from zip(block, block)
+        cumulate(totals, out=cum)
+        total = cum_view[-1]
+        if total > 0.0:
+            if u == {block}:
+                uniforms, u = rng.random({block}).tolist(), 0
+            u1, u2 = uniforms[u], uniforms[u + 1]
+            u += 2
+            t_next = t + -log1p(-u1) / total
+        else:
+            t_next = inf
+        while samples[k_sample] < t_next:
+            snapshots[k_sample] = rows
+            k_sample += 1
+        if t_next > horizon:
+            return fired, times, kinds, sites
+        t = t_next
+        x = u2 * total
+        site = search(cum_view, x)
+        if site == n:  # u2 * total rounded up to total (a subnormal total)
+            site = int(np.flatnonzero(totals > 0.0)[-1])
+        residual = x - cum_view[site - 1] if site else x
+        s, i, r, b = S[site], I[site], R[site], B[site]
+        # the walk: the site's rates in EventKind order, summed until the
+        # sum passes the residual
+        acc = 0.0
+"""
+_EVENT_LOOP_RECORD = """\
+fired[{kind}] += 1
+if record:
+    times.append(t)
+    kinds.append({kind})
+    sites.append(site)
+"""
+_EVENT_LOOP_TAIL = """\
+# the walk ran past the end: the last kind with a positive rate, updated
+# through the table
+rates = [{rates}]
+last = max(kind for kind, rate in enumerate(rates) if rate > 0.0)
+for c, offset, delta in table[last]:
+    j = (site + offset) % n
+    rows[c][j] += delta
+    site_totals[j] = _site_total(weights, beta, kcap, S[j], I[j], R[j], B[j])
+""" + _EVENT_LOOP_RECORD.format(kind="last")
+
+
+def _site_update(offset: int, deltas: dict) -> list[str]:
+    """Lines that add ``deltas`` (compartment -> count delta) at the site
+    ``offset`` from the event site, periodic, and rewrite its total with
+    ``_site_total``'s left-to-right expression."""
+    at, names, lines = "site", "sirb", []
+    if offset:
+        at, names = "j", ("s_", "i_", "r_", "b_")
+        wrap = "if j >= n: j -= n" if offset > 0 else "if j < 0: j += n"
+        lines = [f"j = site {'+-'[offset < 0]} {abs(offset)}", wrap]
+        lines += [f"{x} = {row}[j]" for x, row in zip(names, COMPARTMENTS)]
+    for c, delta in deltas.items():
+        lines += [f"{names[c]} {'+-'[delta < 0]}= {abs(delta)}",
+                  f"{COMPARTMENTS[c]}[{at}] = {names[c]}"]
+    s, i, r, b = names
+    return lines + [f"site_totals[{at}] = a_s * {s} + a_i * {i} + a_r * {r} + a_b * {b}"
+                    f" + beta * {s} * {b} / (kcap + {b})"]
+
+
+def _rate(kind: int) -> str:
+    """A kind's rate at the event site, as ``all_rates`` computes it."""
+    rate = f"c{kind} * {'sirb'[_RATE_SOURCE[kind]]}"
+    return rate + " * b / (kcap + b)" if kind == EventKind.INFECTION else rate
+
+
+def _walk_step(kind: int) -> list[str]:
+    """The walk's step for one kind: add its rate to the running sum; if the
+    residual falls below the sum, make the kind's count updates and go to
+    the next event.  Zero rates need no test: adding one leaves the sum,
+    and so the comparison, as it was, and a residual >= 0 is never below
+    the empty sum 0.0, so only a positive rate can fire."""
+    by_offset: dict = {}
+    for c, offset, delta in STOICHIOMETRY[kind].tolist():
+        if delta:
+            by_offset.setdefault(offset, {})[c] = delta
+    fire = [line for offset, deltas in by_offset.items()
+            for line in _site_update(offset, deltas)]
+    fire += _EVENT_LOOP_RECORD.format(kind=kind).splitlines() + ["continue"]
+    return [f"acc += {_rate(kind)}", "if residual < acc:", *("    " + line for line in fire)]
+
+
+_WALK = "".join(line + "\n" for kind in EventKind for line in _walk_step(kind))
+_TAIL = _EVENT_LOOP_TAIL.format(rates=", ".join(map(_rate, EventKind)))
+EVENT_LOOP_SOURCE = _EVENT_LOOP_HEAD.format(
+    block=2 * _UNIFORM_BLOCK, coefficients=", ".join(f"c{k}" for k in range(N_EVENT_KINDS))
+) + textwrap.indent(_WALK + _TAIL, " " * 8)
+_scope: dict = {}
+exec(compile(EVENT_LOOP_SOURCE, "<generated event loop>", "exec"), globals(), _scope)
+_event_loop = _scope["_event_loop"]
 
 
 def simulate_ssa(
@@ -553,7 +657,12 @@ def simulate_ssa(
     which give the same doubles as single calls.
 
     The loop keeps the n site totals, not the 14n rates: an event rewrites
-    the totals of the (at most two) sites it touches.
+    the totals of the (at most two) sites it touches.  Its Python source is
+    generated once, at import, from ``STOICHIOMETRY`` and the rate sources:
+    one straight-line step per kind, in EventKind order, that adds the
+    kind's rate and, if it is the one selected, makes the kind's count
+    updates in place.  Print it with
+    ``python -c "from sirb_lattice import stochastic; print(stochastic.EVENT_LOOP_SOURCE)"``.
 
     Args:
         initial: starting counts; not modified.
@@ -570,99 +679,21 @@ def simulate_ssa(
     """
     grid = _resolve_grid(horizon, sample_times)
     _check_compatible(initial.n_sites, params, scaling)
-    n = initial.n_sites
-    uniforms = _uniform_pairs(replica_rng(seed, stream))
-    cumulate = np.add.accumulate
-    log1p = math.log1p
-
     weights, beta = _site_weights(params)
     kcap = float(scaling.k)
-    totals = _site_total(weights, beta, kcap, *initial.counts)
-    cum = np.empty_like(totals)
-    site_totals, cum_view = memoryview(totals), memoryview(cum)
-    # Counts as one list of 4n cells, compartment * n + site.
-    counts = initial.counts.ravel().tolist()
-    b_row = 3 * n
-
-    # Each kind's coefficient and the row of its source compartment, in
-    # EventKind order, and the count updates of the event at flat index
-    # kind * n + site with the sites whose totals they change.
-    walk = tuple(zip(range(N_EVENT_KINDS), _rate_coefficients(params),
-                     (c * n for c in _RATE_SOURCE)))
-    infection = int(EventKind.INFECTION)
-    plans = []
-    for row in STOICHIOMETRY.tolist():
-        for j in range(n):
-            cells = tuple((c * n + (j + off) % n, d) for c, off, d in row if d)
-            plans.append((cells, tuple(dict.fromkeys(cell % n for cell, _ in cells))))
-
-    # the snapshots, one row of 4n cells per sample time
-    snapshots = np.empty((grid.size, 4, n), dtype=np.int64)
-    rows = snapshots.reshape(grid.size, 4 * n)
-    times, indices = array("d"), array("q")
-    fired = [0] * (N_EVENT_KINDS * n)
-    samples = grid.tolist() + [math.inf]
-    k_sample = 0
-    t = 0.0
-
-    while True:
-        cumulate(totals, out=cum)
-        total = cum_view[-1]
-        if total > 0.0:
-            u1, u2 = next(uniforms)
-            t_next = t + -log1p(-u1) / total
-        else:
-            t_next = math.inf
-        while samples[k_sample] < t_next:
-            rows[k_sample] = counts
-            k_sample += 1
-        if t_next > horizon:
-            break
-        t = t_next
-
-        x = u2 * total
-        site = bisect_right(cum_view, x)
-        if site == n:  # u2 * total rounded up to total (a subnormal total)
-            site = int(np.flatnonzero(totals > 0.0)[-1])
-        # Walk the site's rates, as all_rates computes them, skipping zeros:
-        # adding a zero rate leaves the running sum as it was.
-        residual = x - cum_view[site - 1] if site else x
-        acc = 0.0
-        for kind, coefficient, row in walk:
-            rate = coefficient * counts[row + site]
-            if kind == infection:
-                b = counts[b_row + site]
-                rate = rate * b / (kcap + b)
-            if rate > 0.0:
-                acc += rate
-                last = kind
-                if residual < acc:
-                    break
-        else:  # the walk ran past the end
-            kind = last
-
-        idx = kind * n + site
-        cells, touched = plans[idx]
-        for cell, delta in cells:
-            counts[cell] += delta
-        for j in touched:
-            site_totals[j] = _site_total(weights, beta, kcap, counts[j], counts[n + j],
-                                         counts[2 * n + j], counts[b_row + j])
-        fired[idx] += 1
-        if record_events:
-            times.append(t)
-            indices.append(idx)
-
+    snapshots = np.empty((grid.size, 4, initial.n_sites), dtype=np.int64)
+    fired, times, kinds, sites = _event_loop(
+        *initial.counts.tolist(), _site_total(weights, beta, kcap, *initial.counts), weights,
+        beta, kcap, _rate_coefficients(params), grid.tolist() + [math.inf], horizon,
+        snapshots, replica_rng(seed, stream), record_events)
     event_log = None
     if record_events:
-        kinds, sites = np.divmod(np.array(indices, dtype=np.int64), n)
-        event_log = EventLog(np.array(times, dtype=np.float64),
-                             kinds.astype(np.uint8), sites.astype(np.uint32))
-    by_kind = np.array(fired).reshape(N_EVENT_KINDS, n).sum(axis=1).tolist()
+        event_log = EventLog(np.array(times, dtype=np.float64), np.array(kinds, dtype=np.uint8),
+                             np.array(sites, dtype=np.uint32))
     return Trajectory(
         sample_times=grid,
         counts=snapshots,
         event_log=event_log,
         seed=seed,
-        stats={"n_events": sum(by_kind), "stream": stream, "events_by_kind": by_kind},
+        stats={"n_events": sum(fired), "stream": stream, "events_by_kind": fired},
     )

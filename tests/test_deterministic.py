@@ -273,6 +273,18 @@ def test_state_rejects_fields_of_unequal_length():
         DeterministicState(np.zeros(4), np.zeros(4), np.zeros(5), np.zeros(4))
 
 
+def test_state_equality_compares_every_field():
+    v = DeterministicState.constant([1.0, 0.0, 0.0, 0.5], 4)
+    assert v == DeterministicState.constant([1.0, 0.0, 0.0, 0.5], 4)
+    for row in range(4):
+        values = [1.0, 0.0, 0.0, 0.5]
+        values[row] += 0.25
+        assert v != DeterministicState.constant(values, 4)
+    assert v != DeterministicState.constant([1.0, 0.0, 0.0, 0.5], 5)
+    assert v.__eq__(v.stack()) is NotImplemented
+    assert v != "state"
+
+
 def test_integrate_rejects_negative_initial():
     params = make_params(n=4)
     rf = ReactionField(params, hk_ratio=1.0)

@@ -341,6 +341,34 @@ def test_selection_fallbacks_at_a_subnormal_total(engine, monkeypatch):
     assert event == Event(EventKind.BACTERIA_DEATH, 1)
 
 
+@pytest.mark.parametrize("engine", ["step_ssa", "simulate_ssa"])
+def test_transport_fallback_wraps_around(engine, monkeypatch):
+    # One bacterium at site 0 hopping to site -1 at the least subnormal rate,
+    # the only live kind: both fallbacks select the last kind, a transport,
+    # and its hop wraps to site 2.  A second event would wait forever.
+    tiny = 5e-324
+    params = make_params(n=3, mu=0, alpha=0, gamma=0, rho=0, beta=0, p_over_w=0,
+                         mu_b=0, ell=tiny, p_out=0.0)
+    scaling = ScalingParams(3, 10, 10)
+    zeros = np.zeros(3, int)
+    state = SystemState.from_counts(zeros, zeros, zeros, [1, 0, 0])
+    uniforms = Uniforms(0.0, TOP_UNIFORM, TOP_UNIFORM, TOP_UNIFORM)
+    if engine == "step_ssa":
+        event, wait = step_ssa(state, params, scaling, uniforms)
+        assert wait == 0.0 and uniforms.drawn == 2
+        final = apply_event(state, event)
+        assert step_ssa(final, params, scaling, uniforms)[1] == math.inf
+    else:
+        monkeypatch.setattr(stochastic, "replica_rng", lambda seed, stream=0: uniforms)
+        traj = simulate_ssa(state, 1.0, [0.0, 1.0], params, scaling, seed=0,
+                            record_events=True)
+        assert len(traj.event_log) == 1
+        _, event = next(iter(traj.event_log))
+        final = traj.final
+    assert event == Event(EventKind.TRANSPORT_IN, 0)
+    assert final.counts[3].tolist() == [0, 0, 1]
+
+
 def test_step_ssa_mean_waiting_time():
     params = make_params()
     scaling = ScalingParams(4, 20, 20)
@@ -539,16 +567,26 @@ def test_golden_event_log_reaching_absorption():
     assert event_log_digest(traj) == GOLDEN_ABSORBED_LOG_SHA256
 
 
-@pytest.mark.parametrize("run_args", [wrapping_run_args, absorbed_run_args,
-                                      crowded_run_args])
-def test_simulate_matches_manual_step_loop_event_by_event(run_args):
+def logged_run(run_args):
     state, horizon, grid, params, scaling, seed, stream = run_args()
-    traj = simulate_ssa(state, horizon, grid, params, scaling, seed=seed,
+    return simulate_ssa(state, horizon, grid, params, scaling, seed=seed,
                         stream=stream, record_events=True)
-    log, snapshots = manual_run(state, horizon, grid, params, scaling, seed, stream)
+
+
+EQUIVALENCE_SHAPES = [wrapping_run_args, absorbed_run_args, crowded_run_args]
+
+
+@pytest.mark.parametrize("run_args", EQUIVALENCE_SHAPES)
+def test_simulate_matches_manual_step_loop_event_by_event(run_args):
+    traj = logged_run(run_args)
+    log, snapshots = manual_run(*run_args())
     assert len(log) > 0
     assert traj.event_log == log
     assert traj.states == snapshots
+    # the shapes together fire every kind, so each kind's step of the
+    # generated event loop is checked against step_ssa + apply_event
+    fired = {int(k) for shape in EQUIVALENCE_SHAPES for k in logged_run(shape).event_log.kinds}
+    assert fired == set(range(len(EventKind)))
 
 
 @pytest.mark.parametrize("run_args", [wrapping_run_args, absorbed_run_args])
