@@ -8,10 +8,13 @@ It times the package in this checkout's ``src`` and adds one run to
 ``BENCH_<label>.json`` (delete the file to start afresh).  Each run records:
 
 * the machine (CPU model, core count, Python, numpy) and the git SHA;
-* the exact simulator, in µs per event, at the three baseline configs
-  (n = 8, H = K = 10^3; n = 8, H = 10^3, K = 10^5; n = 64, H = K = 10^3)
-  and at the shape of the benchmark's roundtrip workload (n = 256,
-  H = K = 10^3, T = 0.1, with quickstart's hop rate, event log recorded);
+* the exact simulator, in µs of CPU time (``time.process_time``) per
+  event, at the three baseline configs (n = 8, H = K = 10^3; n = 8,
+  H = 10^3, K = 10^5; n = 64, H = K = 10^3), at n = 16, 32 and 48 with
+  H = K = 10^3 (around the lattice size where the simulator switches from
+  lists to numpy arrays) and at the shape of the benchmark's roundtrip
+  workload (n = 256, H = K = 10^3, T = 0.1, with quickstart's hop rate,
+  event log recorded);
 * the event-log sweep (``sweep_log``) at n = 8 and n = 64 and the replay
   (``io.replay_trajectory``) at n = 8, in µs per event, with H = K = 10^3;
 * the run-directory I/O, ``io.write_trajectory`` then ``io.read_trajectory``
@@ -21,13 +24,15 @@ It times the package in this checkout's ``src`` and adds one run to
 * the RK4 lattice integrator, in µs per step, at n = 8, 64 and 256.
 
 Every figure is the median of ``REPEATS`` timed repeats of the same seeded
-work, with the minimum, the maximum and every repeat.  The file's ``summary``
-gives, per figure, the median and quartiles of the runs' medians, so runs of
-two checkouts taken in turn (parent, change, change, parent, ...) compare as
-pairs on the same machine state.  The model is
+work, with the minimum, the maximum and every repeat.  The other layers are
+timed on the wall clock (``time.perf_counter``).  The file's ``summary``
+gives, per figure, the median and quartiles of the runs' medians and the
+median of the runs' minimums, so runs of two checkouts taken in turn
+(parent, change, change, parent, ...) compare as pairs on the same machine
+state.  The model is
 ``demos/configs/quickstart.cfg``: its rates, its initial profiles and its
 transport rebuilt for each lattice size.  Runs at n = 8 span the horizon
-T = 1 and runs at n >= 64 T = 0.1, about 10^4 to 3 * 10^5 events each.
+T = 1 and runs at n >= 16 T = 0.1, about 3 * 10^3 to 3 * 10^5 events each.
 Uses only the standard library and numpy; BLAS is held to one thread.
 """
 
@@ -75,7 +80,8 @@ REPEATS = 7
 RK4_STEPS = 400
 # (n, H, K, logged); a logged run keeps quickstart's hop rate, as the
 # roundtrip workload's does
-SSA_CONFIGS = ((8, 1000, 1000, False), (8, 1000, 100_000, False), (64, 1000, 1000, False),
+SSA_CONFIGS = ((8, 1000, 1000, False), (8, 1000, 100_000, False), (16, 1000, 1000, False),
+               (32, 1000, 1000, False), (48, 1000, 1000, False), (64, 1000, 1000, False),
                (256, 1000, 1000, True))
 SWEEP_SIZES = (8, 64)
 REPLAY_SIZE = 8
@@ -112,13 +118,14 @@ def initial_counts(v0: DeterministicState, scaling: ScalingParams) -> SystemStat
     return SystemState.from_densities(v0.s, v0.i, v0.r, v0.b, scaling=scaling)
 
 
-def timed(run, units: int, unit: str) -> dict:
-    """Median, min and max over ``REPEATS`` calls of ``run``, per unit of work."""
+def timed(run, units: int, unit: str, clock=time.perf_counter) -> dict:
+    """Median, min and max over ``REPEATS`` calls of ``run`` on ``clock``, per
+    unit of work."""
     runs = []
     for _ in range(REPEATS):
-        start = time.perf_counter()
+        start = clock()
         run()
-        runs.append((time.perf_counter() - start) / units * 1e6)
+        runs.append((clock() - start) / units * 1e6)
     return {
         "unit": unit, "median": statistics.median(runs), "min": min(runs),
         "max": max(runs), "runs": runs, "work": units,
@@ -135,7 +142,7 @@ def bench_ssa(n: int, h: int, k: int, logged: bool) -> dict:
                             record_events=logged)
 
     events = run().stats["n_events"]
-    return timed(run, events, "us/event")
+    return timed(run, events, "us/event", clock=time.process_time)
 
 
 def logged_run(n: int, continuum: bool = True):
@@ -206,11 +213,14 @@ def machine() -> dict:
     }
 
 
-def quartiles(values: list) -> dict:
-    """Median and quartiles of the runs' medians; one run gives three equal values."""
-    q25, q50, q75 = statistics.quantiles(values * 2 if len(values) == 1 else values, n=4,
+def quartiles(figures: list) -> dict:
+    """Median and quartiles of the runs' medians, and the median of their
+    minimums; one run gives three equal quartiles."""
+    medians = [fig["median"] for fig in figures]
+    q25, q50, q75 = statistics.quantiles(medians * 2 if len(medians) == 1 else medians, n=4,
                                          method="inclusive")
-    return {"median": q50, "q25": q25, "q75": q75, "n_runs": len(values)}
+    return {"median": q50, "q25": q25, "q75": q75, "n_runs": len(medians),
+            "min": statistics.median(fig["min"] for fig in figures)}
 
 
 def main(argv=None) -> int:
@@ -232,8 +242,7 @@ def main(argv=None) -> int:
     # runs recorded before a figure existed have no median for it
     summary = {
         layer: {key: {"unit": fig["unit"],
-                      **quartiles([r[layer][key]["median"] for r in runs
-                                   if key in r.get(layer, {})])}
+                      **quartiles([r[layer][key] for r in runs if key in r.get(layer, {})])}
                 for key, fig in run[layer].items()}
         for layer in LAYERS
     }
@@ -244,7 +253,8 @@ def main(argv=None) -> int:
             total = summary[layer][key]
             print(f"{layer:6s} {key:28s} {fig['median']:9.2f} {fig['unit']} "
                   f"[{fig['min']:.2f}, {fig['max']:.2f}]; over {total['n_runs']} runs "
-                  f"{total['median']:.2f} [{total['q25']:.2f}, {total['q75']:.2f}]")
+                  f"{total['median']:.2f} [{total['q25']:.2f}, {total['q75']:.2f}], "
+                  f"min {total['min']:.2f}")
     print(f"wrote {out}")
     return 0
 

@@ -56,7 +56,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import math
-import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -67,7 +66,7 @@ import numpy as np
 from . import __version__
 from . import io as run_io
 from .deterministic import DeterministicState, ReactionField, homogeneous_ode, integrate
-from .diagnostics import Sweep, lln_experiment, map_jobs, starting_point, sweep_log
+from .diagnostics import Sweep, lln_experiment, map_jobs, starting_point, sweep_log, usable_cpus
 from .lattice import TransportCoefficients
 from .stochastic import COMPARTMENTS, EpidemicParams, ScalingParams, simulate_ssa, uniform_grid
 
@@ -264,10 +263,12 @@ def _check_seed(key: str, seed: int):
 
 
 def _check_workers(key: str, workers: int):
-    """Each worker is a process, so a run may ask for at most one per CPU."""
-    cpus = os.cpu_count() or 1
+    """Each worker is a process, so a run may ask for at most one per CPU it
+    may use."""
+    cpus = usable_cpus()
     if not 1 <= workers <= cpus:
-        raise ConfigError(f"{key}: must lie in [1, {cpus}] (the CPU count), got {workers}")
+        raise ConfigError(f"{key}: must lie in [1, {cpus}] (the usable CPU count), "
+                          f"got {workers}")
 
 
 def parse_config(path, mode: str = "simulate", theorem: Optional[str] = None) -> RunConfig:

@@ -430,12 +430,20 @@ def _validate_ladder(ladder: Sequence[tuple[int, int, int]], mode: str):
                 )
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one (``taskset`` or a container's cpuset shrinks it), else the
+    machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def pool_size(workers: int, jobs: int) -> int:
     """Worker processes for a pool running ``jobs`` tasks: the requested
-    count, capped by the task count and the machine's CPU count.  The cap
-    matters because a fork-based pool starts all its workers at the first
-    submit."""
-    return max(1, min(workers, jobs, os.cpu_count() or 1))
+    count, capped by the task count and ``usable_cpus``.  The cap matters
+    because a fork-based pool starts all its workers at the first submit."""
+    return max(1, min(workers, jobs, usable_cpus()))
 
 
 def map_jobs(fn: Callable, jobs: Sequence, workers: int) -> list:
@@ -529,7 +537,14 @@ def lln_experiment(
             (state0, horizon, grid, prm, scaling, seed, (rung_idx << 32) + rep, det, comps)
             for rep in range(replicas)
         ]
-    results = map_jobs(_replica_distance, payloads, workers)
+    # Submit the longest jobs first, by n * (H + K), so that the workers
+    # finish close together; the results go back in ladder order.
+    costs = [n * (h + k) for n, h, k, _, _ in shapes]
+    order = sorted(range(len(payloads)), key=lambda p: -costs[p // replicas])
+    results = [None] * len(payloads)
+    for p, result in zip(order, map_jobs(_replica_distance, [payloads[p] for p in order],
+                                         workers)):
+        results[p] = result
     rungs = []
     for rung_idx, (n, h, k, rounding, ball) in enumerate(shapes):
         mine = results[rung_idx * replicas: (rung_idx + 1) * replicas]

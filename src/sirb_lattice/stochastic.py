@@ -24,6 +24,13 @@ rates):
     contamination     (p/W) * i_j         b_j += 1
     transport_out     ell * p_out * b_j   b_j -= 1, b_{j+1} += 1
     transport_in      ell * p_in * b_j    b_j -= 1, b_{j-1} += 1
+
+The exact simulator (``simulate_ssa``) searches the running sums of the
+per-site propensity totals for the site of each event.  It keeps them in
+Python lists, re-summed from the first site an event touched, on lattices
+of at most ``_LIST_SITES`` sites, and in numpy arrays, re-accumulated whole,
+on wider ones; both add left to right, so they give the same bits.
+``step_ssa`` is the numpy reference, one event at a time.
 """
 
 from __future__ import annotations
@@ -518,78 +525,95 @@ def uniform_grid(horizon: float, n_samples: int) -> np.ndarray:
 # ``random()`` holds the same doubles as that many successive calls.
 _UNIFORM_BLOCK = 256
 
+# Lattices of at most this many sites keep their site totals and running
+# sums in Python lists and re-sum them from the first site an event
+# touched; wider ones keep numpy arrays and re-accumulate them whole.  In
+# bench/bench.py's simulator figures, with each representation forced in
+# turn, the lists took 17% less CPU time per event at n = 8, were level at
+# n = 16 and were slower from n = 32 on.
+_LIST_SITES = 16
+
 _EVENT_LOOP_HEAD = """\
 def _event_loop(S, I, R, B, totals, weights, beta, kcap, coefficients, samples,
                 horizon, snapshots, rng, record):
-    n, table, rows = len(S), STOICHIOMETRY.tolist(), (S, I, R, B)
+    n, rows = len(S), (S, I, R, B)
     {coefficients} = coefficients
+    {counters} = (0,) * N_EVENT_KINDS
     a_s, a_i, a_r, a_b = weights
-    cum = np.empty_like(totals)
-    site_totals, cum_view = memoryview(totals), memoryview(cum)
-    cumulate, search, log1p, inf = np.add.accumulate, bisect_right, math.log1p, math.inf
-    fired, times, kinds, sites = [0] * N_EVENT_KINDS, array("d"), array("B"), array("I")
-    uniforms, u, k_sample, t = None, {block}, 0, 0.0
+    # cum[j] is the sequential sum of totals[:j + 1]; the trailing
+    # cum[n] = cum[-1] = 0.0 is the empty sum before site 0
+    narrow = n <= _LIST_SITES
+    if narrow:
+        totals, cum = totals.tolist(), [0.0] * (n + 1)
+    else:
+        totals_array, cum_array = totals, np.zeros(n + 1)
+        cum_head, cumulate = cum_array[:n], np.add.accumulate
+        totals, cum = memoryview(totals_array), memoryview(cum_array)
+    search, log1p, inf = bisect_right, math.log1p, math.inf
+    times, kinds, sites = array("d"), array("B"), array("I")
+    pairs, k_sample, t, m = iter(()), 0, 0.0, 0
+    t_sample = samples[0]
     while True:
-        cumulate(totals, out=cum)
-        total = cum_view[-1]
+        # re-sum from m, the first site whose total changed
+        if narrow:
+            partial = cum[m - 1]
+            for j in range(m, n):
+                partial += totals[j]
+                cum[j] = partial
+            total = partial
+        else:
+            cumulate(totals_array, out=cum_head)
+            total = cum[n - 1]
         if total > 0.0:
-            if u == {block}:
-                uniforms, u = rng.random({block}).tolist(), 0
-            u1, u2 = uniforms[u], uniforms[u + 1]
-            u += 2
+            for u1, u2 in pairs:
+                break
+            else:
+                block = iter(rng.random({block}).tolist())
+                pairs = zip(block, block)
+                u1, u2 = next(pairs)
             t_next = t + -log1p(-u1) / total
         else:
             t_next = inf
-        while samples[k_sample] < t_next:
+        while t_sample < t_next:
             snapshots[k_sample] = rows
             k_sample += 1
+            t_sample = samples[k_sample]
         if t_next > horizon:
-            return fired, times, kinds, sites
+            return [{counters}], times, kinds, sites
         t = t_next
         x = u2 * total
-        site = search(cum_view, x)
+        site = search(cum, x, 0, n)
         if site == n:  # u2 * total rounded up to total (a subnormal total)
-            site = int(np.flatnonzero(totals > 0.0)[-1])
-        residual = x - cum_view[site - 1] if site else x
+            site = max(j for j in range(n) if totals[j] > 0.0)
+        residual = x - cum[site - 1]
         s, i, r, b = S[site], I[site], R[site], B[site]
         # the walk: the site's rates in EventKind order, summed until the
         # sum passes the residual
-        acc = 0.0
 """
 _EVENT_LOOP_RECORD = """\
-fired[{kind}] += 1
+f{kind} += 1
 if record:
     times.append(t)
     kinds.append({kind})
     sites.append(site)
 """
-_EVENT_LOOP_TAIL = """\
-# the walk ran past the end: the last kind with a positive rate, updated
-# through the table
-rates = [{rates}]
-last = max(kind for kind, rate in enumerate(rates) if rate > 0.0)
-for c, offset, delta in table[last]:
-    j = (site + offset) % n
-    rows[c][j] += delta
-    site_totals[j] = _site_total(weights, beta, kcap, S[j], I[j], R[j], B[j])
-""" + _EVENT_LOOP_RECORD.format(kind="last")
 
 
 def _site_update(offset: int, deltas: dict) -> list[str]:
     """Lines that add ``deltas`` (compartment -> count delta) at the site
-    ``offset`` from the event site, periodic, and rewrite its total with
-    ``_site_total``'s left-to-right expression."""
+    ``offset`` from the event site, periodic, lower m to that site, and
+    rewrite its total with ``_site_total``'s left-to-right expression."""
     at, names, lines = "site", "sirb", []
     if offset:
         at, names = "j", ("s_", "i_", "r_", "b_")
         wrap = "if j >= n: j -= n" if offset > 0 else "if j < 0: j += n"
-        lines = [f"j = site {'+-'[offset < 0]} {abs(offset)}", wrap]
+        lines = [f"j = site {'+-'[offset < 0]} {abs(offset)}", wrap, "if j < m: m = j"]
         lines += [f"{x} = {row}[j]" for x, row in zip(names, COMPARTMENTS)]
     for c, delta in deltas.items():
         lines += [f"{names[c]} {'+-'[delta < 0]}= {abs(delta)}",
                   f"{COMPARTMENTS[c]}[{at}] = {names[c]}"]
     s, i, r, b = names
-    return lines + [f"site_totals[{at}] = a_s * {s} + a_i * {i} + a_r * {r} + a_b * {b}"
+    return lines + [f"totals[{at}] = a_s * {s} + a_i * {i} + a_r * {r} + a_b * {b}"
                     f" + beta * {s} * {b} / (kcap + {b})"]
 
 
@@ -599,27 +623,44 @@ def _rate(kind: int) -> str:
     return rate + " * b / (kcap + b)" if kind == EventKind.INFECTION else rate
 
 
-def _walk_step(kind: int) -> list[str]:
-    """The walk's step for one kind: add its rate to the running sum; if the
-    residual falls below the sum, make the kind's count updates and go to
-    the next event.  Zero rates need no test: adding one leaves the sum,
-    and so the comparison, as it was, and a residual >= 0 is never below
-    the empty sum 0.0, so only a positive rate can fire."""
+def _fire(kind: int) -> list[str]:
+    """The kind's count updates and record, then on to the next event."""
     by_offset: dict = {}
     for c, offset, delta in STOICHIOMETRY[kind].tolist():
         if delta:
             by_offset.setdefault(offset, {})[c] = delta
-    fire = [line for offset, deltas in by_offset.items()
-            for line in _site_update(offset, deltas)]
-    fire += _EVENT_LOOP_RECORD.format(kind=kind).splitlines() + ["continue"]
-    return [f"acc += {_rate(kind)}", "if residual < acc:", *("    " + line for line in fire)]
+    lines = ["m = site"] + [line for offset, deltas in by_offset.items()
+                            for line in _site_update(offset, deltas)]
+    return lines + _EVENT_LOOP_RECORD.format(kind=kind).splitlines() + ["continue"]
+
+
+def _walk_step(kind: int) -> list[str]:
+    """The walk's step for one kind: add its rate to the running sum (the
+    first kind's rate starts it, as 0.0 plus a rate >= 0 gives a sum that
+    compares the same); if the residual falls below the sum, fire the kind.
+    Zero rates need no test: adding one leaves the sum, and so the
+    comparison, as it was, and a residual >= 0 is never below the empty sum
+    0.0, so only a positive rate can fire."""
+    add = "acc =" if kind == 0 else "acc +="
+    return [f"{add} {_rate(kind)}", "if residual < acc:", *("    " + x for x in _fire(kind))]
+
+
+def _past_end_step(kind: int) -> list[str]:
+    """When the walk ran past the end (the residual rounded up to the
+    site's total): fire the kind if its rate is positive, trying the kinds
+    from last to first."""
+    return [f"if {_rate(kind)} > 0.0:", *("    " + x for x in _fire(kind))]
 
 
 _WALK = "".join(line + "\n" for kind in EventKind for line in _walk_step(kind))
-_TAIL = _EVENT_LOOP_TAIL.format(rates=", ".join(map(_rate, EventKind)))
+_PAST_END = "".join(line + "\n" for kind in reversed(EventKind)
+                    for line in _past_end_step(kind))
 EVENT_LOOP_SOURCE = _EVENT_LOOP_HEAD.format(
-    block=2 * _UNIFORM_BLOCK, coefficients=", ".join(f"c{k}" for k in range(N_EVENT_KINDS))
-) + textwrap.indent(_WALK + _TAIL, " " * 8)
+    block=2 * _UNIFORM_BLOCK, coefficients=", ".join(f"c{k}" for k in range(N_EVENT_KINDS)),
+    counters=", ".join(f"f{k}" for k in range(N_EVENT_KINDS)),
+) + textwrap.indent(
+    _WALK + _PAST_END + 'raise AssertionError("no kind has a positive rate at the site")\n',
+    " " * 8)
 _scope: dict = {}
 exec(compile(EVENT_LOOP_SOURCE, "<generated event loop>", "exec"), globals(), _scope)
 _event_loop = _scope["_event_loop"]
@@ -653,11 +694,18 @@ def simulate_ssa(
     ``u2 * total`` minus the cumsum before the site, in the sequential
     cumsum of the site's 14 rates in EventKind order; past the end it takes
     the last kind with a positive rate.  An absorbed chain draws nothing.
-    This is the order of ``step_ssa``.  The uniforms are drawn in blocks,
-    which give the same doubles as single calls.
+    This is the order of ``step_ssa``.  The uniforms are drawn in blocks of
+    ``2 * _UNIFORM_BLOCK``, which hold the same doubles as that many single
+    calls, and taken in pairs; what is left of the last block when the run
+    ends is discarded.
 
-    The loop keeps the n site totals, not the 14n rates: an event rewrites
-    the totals of the (at most two) sites it touches.  Its Python source is
+    The loop keeps the n site totals, not the 14n rates, and their running
+    sums: an event rewrites the totals of the (at most two) sites it
+    touches.  Up to ``_LIST_SITES`` sites, totals and sums are Python lists
+    and the sums are re-summed from the first touched site on; on more
+    sites they are numpy arrays and ``np.add.accumulate`` re-sums them all.
+    Either way each sum is the previous one plus the site's total, left to
+    right, so both paths give the same bits.  The loop's Python source is
     generated once, at import, from ``STOICHIOMETRY`` and the rate sources:
     one straight-line step per kind, in EventKind order, that adds the
     kind's rate and, if it is the one selected, makes the kind's count

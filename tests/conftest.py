@@ -2,7 +2,7 @@
 
 import pytest
 
-from sirb_lattice import diagnostics
+from sirb_lattice import cli, diagnostics
 
 
 @pytest.fixture
@@ -28,3 +28,14 @@ def pool_sizes(monkeypatch):
 
     monkeypatch.setattr(diagnostics, "ProcessPoolExecutor", RecordingPool)
     return sizes
+
+
+@pytest.fixture
+def usable_cpus(monkeypatch):
+    """Set the CPU count that the worker checks of cli and the pool sizes of
+    diagnostics see; call the returned function with the count."""
+    def set_count(count):
+        monkeypatch.setattr(cli, "usable_cpus", lambda: count)
+        monkeypatch.setattr(diagnostics, "usable_cpus", lambda: count)
+
+    return set_count

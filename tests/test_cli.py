@@ -144,9 +144,9 @@ def test_parse_rejects_seed_beyond_64_bits(tmp_path):
     assert parse_config(path).seed == 2**64 - 1
 
 
-def test_workers_beyond_cpu_count_rejected_at_parse_time(tmp_path, monkeypatch, capsys,
-                                                        pool_sizes):
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+def test_workers_beyond_cpu_count_rejected_at_parse_time(tmp_path, capsys, pool_sizes,
+                                                        usable_cpus):
+    usable_cpus(3)
     path = write_config(tmp_path)
     path.write_text(path.read_text().replace("workers = 1", "workers = 4"))
     with pytest.raises(ConfigError, match="run.workers"):
@@ -429,7 +429,8 @@ def test_diagnose_workers_do_not_change_results(tmp_path):
     assert outputs[1] == [(ref / name).read_bytes() for name in DIAGNOSE_REPORTS]
 
 
-def test_diagnose_ships_no_event_log_and_sweeps_each_log_once(tmp_path, monkeypatch):
+def test_diagnose_ships_no_event_log_and_sweeps_each_log_once(tmp_path, monkeypatch,
+                                                             usable_cpus):
     """Tasks and results cross a pickle round trip, as with a real pool;
     neither may hold an event log, and every replica's log is swept once."""
     pickled: set[type] = set()
@@ -464,7 +465,7 @@ def test_diagnose_ships_no_event_log_and_sweeps_each_log_once(tmp_path, monkeypa
         swept.append(traj.stats["stream"])
         return sweep_log(traj, params, scaling)
 
-    monkeypatch.setattr(diagnostics.os, "cpu_count", lambda: 3)
+    usable_cpus(3)
     monkeypatch.setattr(diagnostics, "ProcessPoolExecutor", PicklingPool)
     monkeypatch.setattr(cli, "sweep_log", counting_sweep)
     monkeypatch.setattr(diagnostics, "sweep_log", counting_sweep)
@@ -513,9 +514,9 @@ def test_main_converge_mode_flag(tmp_path):
 @pytest.mark.parametrize("mode", ["simulate", "diagnose"])
 @pytest.mark.parametrize("replicas, expected", [(2, 2), (5, 3)])
 def test_worker_count_capped_by_jobs_and_cpus(
-    tmp_path, monkeypatch, pool_sizes, mode, replicas, expected
+    tmp_path, pool_sizes, usable_cpus, mode, replicas, expected
 ):
-    monkeypatch.setattr(diagnostics.os, "cpu_count", lambda: 3)
+    usable_cpus(3)
     path = write_config(tmp_path)
     argv = [mode, "--config", str(path), "--replicas", str(replicas), "--workers", "3"]
     assert main(argv) == 0

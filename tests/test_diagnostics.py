@@ -553,27 +553,37 @@ def test_lln_distance_shrinks_along_small_ladder():
     assert report.rungs[1].median < report.rungs[0].median
 
 
-def test_pool_size_caps_workers(monkeypatch):
-    monkeypatch.setattr(diagnostics.os, "cpu_count", lambda: 4)
+def test_pool_size_caps_workers(usable_cpus):
+    usable_cpus(4)
     assert pool_size(10000, 10**6) == 4
     assert pool_size(10000, 3) == 3
     assert pool_size(2, 100) == 2
     assert pool_size(1, 100) == 1
     assert pool_size(8, 0) == 1
+
+
+def test_usable_cpus_follow_the_affinity_mask(monkeypatch):
+    monkeypatch.setattr(diagnostics.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(diagnostics.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert diagnostics.usable_cpus() == 1
+    assert pool_size(2, 10) == 1
+    # without an affinity mask, the machine's CPU count; none known gives 1
+    monkeypatch.delattr(diagnostics.os, "sched_getaffinity")
+    assert diagnostics.usable_cpus() == 8
     monkeypatch.setattr(diagnostics.os, "cpu_count", lambda: None)
-    assert pool_size(8, 8) == 1
+    assert diagnostics.usable_cpus() == 1
 
 
-def test_lln_pool_is_capped(monkeypatch, pool_sizes):
-    monkeypatch.setattr(diagnostics.os, "cpu_count", lambda: 2)
+def test_lln_pool_is_capped(pool_sizes, usable_cpus):
+    usable_cpus(2)
     lln_experiment([(4, 20, 20), (4, 40, 40)], initial_profiles(), make_params(n=4),
                    horizon=0.1, replicas=3, seed=2, mode="theorem1",
                    n_samples=3, workers=10000)
     assert pool_sizes == [2]
 
 
-def test_lln_builds_one_pool_for_the_whole_ladder(monkeypatch, pool_sizes):
-    monkeypatch.setattr(diagnostics.os, "cpu_count", lambda: 2)
+def test_lln_builds_one_pool_for_the_whole_ladder(pool_sizes, usable_cpus):
+    usable_cpus(2)
     ladder = [(4, 20, 20), (4, 40, 40), (4, 80, 80)]
     kwargs = dict(horizon=0.2, replicas=3, seed=5, mode="theorem1", n_samples=3)
     pooled = lln_experiment(ladder, initial_profiles(), make_params(n=4), workers=2,

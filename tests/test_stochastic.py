@@ -493,6 +493,18 @@ def wrapping_run_args():
             ScalingParams(n, 20, 20), 2024, 3)
 
 
+def wide_run_args():
+    """Too many sites for the simulator's list path, so the numpy path runs;
+    heavy reservoirs at sites 0 and n - 1 make transport wrap around both
+    ends of the lattice."""
+    n = stochastic._LIST_SITES + 16
+    b = np.full(n, 2)
+    b[0] = b[-1] = 20
+    state = SystemState.from_counts(np.full(n, 6), np.full(n, 2), np.zeros(n, int), b)
+    return (state, 1.0, np.linspace(0, 1, 5), make_params(n=n, p_out=0.5),
+            ScalingParams(n, 10, 10), 7, 2)
+
+
 def absorbed_run_args():
     """n = 3 with H = K = 2: on this stream every count reaches zero long
     before the horizon (t = 23.6 of 40)."""
@@ -573,7 +585,8 @@ def logged_run(run_args):
                         stream=stream, record_events=True)
 
 
-EQUIVALENCE_SHAPES = [wrapping_run_args, absorbed_run_args, crowded_run_args]
+EQUIVALENCE_SHAPES = [wrapping_run_args, absorbed_run_args, crowded_run_args,
+                      wide_run_args]
 
 
 @pytest.mark.parametrize("run_args", EQUIVALENCE_SHAPES)
