@@ -594,3 +594,26 @@ def test_lln_builds_one_pool_for_the_whole_ladder(pool_sizes, usable_cpus):
     assert pool_sizes == [2]
     for a, b in zip(pooled.rungs, serial.rungs):
         assert np.array_equal(a.distances, b.distances)
+
+
+def test_lln_submits_longest_jobs_first_and_reports_in_ladder_order(monkeypatch):
+    submitted = {}  # (n, h, k, stream) -> distance, in submission order
+    map_jobs = diagnostics.map_jobs
+
+    def recording_map(fn, jobs, workers):
+        results = map_jobs(fn, jobs, workers)
+        for job, (distance, _) in zip(jobs, results):
+            scaling, stream = job[4], job[6]
+            submitted[(scaling.n_sites, scaling.h, scaling.k, stream)] = distance
+        return results
+
+    monkeypatch.setattr(diagnostics, "map_jobs", recording_map)
+    ladder = [(4, 20, 20), (4, 40, 40), (4, 80, 80)]
+    report = lln_experiment(ladder, initial_profiles(), make_params(n=4), horizon=0.2,
+                            replicas=2, seed=5, mode="theorem1", n_samples=3)
+    order = [key[:3] for key in submitted]
+    assert order == [(4, 80, 80)] * 2 + [(4, 40, 40)] * 2 + [(4, 20, 20)] * 2
+    for rung_idx, (rung, (n, h, k)) in enumerate(zip(report.rungs, ladder)):
+        assert (rung.n_sites, rung.h, rung.k) == (n, h, k)
+        expected = [submitted[(n, h, k, (rung_idx << 32) + rep)] for rep in range(2)]
+        assert rung.distances.tolist() == expected
