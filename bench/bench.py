@@ -10,11 +10,14 @@ It times the package in this checkout's ``src`` and adds one run to
 * the machine (CPU model, core count, Python, numpy) and the git SHA;
 * the exact simulator, in µs of CPU time (``time.process_time``) per
   event, at the three baseline configs (n = 8, H = K = 10^3; n = 8,
-  H = 10^3, K = 10^5; n = 64, H = K = 10^3), at n = 16, 32 and 48 with
-  H = K = 10^3 (around the lattice size where the simulator switches from
-  lists to numpy arrays) and at the shape of the benchmark's roundtrip
-  workload (n = 256, H = K = 10^3, T = 0.1, with quickstart's hop rate,
-  event log recorded);
+  H = 10^3, K = 10^5; n = 64, H = K = 10^3), at n = 32 with H = K = 10^3
+  and at the shape of the benchmark's roundtrip workload (n = 256,
+  H = K = 10^3, T = 0.1, with quickstart's hop rate, event log recorded);
+* the simulator's two representations of its site totals, Python lists
+  and numpy arrays, each forced in turn through ``stochastic._LIST_SITES``
+  at n = 8, 16, 32, 48 and 64 with H = K = 10^3, the two taking turns
+  within each repeat (the figures that set ``_LIST_SITES``; left out for a
+  checkout without it);
 * the event-log sweep (``sweep_log``) at n = 8 and n = 64 and the replay
   (``io.replay_trajectory``) at n = 8, in µs per event, with H = K = 10^3;
 * the run-directory I/O, ``io.write_trajectory`` then ``io.read_trajectory``
@@ -58,6 +61,7 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 
 from sirb_lattice import io as run_io  # noqa: E402
+from sirb_lattice import stochastic  # noqa: E402
 from sirb_lattice.deterministic import (  # noqa: E402
     DeterministicState,
     ReactionField,
@@ -80,14 +84,14 @@ REPEATS = 7
 RK4_STEPS = 400
 # (n, H, K, logged); a logged run keeps quickstart's hop rate, as the
 # roundtrip workload's does
-SSA_CONFIGS = ((8, 1000, 1000, False), (8, 1000, 100_000, False), (16, 1000, 1000, False),
-               (32, 1000, 1000, False), (48, 1000, 1000, False), (64, 1000, 1000, False),
-               (256, 1000, 1000, True))
+SSA_CONFIGS = ((8, 1000, 1000, False), (8, 1000, 100_000, False), (32, 1000, 1000, False),
+               (64, 1000, 1000, False), (256, 1000, 1000, True))
+PATH_SIZES = (8, 16, 32, 48, 64)
 SWEEP_SIZES = (8, 64)
 REPLAY_SIZE = 8
 IO_SIZE = 256
 RK4_SIZES = (8, 64, 256)
-LAYERS = ("ssa", "sweep", "replay", "io", "rk4")
+LAYERS = ("ssa", "paths", "sweep", "replay", "io", "rk4")
 
 
 def horizon(n: int) -> float:
@@ -126,6 +130,10 @@ def timed(run, units: int, unit: str, clock=time.perf_counter) -> dict:
         start = clock()
         run()
         runs.append((clock() - start) / units * 1e6)
+    return figure(runs, units, unit)
+
+
+def figure(runs: list, units: int, unit: str) -> dict:
     return {
         "unit": unit, "median": statistics.median(runs), "min": min(runs),
         "max": max(runs), "runs": runs, "work": units,
@@ -143,6 +151,32 @@ def bench_ssa(n: int, h: int, k: int, logged: bool) -> dict:
 
     events = run().stats["n_events"]
     return timed(run, events, "us/event", clock=time.process_time)
+
+
+def bench_paths(n: int) -> dict:
+    """The simulator on n sites, H = K = 10^3, with its site totals in
+    lists and in arrays: ``_LIST_SITES`` set to n, then to 0 (the order
+    alternating between repeats)."""
+    params, v0 = model(n)
+    scaling = ScalingParams(n, 1000, 1000)
+    state = initial_counts(v0, scaling)
+
+    def run():
+        return simulate_ssa(state, horizon(n), grid(n), params, scaling, SEED)
+
+    events = run().stats["n_events"]
+    runs: dict = {"lists": [], "arrays": []}
+    default = stochastic._LIST_SITES
+    try:
+        for rep in range(REPEATS):
+            for path in ("lists", "arrays") if rep % 2 == 0 else ("arrays", "lists"):
+                stochastic._LIST_SITES = n if path == "lists" else 0
+                start = time.process_time()
+                run()
+                runs[path].append((time.process_time() - start) / events * 1e6)
+    finally:
+        stochastic._LIST_SITES = default
+    return {f"n={n},{path}": figure(r, events, "us/event") for path, r in runs.items()}
 
 
 def logged_run(n: int, continuum: bool = True):
@@ -231,6 +265,8 @@ def main(argv=None) -> int:
         "git_sha": git_sha(), "machine": machine(),
         "ssa": {f"n={n},h={h},k={k}" + (",logged" if logged else ""): bench_ssa(n, h, k, logged)
                 for n, h, k, logged in SSA_CONFIGS},
+        "paths": {key: fig for n in PATH_SIZES for key, fig in bench_paths(n).items()}
+        if hasattr(stochastic, "_LIST_SITES") else {},
         "sweep": {f"n={n}": bench_sweep(n) for n in SWEEP_SIZES},
         "replay": {f"n={REPLAY_SIZE}": bench_replay(REPLAY_SIZE)},
         "io": {f"n={IO_SIZE}": bench_io(IO_SIZE)},

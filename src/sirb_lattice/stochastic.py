@@ -525,13 +525,17 @@ def uniform_grid(horizon: float, n_samples: int) -> np.ndarray:
 # ``random()`` holds the same doubles as that many successive calls.
 _UNIFORM_BLOCK = 256
 
+# The loop holds the counts as floats, which are whole numbers exactly, and
+# give the same rates and totals as the integers, while below 2**53.  An
+# event adds at most 1 to a count, and no run fires 2**52 events.
+_MAX_COUNT = 2 ** 52
+
 # Lattices of at most this many sites keep their site totals and running
 # sums in Python lists and re-sum them from the first site an event
-# touched; wider ones keep numpy arrays and re-accumulate them whole.  In
-# bench/bench.py's simulator figures, with each representation forced in
-# turn, the lists took 17% less CPU time per event at n = 8, were level at
-# n = 16 and were slower from n = 32 on.
-_LIST_SITES = 16
+# touched; wider ones keep numpy arrays and re-accumulate them whole.  The
+# value is the crossover of bench/bench.py's ``paths`` figures, which time
+# both representations at n = 8, 16, 32, 48 and 64.
+_LIST_SITES = 32
 
 _EVENT_LOOP_HEAD = """\
 def _event_loop(S, I, R, B, totals, weights, beta, kcap, coefficients, samples,
@@ -545,6 +549,7 @@ def _event_loop(S, I, R, B, totals, weights, beta, kcap, coefficients, samples,
     narrow = n <= _LIST_SITES
     if narrow:
         totals, cum = totals.tolist(), [0.0] * (n + 1)
+        suffixes = [range(j, n) for j in range(n)]
     else:
         totals_array, cum_array = totals, np.zeros(n + 1)
         cum_head, cumulate = cum_array[:n], np.add.accumulate
@@ -557,7 +562,7 @@ def _event_loop(S, I, R, B, totals, weights, beta, kcap, coefficients, samples,
         # re-sum from m, the first site whose total changed
         if narrow:
             partial = cum[m - 1]
-            for j in range(m, n):
+            for j in suffixes[m]:
                 partial += totals[j]
                 cum[j] = partial
             total = partial
@@ -610,7 +615,7 @@ def _site_update(offset: int, deltas: dict) -> list[str]:
         lines = [f"j = site {'+-'[offset < 0]} {abs(offset)}", wrap, "if j < m: m = j"]
         lines += [f"{x} = {row}[j]" for x, row in zip(names, COMPARTMENTS)]
     for c, delta in deltas.items():
-        lines += [f"{names[c]} {'+-'[delta < 0]}= {abs(delta)}",
+        lines += [f"{names[c]} {'+-'[delta < 0]}= {float(abs(delta))}",
                   f"{COMPARTMENTS[c]}[{at}] = {names[c]}"]
     s, i, r, b = names
     return lines + [f"totals[{at}] = a_s * {s} + a_i * {i} + a_r * {r} + a_b * {b}"
@@ -705,7 +710,10 @@ def simulate_ssa(
     and the sums are re-summed from the first touched site on; on more
     sites they are numpy arrays and ``np.add.accumulate`` re-sums them all.
     Either way each sum is the previous one plus the site's total, left to
-    right, so both paths give the same bits.  The loop's Python source is
+    right, so both paths give the same bits.  The counts are held as floats,
+    which the interpreter multiplies and adds faster than mixed int and
+    float operands; below 2**53 they are whole numbers exactly and give the
+    same rates and totals.  The loop's Python source is
     generated once, at import, from ``STOICHIOMETRY`` and the rate sources:
     one straight-line step per kind, in EventKind order, that adds the
     kind's rate and, if it is the one selected, makes the kind's count
@@ -724,14 +732,19 @@ def simulate_ssa(
         Trajectory with one row of counts per sample time; ``stats`` holds
         ``n_events``, ``stream`` and ``events_by_kind`` (14 counts indexed
         by EventKind).
+
+    Raises ValueError on a bad horizon or grid, a lattice that does not
+    match, or an initial count of 2**52 or more.
     """
     grid = _resolve_grid(horizon, sample_times)
     _check_compatible(initial.n_sites, params, scaling)
+    if initial.counts.max() >= _MAX_COUNT:
+        raise ValueError(f"counts must be below 2**52 = {_MAX_COUNT}")
     weights, beta = _site_weights(params)
     kcap = float(scaling.k)
     snapshots = np.empty((grid.size, 4, initial.n_sites), dtype=np.int64)
     fired, times, kinds, sites = _event_loop(
-        *initial.counts.tolist(), _site_total(weights, beta, kcap, *initial.counts), weights,
+        *initial.counts.astype(float).tolist(), _site_total(weights, beta, kcap, *initial.counts), weights,
         beta, kcap, _rate_coefficients(params), grid.tolist() + [math.inf], horizon,
         snapshots, replica_rng(seed, stream), record_events)
     event_log = None

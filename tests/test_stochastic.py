@@ -650,6 +650,23 @@ def test_simulate_rejects_bad_sample_grid():
         simulate_ssa(state, 1.0, [0.0, 2.0], params, scaling, seed=1)
 
 
+def test_simulate_keeps_counts_floats_hold_exactly():
+    """The event loop holds counts as floats: just below 2**52 a count comes
+    back exact, and from 2**52 on the run is refused."""
+    params = EpidemicParams(
+        mu=0, alpha=0, gamma=0, rho=0, beta=0, p_over_w=0, mu_b=0,
+        transport=TransportCoefficients(0.0, 0.5, 4),
+    )
+    scaling = ScalingParams(4, 10, 10)
+    counts = uniform_state(4).counts.copy()
+    counts[3, 1] = 2**52 - 1
+    traj = simulate_ssa(SystemState(counts), 1.0, [0.0, 1.0], params, scaling, seed=1)
+    assert traj.final == SystemState(counts)
+    counts[3, 1] = 2**52
+    with pytest.raises(ValueError, match="2\\*\\*52"):
+        simulate_ssa(SystemState(counts), 1.0, [0.0, 1.0], params, scaling, seed=1)
+
+
 def test_nonfinite_parameters_rejected():
     with pytest.raises(ValueError):
         make_params(mu=math.nan)
