@@ -534,7 +534,11 @@ _MAX_COUNT = 2 ** 52
 # sums in Python lists and re-sum them from the first site an event
 # touched; wider ones keep numpy arrays and re-accumulate them whole.  The
 # value is the crossover of bench/bench.py's ``paths`` figures, which time
-# both representations at n = 8, 16, 32, 48 and 64.
+# both representations: over ten runs in BENCH_change.json, lists against
+# arrays took 1.74 against 2.34 µs of CPU time per event at n = 8, 2.01
+# against 2.56 at n = 16 and 2.61 against 2.87 at n = 32 (lists faster in
+# 10, 10 and 9 of the runs), but 2.94 against 3.01 at n = 48 and 3.43
+# against 3.15 at n = 64 (lists faster in 3 and 0).
 _LIST_SITES = 32
 
 _EVENT_LOOP_HEAD = """\
