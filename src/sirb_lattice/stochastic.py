@@ -544,9 +544,10 @@ _LIST_SITES = 32
 _EVENT_LOOP_HEAD = """\
 def _event_loop(S, I, R, B, totals, weights, beta, kcap, coefficients, samples,
                 horizon, snapshots, rng, record):
-    n, rows = len(S), (S, I, R, B)
+    n, table, rows = len(S), STOICHIOMETRY.tolist(), (S, I, R, B)
     {coefficients} = coefficients
     {counters} = (0,) * N_EVENT_KINDS
+    past_end = [0] * N_EVENT_KINDS
     a_s, a_i, a_r, a_b = weights
     # cum[j] is the sequential sum of totals[:j + 1]; the trailing
     # cum[n] = cum[-1] = 0.0 is the empty sum before site 0
@@ -588,7 +589,7 @@ def _event_loop(S, I, R, B, totals, weights, beta, kcap, coefficients, samples,
             k_sample += 1
             t_sample = samples[k_sample]
         if t_next > horizon:
-            return [{counters}], times, kinds, sites
+            return [f + p for f, p in zip(({counters}), past_end)], times, kinds, sites
         t = t_next
         x = u2 * total
         site = search(cum, x, 0, n)
@@ -604,6 +605,23 @@ f{kind} += 1
 if record:
     times.append(t)
     kinds.append({kind})
+    sites.append(site)
+"""
+_EVENT_LOOP_TAIL = """\
+# the walk ran past the end: the last kind with a positive rate, updated
+# through the table
+m = site
+rates = [{rates}]
+last = max(kind for kind, rate in enumerate(rates) if rate > 0.0)
+for c, offset, delta in table[last]:
+    j = (site + offset) % n
+    if j < m: m = j
+    rows[c][j] += delta
+    totals[j] = _site_total(weights, beta, kcap, S[j], I[j], R[j], B[j])
+past_end[last] += 1
+if record:
+    times.append(t)
+    kinds.append(last)
     sites.append(site)
 """
 
@@ -632,44 +650,31 @@ def _rate(kind: int) -> str:
     return rate + " * b / (kcap + b)" if kind == EventKind.INFECTION else rate
 
 
-def _fire(kind: int) -> list[str]:
-    """The kind's count updates and record, then on to the next event."""
+def _walk_step(kind: int) -> list[str]:
+    """The walk's step for one kind: add its rate to the running sum (the
+    first kind's rate starts it, as 0.0 plus a rate >= 0 gives a sum that
+    compares the same); if the residual falls below the sum, make the
+    kind's count updates and go to the next event.  Zero rates need no
+    test: adding one leaves the sum, and so the comparison, as it was, and
+    a residual >= 0 is never below the empty sum 0.0, so only a positive
+    rate can fire."""
     by_offset: dict = {}
     for c, offset, delta in STOICHIOMETRY[kind].tolist():
         if delta:
             by_offset.setdefault(offset, {})[c] = delta
-    lines = ["m = site"] + [line for offset, deltas in by_offset.items()
-                            for line in _site_update(offset, deltas)]
-    return lines + _EVENT_LOOP_RECORD.format(kind=kind).splitlines() + ["continue"]
-
-
-def _walk_step(kind: int) -> list[str]:
-    """The walk's step for one kind: add its rate to the running sum (the
-    first kind's rate starts it, as 0.0 plus a rate >= 0 gives a sum that
-    compares the same); if the residual falls below the sum, fire the kind.
-    Zero rates need no test: adding one leaves the sum, and so the
-    comparison, as it was, and a residual >= 0 is never below the empty sum
-    0.0, so only a positive rate can fire."""
+    fire = ["m = site"] + [line for offset, deltas in by_offset.items()
+                           for line in _site_update(offset, deltas)]
+    fire += _EVENT_LOOP_RECORD.format(kind=kind).splitlines() + ["continue"]
     add = "acc =" if kind == 0 else "acc +="
-    return [f"{add} {_rate(kind)}", "if residual < acc:", *("    " + x for x in _fire(kind))]
-
-
-def _past_end_step(kind: int) -> list[str]:
-    """When the walk ran past the end (the residual rounded up to the
-    site's total): fire the kind if its rate is positive, trying the kinds
-    from last to first."""
-    return [f"if {_rate(kind)} > 0.0:", *("    " + x for x in _fire(kind))]
+    return [f"{add} {_rate(kind)}", "if residual < acc:", *("    " + line for line in fire)]
 
 
 _WALK = "".join(line + "\n" for kind in EventKind for line in _walk_step(kind))
-_PAST_END = "".join(line + "\n" for kind in reversed(EventKind)
-                    for line in _past_end_step(kind))
+_TAIL = _EVENT_LOOP_TAIL.format(rates=", ".join(map(_rate, EventKind)))
 EVENT_LOOP_SOURCE = _EVENT_LOOP_HEAD.format(
     block=2 * _UNIFORM_BLOCK, coefficients=", ".join(f"c{k}" for k in range(N_EVENT_KINDS)),
     counters=", ".join(f"f{k}" for k in range(N_EVENT_KINDS)),
-) + textwrap.indent(
-    _WALK + _PAST_END + 'raise AssertionError("no kind has a positive rate at the site")\n',
-    " " * 8)
+) + textwrap.indent(_WALK + _TAIL, " " * 8)
 _scope: dict = {}
 exec(compile(EVENT_LOOP_SOURCE, "<generated event loop>", "exec"), globals(), _scope)
 _event_loop = _scope["_event_loop"]
@@ -748,8 +753,8 @@ def simulate_ssa(
     kcap = float(scaling.k)
     snapshots = np.empty((grid.size, 4, initial.n_sites), dtype=np.int64)
     fired, times, kinds, sites = _event_loop(
-        *initial.counts.astype(float).tolist(), _site_total(weights, beta, kcap, *initial.counts), weights,
-        beta, kcap, _rate_coefficients(params), grid.tolist() + [math.inf], horizon,
+        *initial.counts.astype(float).tolist(), _site_total(weights, beta, kcap, *initial.counts),
+        weights, beta, kcap, _rate_coefficients(params), grid.tolist() + [math.inf], horizon,
         snapshots, replica_rng(seed, stream), record_events)
     event_log = None
     if record_events:

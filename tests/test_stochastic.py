@@ -337,6 +337,7 @@ def test_selection_fallbacks_at_a_subnormal_total(engine, monkeypatch):
         traj = simulate_ssa(state, 1.0, [0.0, 1.0], params, scaling, seed=0,
                             record_events=True)
         assert len(traj.event_log) == 1 and not traj.final.counts[3].any()
+        assert traj.stats["events_by_kind"] == [0] * 10 + [1] + [0] * 3
         _, event = next(iter(traj.event_log))
     assert event == Event(EventKind.BACTERIA_DEATH, 1)
 
