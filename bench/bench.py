@@ -16,8 +16,8 @@ It times the package in this checkout's ``src`` and adds one run to
 * the simulator's two representations of its site totals, Python lists
   and numpy arrays, each forced in turn through ``stochastic._LIST_SITES``
   at n = 8, 16, 32, 48 and 64 with H = K = 10^3, the two taking turns
-  within each repeat (the figures that set ``_LIST_SITES``; left out for a
-  checkout without it);
+  within each repeat, in µs of CPU time per event (the figures that set
+  ``_LIST_SITES``; left out for a checkout without it);
 * the event-log sweep (``sweep_log``) at n = 8 and n = 64 and the replay
   (``io.replay_trajectory``) at n = 8, in µs per event, with H = K = 10^3;
 * the run-directory I/O, ``io.write_trajectory`` then ``io.read_trajectory``
