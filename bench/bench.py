@@ -8,15 +8,14 @@ It times the package in this checkout's ``src`` and adds one run to
 ``BENCH_<label>.json`` (delete the file to start afresh).  Each run records:
 
 * the machine (CPU model, core count, Python, numpy) and the git SHA;
-* the exact simulator, in µs of CPU time (``time.process_time``) per
-  event, at the three baseline configs (n = 8, H = K = 10^3; n = 8,
+* the exact simulator, in µs per event, at the three baseline configs (n = 8, H = K = 10^3; n = 8,
   H = 10^3, K = 10^5; n = 64, H = K = 10^3), at n = 32 with H = K = 10^3
   and at the shape of the benchmark's roundtrip workload (n = 256,
   H = K = 10^3, T = 0.1, with quickstart's hop rate, event log recorded);
 * the simulator's two representations of its site totals, Python lists
   and numpy arrays, each forced in turn through ``stochastic._LIST_SITES``
   at n = 8, 16, 32, 48 and 64 with H = K = 10^3, the two taking turns
-  within each repeat, in µs of CPU time per event (the figures that set
+  within each repeat, in µs per event (the figures that set
   ``_LIST_SITES``; left out for a checkout without it);
 * the event-log sweep (``sweep_log``) at n = 8 and n = 64 and the replay
   (``io.replay_trajectory``) at n = 8, in µs per event, with H = K = 10^3;
@@ -27,8 +26,9 @@ It times the package in this checkout's ``src`` and adds one run to
 * the RK4 lattice integrator, in µs per step, at n = 8, 64 and 256.
 
 Every figure is the median of ``REPEATS`` timed repeats of the same seeded
-work, with the minimum, the maximum and every repeat.  The other layers are
-timed on the wall clock (``time.perf_counter``).  The file's ``summary``
+work, with the minimum, the maximum and every repeat.  Every layer is timed
+in CPU time of this process (``time.process_time``), which other load on
+the machine disturbs less than the wall clock.  The file's ``summary``
 gives, per figure, the median and quartiles of the runs' medians and the
 median of the runs' minimums, so runs of two checkouts taken in turn
 (parent, change, change, parent, ...) compare as pairs on the same machine
@@ -122,14 +122,14 @@ def initial_counts(v0: DeterministicState, scaling: ScalingParams) -> SystemStat
     return SystemState.from_densities(v0.s, v0.i, v0.r, v0.b, scaling=scaling)
 
 
-def timed(run, units: int, unit: str, clock=time.perf_counter) -> dict:
-    """Median, min and max over ``REPEATS`` calls of ``run`` on ``clock``, per
+def timed(run, units: int, unit: str) -> dict:
+    """Median, min and max over ``REPEATS`` calls of ``run``, in CPU time per
     unit of work."""
     runs = []
     for _ in range(REPEATS):
-        start = clock()
+        start = time.process_time()
         run()
-        runs.append((clock() - start) / units * 1e6)
+        runs.append((time.process_time() - start) / units * 1e6)
     return figure(runs, units, unit)
 
 
@@ -150,7 +150,7 @@ def bench_ssa(n: int, h: int, k: int, logged: bool) -> dict:
                             record_events=logged)
 
     events = run().stats["n_events"]
-    return timed(run, events, "us/event", clock=time.process_time)
+    return timed(run, events, "us/event")
 
 
 def bench_paths(n: int) -> dict:
@@ -212,12 +212,11 @@ def bench_io(n: int) -> dict:
 def bench_rk4(n: int) -> dict:
     params, v0 = model(n)
     rf = ReactionField(params, hk_ratio=1.0)
-    dt = auto_dt(rf, params.transport)
+    dt = auto_dt(rf)
     span = RK4_STEPS * dt
     stats: dict = {}
-    integrate(v0, span, rf, params.transport, dt=dt, stats=stats)
-    return timed(lambda: integrate(v0, span, rf, params.transport, dt=dt),
-                 stats["n_steps"], "us/step")
+    integrate(v0, span, rf, dt=dt, stats=stats)
+    return timed(lambda: integrate(v0, span, rf, dt=dt), stats["n_steps"], "us/step")
 
 
 def git_sha() -> str:

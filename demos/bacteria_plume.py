@@ -26,13 +26,13 @@ for m in (16, 32, 64, 128):
     tc = TransportCoefficients.from_continuum(DIFFUSION, SPEED, m)
     params = EpidemicParams(mu=0.0, alpha=0.0, gamma=0.0, rho=0.0, beta=0.0,
                             p_over_w=0.0, mu_b=DECAY, transport=tc)
-    rf = ReactionField(params, hk_ratio=0.0, mode="decoupled")
+    rf = ReactionField(params, hk_ratio=0.0)
     centers = (np.arange(m) + 0.5) / m
     zero = np.zeros(m)
     v0 = DeterministicState(
         zero, zero, zero, BASELINE + AMPLITUDE * np.sin(2 * np.pi * centers),
     )
-    states = integrate(v0, HORIZON, rf, tc, sample_times=[0.0, HORIZON])
+    states = integrate(v0, HORIZON, rf, sample_times=[0.0, HORIZON])
     exact = linear_oracle(1, AMPLITUDE, tc, DECAY, HORIZON, centers, baseline=BASELINE)
     err = float(np.max(np.abs(states[-1, 3] - exact)))
     ratio = "" if previous is None else f"{previous / err:5.2f}"

@@ -41,8 +41,7 @@ state0 = SystemState.from_densities(*fields, scaling=scaling)
 grid = np.linspace(0.0, 1.0, 21)
 traj = simulate_ssa(state0, 1.0, grid, params, scaling, seed=7)
 rf = ReactionField(params, hk_ratio=1.0)
-det = integrate(DeterministicState(*fields), 1.0, rf, params.transport,
-                sample_times=grid)
+det = integrate(DeterministicState(*fields), 1.0, rf, sample_times=grid)
 d = sup_distance(traj, det, scaling)
 print(f"single run at H = K = {pop}: {traj.stats['n_events']} events, "
       f"sup distance to the lattice ODE = {d:.4f}")

@@ -39,7 +39,8 @@ directory.  The full schema:
     b = bump 0.5 0.1 0.8     # bump CENTER WIDTH HEIGHT
 
     [pde]
-    resolution = 64          # pde mode lattice size (defaults to scaling n)
+    resolution = 64          # pde mode lattice size (defaults to scaling n); keeps
+                             # the continuum coefficients of (ell, p_out, n)
     dt = auto                # RK4 step: auto | positive float
 
 Unknown keys are rejected by name.  Derived transport quantities (bias,
@@ -137,13 +138,12 @@ class RunConfig:
     pde_dt: float | str
     echo: dict = field(default_factory=dict)
 
-    def params(self, n_sites: Optional[int] = None) -> EpidemicParams:
-        n = self.n_sites if n_sites is None else n_sites
+    def params(self) -> EpidemicParams:
         r = self.rates
         return EpidemicParams(
             mu=r["mu"], alpha=r["alpha"], gamma=r["gamma"], rho=r["rho"],
             beta=r["beta"], p_over_w=r["p_over_w"], mu_b=r["mu_b"],
-            transport=TransportCoefficients(ell=r["ell"], p_out=r["p_out"], n_sites=n),
+            transport=TransportCoefficients(ell=r["ell"], p_out=r["p_out"], n_sites=self.n_sites),
         )
 
     def scaling(self) -> ScalingParams:
@@ -362,6 +362,11 @@ def parse_config(path, mode: str = "simulate", theorem: Optional[str] = None) ->
         ladder=ladder, initial_spec=initial_spec,
         pde_resolution=pde_resolution, pde_dt=pde_dt,
     )
+    if mode == "pde":
+        try:
+            cfg.params().with_lattice(pde_resolution)
+        except ValueError as exc:
+            raise ConfigError(f"pde.resolution: {exc}") from exc
     # Echo the resolved configuration, derived transport included.
     tc = cfg.params().transport
     cfg.echo = {
@@ -415,13 +420,12 @@ def _run_simulate(cfg: RunConfig) -> None:
 
 def _run_pde(cfg: RunConfig) -> None:
     m = cfg.pde_resolution
-    params = cfg.params(m)
-    rf = ReactionField(params, hk_ratio=cfg.h / cfg.k, mode="coupled")
+    params = cfg.params().with_lattice(m)
+    rf = ReactionField(params, hk_ratio=cfg.h / cfg.k)
     v0 = DeterministicState.from_functions(cfg.initial_fns(), m)
     grid = cfg.sample_grid()
     stats = {}
-    densities = integrate(v0, cfg.horizon, rf, params.transport,
-                          dt=cfg.pde_dt, sample_times=grid, stats=stats)
+    densities = integrate(v0, cfg.horizon, rf, dt=cfg.pde_dt, sample_times=grid, stats=stats)
     cfg.out.mkdir(parents=True, exist_ok=True)
     run_io._write_density_csv(cfg.out / "trajectory.csv", grid, densities)
     run_io.RunManifest(
@@ -432,7 +436,7 @@ def _run_pde(cfg: RunConfig) -> None:
 
 def _run_homogeneous(cfg: RunConfig) -> None:
     params = cfg.params()
-    rf = ReactionField(params, hk_ratio=cfg.h / cfg.k, mode="coupled")
+    rf = ReactionField(params, hk_ratio=cfg.h / cfg.k)
     fns = cfg.initial_fns()
     # Spatial mean of each profile is the natural homogeneous initial state.
     y0 = [float(np.mean(fn(np.linspace(0.0, 1.0, 257)[:-1]))) for fn in fns]

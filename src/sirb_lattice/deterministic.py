@@ -71,35 +71,23 @@ class IntegrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class ReactionField:
-    """The local (space-free) reaction terms of the dynamics.
+    """The deterministic system: the rate constants and lattice of
+    ``params``, and the ratio H/K of the human and bacteria renormalization
+    constants.
 
-    ``hk_ratio`` is the constant ratio of the human and bacteria
-    renormalization constants; it multiplies the contamination source in the
-    bacteria equation.  In ``decoupled`` mode that source is dropped (the
-    vanishing-ratio limit), making the bacteria equation linear and
+    ``hk_ratio`` multiplies the contamination source in the bacteria
+    equation.  At a constant ratio this is the companion system of the
+    first law of large numbers; at 0, the vanishing-ratio limit of the
+    second, the source drops and the bacteria equation is linear and
     independent of the human compartments.
     """
 
     params: EpidemicParams
     hk_ratio: float
-    mode: str = "coupled"
 
     def __post_init__(self):
-        if self.mode not in ("coupled", "decoupled"):
-            raise ValueError(f"mode must be 'coupled' or 'decoupled', got {self.mode!r}")
         if not np.isfinite(self.hk_ratio) or self.hk_ratio < 0:
             raise ValueError(f"hk_ratio must be finite and >= 0, got {self.hk_ratio}")
-
-    @property
-    def coupling(self) -> float:
-        """Weight of a human-sourced kind's entry on the bacteria row: H/K,
-        or 0 in decoupled mode."""
-        return 0.0 if self.mode == "decoupled" else self.hk_ratio
-
-    @property
-    def contamination_coeff(self) -> float:
-        """Coefficient of the infected-human source in the bacteria equation."""
-        return self.coupling * self.params.p_over_w
 
 
 @dataclass
@@ -184,10 +172,9 @@ def table_contraction(
     (row, offset, value) of a kind firing at site j adds to ``row`` at site
     j + offset, periodic; ``row_compartments[row]`` is the compartment
     whose renormalization divides that row.  An entry that carries a
-    human-sourced kind onto a bacteria row is weighted by ``rf.coupling``
-    (H/K, or 0 when decoupled); every other weight is 1.  STOICHIOMETRY
-    gives the drift, the jump-product table of ``diagnostics`` the square
-    and cross amplitudes.
+    human-sourced kind onto a bacteria row is weighted by ``rf.hk_ratio``;
+    every other weight is 1.  STOICHIOMETRY gives the drift, the
+    jump-product table of ``diagnostics`` the square and cross amplitudes.
 
     Offsets are taken modulo n_sites, so on one site a hop lands where it
     leaves and its entries cancel in the weights.  The weights are built
@@ -204,7 +191,7 @@ def table_contraction(
     weights = np.zeros((len(row_compartments), N_EVENT_KINDS, len(shifts)))
     for kind, row, shift, value in entries:
         onto_b = _RATE_SOURCE[kind] != b and row_compartments[row] == b
-        weights[row, kind, shifts.index(shift)] += value * (rf.coupling if onto_b else 1.0)
+        weights[row, kind, shifts.index(shift)] += value * (rf.hk_ratio if onto_b else 1.0)
     weights = weights.reshape(len(row_compartments), -1)
     # gather[s, j]: the site whose kinds land on site j through shifts[s]
     gather = (np.arange(n_sites) - np.array(shifts)[:, None]) % n_sites
@@ -232,19 +219,21 @@ def growth_constant(rf: ReactionField) -> float:
         |F_S| <= max(beta, mu, mu+rho) |y|_1
         |F_I| <= max(beta, gamma+alpha+mu) |y|_1
         |F_R| <= max(gamma, mu+rho) |y|_1
-        |F_B| <= max(mu_b, contamination_coeff) |y|_1
+        |F_B| <= max(mu_b, (H/K) p/W) |y|_1
     and the four bounds add up.
     """
     p = rf.params
     m_s = max(p.beta, p.mu, p.mu + p.rho)
     m_i = max(p.beta, p.gamma + p.alpha + p.mu)
     m_r = max(p.gamma, p.mu + p.rho)
-    m_b = max(p.mu_b, rf.contamination_coeff)
+    m_b = max(p.mu_b, rf.hk_ratio * p.p_over_w)
     return m_s + m_i + m_r + m_b
 
 
-def auto_dt(rf: ReactionField, tc: TransportCoefficients) -> float:
-    """Stability-derived RK4 step: safety / (4 D n^2 + nu n + L_reaction)."""
+def auto_dt(rf: ReactionField) -> float:
+    """Stability-derived RK4 step on the lattice of ``rf.params``:
+    safety / (4 D n^2 + nu n + L_reaction)."""
+    tc = rf.params.transport
     n = tc.n_sites
     denom = 4.0 * tc.diffusion * n**2 + abs(tc.nu) * n + growth_constant(rf)
     if denom <= 0.0:
@@ -254,14 +243,23 @@ def auto_dt(rf: ReactionField, tc: TransportCoefficients) -> float:
 
 def _rk4_march(
     y0: np.ndarray,
-    grid: np.ndarray,
-    dt: float,
+    horizon: float,
+    sample_times: Optional[Sequence[float]],
+    dt: float | str,
+    auto_step: float,
     rhs: Callable[[np.ndarray], np.ndarray],
     stats: Optional[dict],
 ) -> np.ndarray:
     """Fixed-step RK4 from sample time to sample time, clamping roundoff
-    negatives to zero and aborting on blow-up.  Returns the solution at
-    every sample time, shape (n_samples,) + y0.shape."""
+    negatives to zero and aborting on blow-up.  The step is ``dt``, or
+    ``auto_step`` when ``dt`` is "auto".  Returns the solution at every
+    sample time, shape (n_samples,) + y0.shape."""
+    if np.any(y0 < 0):
+        raise ValueError("initial state must be nonnegative")
+    grid = _resolve_grid(horizon, sample_times)
+    step = auto_step if dt == "auto" else float(dt)
+    if step <= 0:
+        raise ValueError(f"dt must be positive, got {dt}")
     clamped = 0
     min_seen = 0.0
     n_steps = 0
@@ -271,7 +269,7 @@ def _rk4_march(
     with np.errstate(over="ignore", invalid="ignore"):
         for g, (a, b_t) in enumerate(zip(grid[:-1], grid[1:]), start=1):
             span = b_t - a
-            m = max(1, math.ceil(span / dt))
+            m = max(1, math.ceil(span / step))
             h = span / m
             for _ in range(m):
                 k1 = rhs(y)
@@ -310,7 +308,6 @@ def integrate(
     initial: DeterministicState,
     horizon: float,
     rf: ReactionField,
-    tc: TransportCoefficients,
     dt: float | str = "auto",
     sample_times: Optional[Sequence[float]] = None,
     stats: Optional[dict] = None,
@@ -320,8 +317,8 @@ def integrate(
     Args:
         initial: nonnegative starting densities.
         horizon: final time.
-        rf, tc: reaction terms and transport; tc must match the lattice.
-        dt: fixed RK4 step, or "auto" for the stability-derived default.
+        rf: the system; its params' transport must match the lattice.
+        dt: fixed RK4 step, or "auto" for ``auto_dt(rf)``.
         sample_times: output grid (defaults to the two endpoints).
         stats: optional dict collecting step/clamp counters.
 
@@ -329,17 +326,11 @@ def integrate(
         The densities at every sample time, an (n_samples, 4, n) float
         array with rows (S, I, R, B).
     """
-    if tc.n_sites != initial.n_sites:
-        raise ValueError(f"transport built for n={tc.n_sites}, state has n={initial.n_sites}")
-    y0 = initial.stack()
-    if np.any(y0 < 0):
-        raise ValueError("initial state must be nonnegative")
-    grid = _resolve_grid(horizon, sample_times)
-    step = auto_dt(rf, tc) if dt == "auto" else float(dt)
-    if step <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    rhs = drift_field(replace(rf, params=replace(rf.params, transport=tc)), tc.n_sites)
-    return _rk4_march(y0, grid, step, rhs, stats)
+    n = rf.params.transport.n_sites
+    if n != initial.n_sites:
+        raise ValueError(f"transport built for n={n}, state has n={initial.n_sites}")
+    return _rk4_march(initial.stack(), horizon, sample_times, dt, auto_dt(rf),
+                      drift_field(rf, n), stats)
 
 
 def homogeneous_ode(
@@ -357,13 +348,10 @@ def homogeneous_ode(
     y0 = np.asarray(initial, dtype=float)
     if y0.shape != (4,):
         raise ValueError(f"expected a 4-vector initial state, got shape {y0.shape}")
-    if np.any(y0 < 0):
-        raise ValueError("initial state must be nonnegative")
-    grid = _resolve_grid(horizon, sample_times)
-    step = STABILITY_SAFETY / max(growth_constant(rf), 1e-12) if dt == "auto" else float(dt)
-    if step <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    return _rk4_march(y0.reshape(4, 1), grid, step, drift_field(rf, 1), stats)[:, :, 0]
+    return _rk4_march(
+        y0.reshape(4, 1), horizon, sample_times, dt,
+        STABILITY_SAFETY / max(growth_constant(rf), 1e-12), drift_field(rf, 1), stats,
+    )[:, :, 0]
 
 
 def linear_oracle(
@@ -399,29 +387,27 @@ def linear_oracle(
 
 def refine_compare(
     initial_fns: Sequence[Callable],
-    m_coarse: int,
     rf: ReactionField,
-    tc: TransportCoefficients,
     horizon: float,
     dt: float | str = "auto",
     n_samples: int = 17,
     quadrature_points: int = 64,
 ) -> float:
-    """Distance between the lattice solutions at resolutions m and 2m.
+    """Distance between the lattice solutions at the resolution m of
+    ``rf.params`` and at 2m.
 
-    Both runs share the continuum transport coefficients of ``tc`` (the hop
-    rate and bias are rebuilt for the finer lattice); the finer solution is
-    projected onto the coarser lattice before comparing.  Returns the
-    sup over sample times and compartments of the max-over-sites distance.
+    The finer run keeps the continuum transport coefficients
+    (``EpidemicParams.with_lattice``); its solution is projected onto the
+    coarser lattice before comparing.  Returns the sup over sample times
+    and compartments of the max-over-sites distance.
     """
-    if tc.n_sites != m_coarse:
-        raise ValueError(f"tc is built for n={tc.n_sites}, expected m_coarse={m_coarse}")
-    tc_fine = TransportCoefficients.from_continuum(tc.diffusion, tc.nu, 2 * m_coarse)
+    m = rf.params.transport.n_sites
+    rf_fine = replace(rf, params=rf.params.with_lattice(2 * m))
     grid = uniform_grid(horizon, n_samples)
-    v0_c = DeterministicState.from_functions(initial_fns, m_coarse, quadrature_points)
-    v0_f = DeterministicState.from_functions(initial_fns, 2 * m_coarse, quadrature_points)
-    coarse = integrate(v0_c, horizon, rf, tc, dt=dt, sample_times=grid)
-    fine = integrate(v0_f, horizon, rf, tc_fine, dt=dt, sample_times=grid)
+    v0_c = DeterministicState.from_functions(initial_fns, m, quadrature_points)
+    v0_f = DeterministicState.from_functions(initial_fns, 2 * m, quadrature_points)
+    coarse = integrate(v0_c, horizon, rf, dt=dt, sample_times=grid)
+    fine = integrate(v0_f, horizon, rf_fine, dt=dt, sample_times=grid)
     # project the fine solution onto the coarse lattice: pairwise site averages
-    fine = fine.reshape(grid.size, 4, m_coarse, 2).mean(axis=-1)
+    fine = fine.reshape(grid.size, 4, m, 2).mean(axis=-1)
     return float(np.max(np.abs(coarse - fine)))

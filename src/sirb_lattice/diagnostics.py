@@ -494,8 +494,8 @@ def lln_experiment(
     In ``theorem1`` mode the ratio H/K must stay constant along the ladder
     and all four compartments enter the distance; in ``theorem2`` mode K/H
     must be nondecreasing (the human population becomes negligible), the
-    companion system drops the contamination source, and only the bacteria
-    field enters the distance.
+    companion system is the one at H/K = 0, which drops the contamination
+    source, and only the bacteria field enters the distance.
 
     Args:
         ladder: (n_sites, h, k) triples, populations nondecreasing.
@@ -526,10 +526,8 @@ def lln_experiment(
         scaling = ScalingParams(int(n), int(h), int(k))
         prm = params.with_lattice(int(n))
         state0, v0, rounding = starting_point(initial_fns, scaling)
-        rf = ReactionField(
-            prm, hk_ratio=h / k, mode="coupled" if mode == "theorem1" else "decoupled"
-        )
-        det = integrate(v0, horizon, rf, prm.transport, sample_times=grid)
+        rf = ReactionField(prm, hk_ratio=h / k if mode == "theorem1" else 0.0)
+        det = integrate(v0, horizon, rf, sample_times=grid)
         c0 = float(np.max(np.abs(v0.stack())))
         ball = c0 * math.exp(growth_constant(rf) * horizon)
         shapes.append((int(n), int(h), int(k), rounding, ball))

@@ -19,12 +19,12 @@ def infection_term(u, params):
 
 def reaction(u, rf, infection=None):
     """Reaction terms F(u), (..., 4, n).  The contamination source of the
-    bacteria is (H/K)(p/W) u_I, dropped in decoupled mode."""
+    bacteria is (H/K)(p/W) u_I, which vanishes at H/K = 0."""
     p = rf.params
     s, i, r, b = (u[..., c, :] for c in range(4))
     if infection is None:
         infection = infection_term(u, p)
-    contamination = 0.0 if rf.mode == "decoupled" else rf.hk_ratio * p.p_over_w
+    contamination = rf.hk_ratio * p.p_over_w
     out = np.empty_like(u)
     out[..., 0, :] = p.mu * i + (p.mu + p.rho) * r - infection
     out[..., 1, :] = infection - (p.gamma + p.alpha + p.mu) * i

@@ -95,12 +95,12 @@ def test_criterion_3_linear_oracle():
     m = 64
     tc = TransportCoefficients.from_continuum(diffusion=0.01, nu=0.05, n_sites=m)
     params = EpidemicParams(transport=tc, **{**RATES, "mu_b": 1.0})
-    rf = ReactionField(params, hk_ratio=0.0, mode="decoupled")
+    rf = ReactionField(params, hk_ratio=0.0)
     xc = (np.arange(m) + 0.5) / m
     zero = np.zeros(m)
     v0 = DeterministicState(zero, zero, zero,
                             1.0 + 0.5 * np.sin(2 * np.pi * xc))
-    states = integrate(v0, 1.0, rf, tc, sample_times=[0.0, 1.0])
+    states = integrate(v0, 1.0, rf, sample_times=[0.0, 1.0])
     expected = linear_oracle(1, 0.5, tc, params.mu_b, 1.0, xc, baseline=1.0)
     rel = float(np.max(np.abs(states[-1, 3] - expected))
                 / np.max(np.abs(expected)))
@@ -116,8 +116,8 @@ def test_criterion_4_mesh_refinement():
     for m in (16, 32, 64):
         tc = TransportCoefficients.from_continuum(0.01, 0.05, m)
         params = EpidemicParams(transport=tc, **{**RATES, "mu_b": 1.0})
-        rf = ReactionField(params, hk_ratio=0.0, mode="decoupled")
-        errors[m] = refine_compare(fns, m, rf, tc, horizon=1.0)
+        rf = ReactionField(params, hk_ratio=0.0)
+        errors[m] = refine_compare(fns, rf, horizon=1.0)
     r1 = errors[16] / errors[32]
     r2 = errors[32] / errors[64]
     _criterion(4, "refinement error drops by >= 2x per lattice doubling",
@@ -232,8 +232,7 @@ def test_criterion_8_disease_free_fixed_point():
                              sample_times=np.linspace(0, 10, 11))
     drift_h = float(np.max(np.abs(series - np.array([1.0, 0, 0, 0]))))
     v0 = DeterministicState.constant([1.0, 0.0, 0.0, 0.0], n)
-    states = integrate(v0, 10.0, rf, params.transport,
-                       sample_times=np.linspace(0, 10, 11))
+    states = integrate(v0, 10.0, rf, sample_times=np.linspace(0, 10, 11))
     drift_s = float(np.max(np.abs(states - v0.stack())))
 
     scaling = ScalingParams(n, 200, 200)

@@ -381,6 +381,31 @@ def test_pde_writes_lattice_solution(tmp_path):
     assert len(rows) == 1 + cfg.samples * 8
 
 
+def test_pde_resolution_keeps_the_continuum_coefficients(tmp_path):
+    # a finer lattice of the same PDE: the manifest's params carry the
+    # diffusion and advection that config.derived gives for (ell, p_out, n)
+    path = write_config(tmp_path, extra="\n[pde]\nresolution = 16\n")
+    cfg = parse_config(path, mode="pde")
+    assert run(cfg) == 0
+    manifest = json.loads((cfg.out / "manifest.json").read_text())
+    assert manifest["scaling"]["n_sites"] == 16
+    for key in ("diffusion", "nu"):
+        assert manifest["params"][key] == pytest.approx(
+            manifest["config"]["derived"][key], rel=1e-12)
+
+
+def test_pde_refuses_a_resolution_that_cannot_carry_the_advection(tmp_path, capsys):
+    # quickstart's transport (ell 0.5, p_out 0.7, n 8) on 3 sites needs a
+    # bias of 16/15 > 1
+    path = write_config(tmp_path, extra="\n[pde]\nresolution = 3\n")
+    path.write_text(path.read_text().replace("n = 4", "n = 8"))
+    with pytest.raises(ConfigError, match="pde.resolution"):
+        parse_config(path, mode="pde")
+    assert main(["pde", "--config", str(path)]) == 2
+    assert "pde.resolution" in capsys.readouterr().err
+    parse_config(path, mode="simulate")  # only pde mode solves at that resolution
+
+
 def test_diagnose_writes_reports(tmp_path):
     path = write_config(tmp_path)
     cfg = parse_config(path, mode="diagnose")

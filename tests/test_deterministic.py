@@ -47,7 +47,7 @@ def bacteria_only_setup(m, diffusion=0.01, nu=0.05, mu_b=1.0):
         mu=params.mu, alpha=params.alpha, gamma=params.gamma, rho=params.rho,
         beta=params.beta, p_over_w=params.p_over_w, mu_b=mu_b, transport=tc,
     )
-    rf = ReactionField(params, hk_ratio=0.0, mode="decoupled")
+    rf = ReactionField(params, hk_ratio=0.0)
     return params, rf, tc
 
 
@@ -74,8 +74,8 @@ def test_reaction_linear_growth_bound():
     # |F(y)|_1 <= M |y|_1 on the positive cone, with M assembled from the
     # componentwise coefficient bounds.
     rng = np.random.default_rng(5)
-    for hk, mode in ((1.0, "coupled"), (0.01, "coupled"), (0.0, "decoupled")):
-        rf = ReactionField(make_params(), hk_ratio=hk, mode=mode)
+    for hk in (1.0, 0.01, 0.0):
+        rf = ReactionField(make_params(), hk_ratio=hk)
         m_const = growth_constant(rf)
         for _ in range(10_000 // 4):
             y = rng.uniform(0, 10, size=4)
@@ -84,7 +84,8 @@ def test_reaction_linear_growth_bound():
 
 
 def test_decoupled_mode_zeroes_contamination():
-    rf = ReactionField(make_params(), hk_ratio=1.0, mode="decoupled")
+    # the vanishing-ratio system: H/K = 0 drops the contamination source
+    rf = ReactionField(make_params(), hk_ratio=0.0)
     y = np.array([0.0, 5.0, 0.0, 2.0])
     f = reaction(y, rf)
     assert f[3] == pytest.approx(-rf.params.mu_b * 2.0)
@@ -92,8 +93,8 @@ def test_decoupled_mode_zeroes_contamination():
 
 def test_one_site_drift_matches_the_closed_form_reaction_field():
     rng = np.random.default_rng(6)
-    for hk, mode in ((1.0, "coupled"), (0.3, "coupled"), (0.7, "decoupled")):
-        rf = ReactionField(make_params(), hk_ratio=hk, mode=mode)
+    for hk in (1.0, 0.3, 0.0):
+        rf = ReactionField(make_params(), hk_ratio=hk)
         for _ in range(200):
             y = rng.uniform(0, 10, size=4)
             expected = closed_forms.reaction(y.reshape(4, 1), rf)[:, 0]
@@ -102,11 +103,11 @@ def test_one_site_drift_matches_the_closed_form_reaction_field():
 
 def test_drift_matches_the_closed_forms_on_a_batch():
     # A (times, 4, n) stack with its own infection field, as the sweep
-    # passes the time integrals, in both modes.
+    # passes the time integrals, with and without the contamination source.
     rng = np.random.default_rng(7)
-    for n, mode in ((3, "coupled"), (8, "decoupled"), (64, "coupled")):
+    for n, hk in ((3, 1.3), (8, 0.0), (64, 0.6)):
         params = make_params(n=n, ell=rng.uniform(0.1, 2), p_out=rng.uniform(0, 1))
-        rf = ReactionField(params, hk_ratio=rng.uniform(0, 2), mode=mode)
+        rf = ReactionField(params, hk_ratio=hk)
         y = rng.uniform(0, 5, size=(6, 4, n))
         infection = rng.uniform(0, 5, size=(6, n))
         got = drift_field(rf, n)(y, infection)
@@ -139,8 +140,6 @@ def test_density_rates_are_the_simulators_rates():
 def test_reaction_field_validation():
     with pytest.raises(ValueError):
         ReactionField(make_params(), hk_ratio=-1.0)
-    with pytest.raises(ValueError):
-        ReactionField(make_params(), hk_ratio=1.0, mode="other")
 
 
 # ---------------------------------------------------------------------------
@@ -173,8 +172,7 @@ def test_integrate_preserves_disease_free_fixed_point():
     params = make_params(n=6)
     rf = ReactionField(params, hk_ratio=1.0)
     v0 = DeterministicState.constant([1.0, 0.0, 0.0, 0.0], 6)
-    states = integrate(v0, 10.0, rf, params.transport,
-                       sample_times=np.linspace(0, 10, 6))
+    states = integrate(v0, 10.0, rf, sample_times=np.linspace(0, 10, 6))
     drift = float(np.max(np.abs(states - v0.stack())))
     assert drift < 1e-12
 
@@ -188,7 +186,7 @@ def test_integrate_matches_linear_oracle():
     zero = np.zeros(m)
     v0 = DeterministicState(zero, zero, zero,
                             1.0 + 0.5 * np.sin(2 * np.pi * xc))
-    states = integrate(v0, 1.0, rf, tc, sample_times=[0.0, 1.0])
+    states = integrate(v0, 1.0, rf, sample_times=[0.0, 1.0])
     expected = linear_oracle(1, 0.5, tc, params.mu_b, 1.0, xc, baseline=1.0)
     rel = np.max(np.abs(states[-1, 3] - expected)) / np.max(np.abs(expected))
     assert rel < 5e-3
@@ -203,7 +201,7 @@ def test_integrate_matches_linear_oracle_tightly_for_gentle_transport():
     zero = np.zeros(m)
     v0 = DeterministicState(zero, zero, zero,
                             1.0 + 0.5 * np.sin(2 * np.pi * xc))
-    states = integrate(v0, 1.0, rf, tc, dt=1e-3, sample_times=[0.0, 1.0])
+    states = integrate(v0, 1.0, rf, dt=1e-3, sample_times=[0.0, 1.0])
     expected = linear_oracle(1, 0.5, tc, params.mu_b, 1.0, xc, baseline=1.0)
     rel = np.max(np.abs(states[-1, 3] - expected)) / np.max(np.abs(expected))
     assert rel <= 1e-6
@@ -216,8 +214,8 @@ def test_integrate_self_convergence_under_dt_halving():
     zero = np.zeros(m)
     v0 = DeterministicState(zero, zero, zero,
                             1.0 + 0.4 * np.sin(2 * np.pi * xc))
-    coarse = integrate(v0, 1.0, rf, tc, dt=2e-3, sample_times=[0.0, 1.0])
-    fine = integrate(v0, 1.0, rf, tc, dt=1e-3, sample_times=[0.0, 1.0])
+    coarse = integrate(v0, 1.0, rf, dt=2e-3, sample_times=[0.0, 1.0])
+    fine = integrate(v0, 1.0, rf, dt=1e-3, sample_times=[0.0, 1.0])
     diff = np.max(np.abs(coarse[-1] - fine[-1]))
     assert diff <= 1e-8
 
@@ -232,8 +230,7 @@ def test_integrate_positivity_with_clamp_counters():
         np.full(8, 0.5),
     )
     stats = {}
-    states = integrate(v0, 5.0, rf, params.transport,
-                       sample_times=np.linspace(0, 5, 11), stats=stats)
+    states = integrate(v0, 5.0, rf, sample_times=np.linspace(0, 5, 11), stats=stats)
     assert states.min() >= 0.0
     assert stats["min_value_seen"] >= -1e-12
     assert stats["clamped"] <= 0.001 * stats["n_entries"]
@@ -250,8 +247,7 @@ def test_integrate_sup_norm_growth_bound():
     )
     c0 = float(np.max(np.abs(v0.stack())))
     horizon = 2.0
-    states = integrate(v0, horizon, rf, params.transport,
-                       sample_times=np.linspace(0, horizon, 9))
+    states = integrate(v0, horizon, rf, sample_times=np.linspace(0, horizon, 9))
     bound = c0 * math.exp(growth_constant(rf) * horizon) * 1.001
     assert float(np.max(np.abs(states))) <= bound
 
@@ -265,7 +261,7 @@ def test_integrate_detects_blowup():
                             1.0 + 0.5 * np.sin(2 * np.pi * xc))
     # dt far beyond the diffusion stability limit
     with pytest.raises(IntegrationError):
-        integrate(v0, 5.0, rf, tc, dt=0.5, sample_times=[0.0, 5.0])
+        integrate(v0, 5.0, rf, dt=0.5, sample_times=[0.0, 5.0])
 
 
 def test_state_rejects_fields_of_unequal_length():
@@ -290,7 +286,7 @@ def test_integrate_rejects_negative_initial():
     rf = ReactionField(params, hk_ratio=1.0)
     v0 = DeterministicState.constant([1.0, 0.0, 0.0, -0.1], 4)
     with pytest.raises(ValueError):
-        integrate(v0, 1.0, rf, params.transport)
+        integrate(v0, 1.0, rf)
 
 
 def test_decoupled_bacteria_invariant_to_human_perturbation():
@@ -305,8 +301,8 @@ def test_decoupled_bacteria_invariant_to_human_perturbation():
         np.full(m, 0.7), np.full(m, 0.3),
         np.full(m, 0.1), b0,
     )
-    sol_a = integrate(v_zero, 1.0, rf, tc, sample_times=grid)
-    sol_b = integrate(v_perturbed, 1.0, rf, tc, sample_times=grid)
+    sol_a = integrate(v_zero, 1.0, rf, sample_times=grid)
+    sol_b = integrate(v_perturbed, 1.0, rf, sample_times=grid)
     assert np.array_equal(sol_a[:, 3], sol_b[:, 3])
 
 
@@ -338,7 +334,7 @@ def test_homogeneous_equals_spatial_on_constant_data():
     grid = np.linspace(0, 1.5, 7)
     series = homogeneous_ode(y0, 1.5, rf, dt=1e-3, sample_times=grid)
     v0 = DeterministicState.constant(y0, 6)
-    states = integrate(v0, 1.5, rf, params.transport, dt=1e-3, sample_times=grid)
+    states = integrate(v0, 1.5, rf, dt=1e-3, sample_times=grid)
     assert np.allclose(states, series[:, :, None], rtol=1e-10, atol=1e-10)
 
 
@@ -384,31 +380,23 @@ def smooth_fns():
 
 
 def test_refine_constant_data_stays_matched():
-    m = 16
-    params, rf, tc = bacteria_only_setup(m)
+    _, rf, _ = bacteria_only_setup(16)
     const = lambda x: np.full_like(np.asarray(x, dtype=float), 0.8)
     zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
     # shared explicit dt: on constant data both resolutions march identically
-    d = refine_compare([zero, zero, zero, const], m, rf, tc, 1.0, dt=1e-3)
+    d = refine_compare([zero, zero, zero, const], rf, 1.0, dt=1e-3)
     assert d < 1e-12
 
 
 def test_refine_horizon_zero_is_projection_difference():
-    m = 16
-    params, rf, tc = bacteria_only_setup(m)
-    d = refine_compare(smooth_fns(), m, rf, tc, 0.0, quadrature_points=128)
+    _, rf, _ = bacteria_only_setup(16)
+    d = refine_compare(smooth_fns(), rf, 0.0, quadrature_points=128)
     assert d < 1e-5  # only the quadrature rules differ between resolutions
 
 
 def test_refine_error_halves_per_doubling():
-    params16, rf16, tc16 = bacteria_only_setup(16)
-    e16 = refine_compare(smooth_fns(), 16, rf16, tc16, 1.0)
-    params32, rf32, tc32 = bacteria_only_setup(32)
-    e32 = refine_compare(smooth_fns(), 32, rf32, tc32, 1.0)
+    _, rf16, _ = bacteria_only_setup(16)
+    e16 = refine_compare(smooth_fns(), rf16, 1.0)
+    _, rf32, _ = bacteria_only_setup(32)
+    e32 = refine_compare(smooth_fns(), rf32, 1.0)
     assert e16 / e32 >= 2.0
-
-
-def test_refine_rejects_mismatched_tc():
-    params, rf, tc = bacteria_only_setup(16)
-    with pytest.raises(ValueError):
-        refine_compare(smooth_fns(), 32, rf, tc, 1.0)

@@ -7,7 +7,7 @@ import pytest
 
 import closed_forms
 from sirb_lattice import diagnostics
-from sirb_lattice.deterministic import ReactionField, drift_field
+from sirb_lattice.deterministic import ReactionField, drift_field, integrate
 from sirb_lattice.diagnostics import (
     FAMILIES,
     Sweep,
@@ -17,6 +17,7 @@ from sirb_lattice.diagnostics import (
     pass_fractions,
     pool_size,
     square_amplitudes,
+    starting_point,
     sup_distance,
     sweep_log,
 )
@@ -32,6 +33,7 @@ from sirb_lattice.stochastic import (
     Trajectory,
     apply_event,
     simulate_ssa,
+    uniform_grid,
 )
 
 
@@ -504,6 +506,29 @@ def test_lln_single_rung_report():
     assert np.all(rung.distances >= 0.0)
     assert rung.rounding_error <= 0.5 / 50 + 1e-12
     assert report.medians[0] == pytest.approx(np.median(rung.distances))
+
+
+def test_lln_theorem2_measures_against_the_zero_ratio_system():
+    # theorem 2's companion is the system at H/K = 0: each distance is the
+    # bacteria-field sup distance of the replica on stream (rung << 32) + rep
+    # to that solution
+    params = make_params(n=4)
+    ladder = [(4, 10, 1000), (6, 20, 4000)]
+    horizon, grid = 0.3, uniform_grid(0.3, 4)
+    report = lln_experiment(ladder, initial_profiles(), params, horizon=horizon,
+                            replicas=2, seed=11, mode="theorem2", n_samples=4)
+    for g, ((n, h, k), rung) in enumerate(zip(ladder, report.rungs)):
+        scaling = ScalingParams(n, h, k)
+        prm = params.with_lattice(n)
+        state0, v0, _ = starting_point(initial_profiles(), scaling)
+        det = integrate(v0, horizon, ReactionField(prm, 0.0), sample_times=grid)
+        expected = [
+            sup_distance(simulate_ssa(state0, horizon, grid, prm, scaling, 11,
+                                      stream=(g << 32) + rep),
+                         det, scaling, compartments=("B",))
+            for rep in range(2)
+        ]
+        assert rung.distances.tolist() == expected
 
 
 def test_ladder_quartiles_match_numpy_bit_for_bit():

@@ -266,7 +266,7 @@ def test_transport_rejects_mismatched_lattice():
     v = DeterministicState.constant([1.0, 0.0, 0.0, 0.5], 8)
     rf = ReactionField(params, hk_ratio=1.0)
     with pytest.raises(ValueError, match="transport built for n=5"):
-        integrate(v, 1.0, rf, tc)
+        integrate(v, 1.0, rf)
 
 
 # ---------------------------------------------------------------------------
