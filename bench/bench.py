@@ -8,15 +8,16 @@ It times the package in this checkout's ``src`` and adds one run to
 ``BENCH_<label>.json`` (delete the file to start afresh).  Each run records:
 
 * the machine (CPU model, core count, Python, numpy) and the git SHA;
-* the exact simulator, in µs per event, at the three baseline configs (n = 8, H = K = 10^3; n = 8,
-  H = 10^3, K = 10^5; n = 64, H = K = 10^3), at n = 32 with H = K = 10^3
-  and at the shape of the benchmark's roundtrip workload (n = 256,
-  H = K = 10^3, T = 0.1, with quickstart's hop rate, event log recorded);
+* the exact simulator, in µs per event, at the three baseline configs
+  (n = 8, H = K = 10^3; n = 8, H = 10^3, K = 10^5; n = 64, H = K = 10^3),
+  at n = 32 with H = K = 10^3 and at the shape of the benchmark's roundtrip
+  workload (n = 256, H = K = 10^3, T = 0.1, with quickstart's hop rate,
+  event log recorded);
 * the simulator's two representations of its site totals, Python lists
   and numpy arrays, each forced in turn through ``stochastic._LIST_SITES``
   at n = 8, 16, 32, 48 and 64 with H = K = 10^3, the two taking turns
-  within each repeat, in µs per event (the figures that set
-  ``_LIST_SITES``; left out for a checkout without it);
+  within each repeat, in µs per event (the figures that set ``_LIST_SITES``;
+  left out for a checkout without it);
 * the event-log sweep (``sweep_log``) at n = 8 and n = 64 and the replay
   (``io.replay_trajectory``) at n = 8, in µs per event, with H = K = 10^3;
 * the run-directory I/O, ``io.write_trajectory`` then ``io.read_trajectory``
