@@ -24,16 +24,22 @@ It times the package in this checkout's ``src`` and adds one run to
   of one logged run at n = 256, H = K = 10^3, T = 0.1, with quickstart's
   hop rate (the shape of the benchmark's roundtrip workload, about 3.6 * 10^4
   events), in µs per run directory;
-* the RK4 lattice integrator, in µs per step, at n = 8, 64 and 256.
+* the RK4 lattice integrator, in µs per step, at n = 8, 64 and 256;
+* the five subcommands end to end, each a ``python -m sirb_lattice`` process
+  with ``--workers 1`` and a temporary ``--out``: ``simulate``, ``pde``,
+  ``homogeneous`` and ``diagnose`` on ``demos/configs/quickstart.cfg``, and
+  ``converge`` on ``demos/configs/converge.cfg`` with ``--replicas 2``, in ms
+  per run, as wall time and as the process's CPU time (the
+  ``resource.getrusage(RUSAGE_CHILDREN)`` difference across the run).
 
 Every figure is the median of ``REPEATS`` timed repeats of the same seeded
-work, with the minimum, the maximum and every repeat.  Every layer is timed
-in CPU time of this process (``time.process_time``), which other load on
-the machine disturbs less than the wall clock.  The file's ``summary``
-gives, per figure, the median and quartiles of the runs' medians and the
-median of the runs' minimums, so runs of two checkouts taken in turn
-(parent, change, change, parent, ...) compare as pairs on the same machine
-state.  The model is
+work, with the minimum, the maximum and every repeat.  Every layer but the
+subcommands is timed in CPU time of this process (``time.process_time``),
+which other load on the machine disturbs less than the wall clock.  The
+file's ``summary`` gives, per figure, the median and quartiles of the runs'
+medians and the median of the runs' minimums, so runs of two checkouts
+taken in turn (parent, change, change, parent, ...) compare as pairs on the
+same machine state.  The model is
 ``demos/configs/quickstart.cfg``: its rates, its initial profiles and its
 transport rebuilt for each lattice size.  Runs at n = 8 span the horizon
 T = 1 and runs at n >= 16 T = 0.1, about 3 * 10^3 to 3 * 10^5 events each.
@@ -46,6 +52,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -92,7 +99,15 @@ SWEEP_SIZES = (8, 64)
 REPLAY_SIZE = 8
 IO_SIZE = 256
 RK4_SIZES = (8, 64, 256)
-LAYERS = ("ssa", "paths", "sweep", "replay", "io", "rk4")
+# subcommand and its arguments, run with --workers 1 and a fresh --out
+CLI_RUNS = (
+    ("simulate", "--config", "demos/configs/quickstart.cfg"),
+    ("pde", "--config", "demos/configs/quickstart.cfg"),
+    ("homogeneous", "--config", "demos/configs/quickstart.cfg"),
+    ("diagnose", "--config", "demos/configs/quickstart.cfg"),
+    ("converge", "--config", "demos/configs/converge.cfg", "--replicas", "2"),
+)
+LAYERS = ("ssa", "paths", "sweep", "replay", "io", "rk4", "cli")
 
 
 def horizon(n: int) -> float:
@@ -220,6 +235,26 @@ def bench_rk4(n: int) -> dict:
     return timed(lambda: integrate(v0, span, rf, dt=dt), stats["n_steps"], "us/step")
 
 
+def bench_cli(args: tuple) -> dict:
+    """One subcommand as its own process: wall time and the process's CPU
+    time, in ms per run."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    wall, cpu = [], []
+    with tempfile.TemporaryDirectory() as tmp:
+        for rep in range(REPEATS):
+            argv = [sys.executable, "-m", "sirb_lattice", *args,
+                    "--workers", "1", "--out", os.path.join(tmp, str(rep))]
+            before = resource.getrusage(resource.RUSAGE_CHILDREN)
+            start = time.perf_counter()
+            subprocess.run(argv, cwd=ROOT, env=env, check=True, stdout=subprocess.DEVNULL)
+            wall.append((time.perf_counter() - start) * 1e3)
+            after = resource.getrusage(resource.RUSAGE_CHILDREN)
+            cpu.append((after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime) * 1e3)
+    return {f"{args[0]},wall": figure(wall, 1, "ms/run"),
+            f"{args[0]},cpu": figure(cpu, 1, "ms/run")}
+
+
 def git_sha() -> str:
     try:
         sha = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True,
@@ -271,6 +306,7 @@ def main(argv=None) -> int:
         "replay": {f"n={REPLAY_SIZE}": bench_replay(REPLAY_SIZE)},
         "io": {f"n={IO_SIZE}": bench_io(IO_SIZE)},
         "rk4": {f"n={n}": bench_rk4(n) for n in RK4_SIZES},
+        "cli": {key: fig for args in CLI_RUNS for key, fig in bench_cli(args).items()},
     }
     out = ROOT / f"BENCH_{args.label}.json"
     runs = json.loads(out.read_text())["runs"] if out.exists() else []

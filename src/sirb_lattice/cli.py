@@ -3,7 +3,7 @@
 Subcommands: ``simulate``, ``pde``, ``homogeneous``, ``converge``,
 ``diagnose``.  Every run reads a flat INI-style config file (sections of
 ``key = value`` pairs, ``#`` comments) and writes a self-describing output
-directory.  The full schema:
+directory.  The full schema, every key at its default:
 
     [run]
     horizon = 1.0            # time horizon, > 0 (0 allowed for snapshots)
@@ -28,24 +28,29 @@ directory.  The full schema:
 
     [scaling]
     n = 8                    # lattice sites, >= 3
-    h = 1000                 # humans renormalization, >= 1
-    k = 1000                 # bacteria renormalization, >= 1
-    ladder = 8:100:100, 8:1000:1000   # converge mode only (n:h:k rungs)
+    h = 100                  # humans renormalization, >= 1
+    k = 100                  # bacteria renormalization, >= 1
+    ladder = 8:100:100, 8:1000:1000   # converge mode only (n:h:k rungs);
+                             # no default
 
-    [initial]                # one preset per compartment
-    s = constant 0.9
-    i = fourier 1 0.02 0.1   # fourier M AMPLITUDE BASELINE
-    r = constant 0.0
-    b = bump 0.5 0.1 0.8     # bump CENTER WIDTH HEIGHT
+    [initial]                # one preset per compartment:
+    s = constant 0.9         #   constant VALUE
+    i = constant 0.1         #   fourier M AMPLITUDE BASELINE, e.g. fourier 1 0.02 0.1
+    r = constant 0.0         #   bump CENTER WIDTH HEIGHT, e.g. bump 0.5 0.1 0.8
+    b = constant 0.5
 
     [pde]
     resolution = 64          # pde mode lattice size (defaults to scaling n); keeps
                              # the continuum coefficients of (ell, p_out, n)
     dt = auto                # RK4 step: auto | positive float
 
-Unknown keys are rejected by name.  Derived transport quantities (bias,
-advection, diffusion) are computed from (ell, p_out, n) and echoed in the
-manifest; they cannot be set directly.
+Unknown keys are rejected by name.  The command-line flags ``--seed``,
+``--replicas``, ``--workers``, ``--out`` and ``--mode`` are values of the
+run keys ``seed``, ``replicas``, ``workers``, ``out`` and ``theorem``: a flag
+replaces its key before any check, so a flag wins over the file, and the
+file over the default.  Derived transport quantities (bias, advection,
+diffusion) are computed from (ell, p_out, n) and echoed in the manifest;
+they cannot be set directly.
 
 ``diagnose`` sweeps each replica's event log in the worker that simulated
 it (``diagnostics.sweep_log``); the parent receives only the swept
@@ -58,7 +63,7 @@ import argparse
 import configparser
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -75,15 +80,25 @@ __all__ = ["ConfigError", "RunConfig", "parse_config", "run", "main"]
 
 MODES = ("simulate", "pde", "homogeneous", "converge", "diagnose")
 
-_KNOWN_KEYS = {
-    "run": {"horizon", "samples", "replicas", "seed", "workers",
-            "record_events", "out", "theorem"},
-    "params": {"mu", "alpha", "gamma", "rho", "beta", "p_over_w", "mu_b",
-               "ell", "p_out"},
-    "scaling": {"n", "h", "k", "ladder"},
-    "initial": {c.lower() for c in COMPARTMENTS},
-    "pde": {"resolution", "dt"},
+# Every key of the schema with its default, spelled as in a config file.
+# None marks a key without a fixed default: scaling.ladder (converge needs
+# one) and pde.resolution (scaling.n unless set).
+_DEFAULTS = {
+    "run": {"horizon": "1.0", "samples": "21", "replicas": "1", "seed": "12345",
+            "workers": "1", "record_events": "false", "out": "runs/out",
+            "theorem": "theorem1"},
+    "params": {"mu": "0.2", "alpha": "0.15", "gamma": "0.6", "rho": "0.3",
+               "beta": "1.2", "p_over_w": "0.8", "mu_b": "0.5",
+               "ell": "0.5", "p_out": "0.7"},
+    "scaling": {"n": "8", "h": "100", "k": "100", "ladder": None},
+    "initial": {"s": "constant 0.9", "i": "constant 0.1", "r": "constant 0.0",
+                "b": "constant 0.5"},
+    "pde": {"resolution": None, "dt": "auto"},
 }
+
+# The run keys that a command-line flag sets, with the flag's name
+_FLAGS = {"seed": "--seed", "replicas": "--replicas", "workers": "--workers",
+          "out": "--out", "theorem": "--mode"}
 
 _PLOT_STUB = """\
 #!/usr/bin/env python3
@@ -136,7 +151,26 @@ class RunConfig:
     initial_spec: dict
     pde_resolution: int
     pde_dt: float | str
-    echo: dict = field(default_factory=dict)
+
+    @property
+    def echo(self) -> dict:
+        """The resolved configuration, derived transport included, as the
+        manifests record it: built from the fields, so it states the run
+        that these values make."""
+        tc = self.params().transport
+        return {
+            "mode": self.mode, "horizon": self.horizon, "samples": self.samples,
+            "replicas": self.replicas, "seed": self.seed, "workers": self.workers,
+            "record_events": self.record_events, "theorem": self.theorem,
+            "params": dict(self.rates),
+            "derived": {"bias": tc.bias, "nu": tc.nu, "diffusion": tc.diffusion},
+            "scaling": {"n": self.n_sites, "h": self.h, "k": self.k,
+                        "ladder": [list(r) for r in self.ladder] if self.ladder else None},
+            "initial": {c: f"{name} " + " ".join(str(a) for a in args)
+                        for c, (name, args) in self.initial_spec.items()},
+            "pde": {"resolution": self.pde_resolution, "dt": str(self.pde_dt)},
+            "version": __version__,
+        }
 
     def params(self) -> EpidemicParams:
         r = self.rates
@@ -170,7 +204,7 @@ def _preset_fn(spec: tuple) -> Callable:
 
         def bump(x):
             x = np.asarray(x, dtype=float)
-            d = np.abs(x - center)
+            d = np.abs(x - center) % 1.0
             d = np.minimum(d, 1.0 - d)  # periodic distance
             return height * np.exp(-0.5 * (d / width) ** 2)
 
@@ -230,128 +264,122 @@ def _parse_ladder(raw: str) -> list[tuple[int, int, int]]:
     return rungs
 
 
-def _get(cp, section, key, default=None):
-    if cp.has_option(section, key):
-        return cp.get(section, key)
-    return default
-
-
-def _positive_float(section: str, key: str, raw: str, minimum: float = 0.0) -> float:
+def _positive_float(name: str, raw: str, minimum: float = 0.0) -> float:
     try:
         v = float(raw)
     except ValueError:
-        raise ConfigError(f"{section}.{key}: not a number: {raw!r}")
+        raise ConfigError(f"{name}: not a number: {raw!r}")
     if not np.isfinite(v) or v < minimum:
-        raise ConfigError(f"{section}.{key}: must be finite and >= {minimum}, got {raw}")
+        raise ConfigError(f"{name}: must be finite and >= {minimum}, got {raw}")
     return v
 
 
-def _positive_int(section: str, key: str, raw: str, minimum: int = 1) -> int:
+def _positive_int(name: str, raw: str, minimum: int = 1) -> int:
     try:
         v = int(raw)
     except ValueError:
-        raise ConfigError(f"{section}.{key}: not an integer: {raw!r}")
+        raise ConfigError(f"{name}: not an integer: {raw!r}")
     if v < minimum:
-        raise ConfigError(f"{section}.{key}: must be >= {minimum}, got {v}")
+        raise ConfigError(f"{name}: must be >= {minimum}, got {v}")
     return v
 
 
-def _check_seed(key: str, seed: int):
+def _check_seed(name: str, raw: str) -> int:
     """A master seed keys a Philox stream, so it must fit in 64 bits."""
-    if not 0 <= seed < 2**64:
-        raise ConfigError(f"{key}: must lie in [0, 2**64), got {seed}")
+    seed = _positive_int(name, raw, minimum=0)
+    if seed >= 2**64:
+        raise ConfigError(f"{name}: must lie in [0, 2**64), got {seed}")
+    return seed
 
 
-def _check_workers(key: str, workers: int):
+def _check_workers(name: str, raw: str) -> int:
     """Each worker is a process, so a run may ask for at most one per CPU it
     may use."""
+    workers = _positive_int(name, raw)
     cpus = usable_cpus()
-    if not 1 <= workers <= cpus:
-        raise ConfigError(f"{key}: must lie in [1, {cpus}] (the usable CPU count), "
+    if workers > cpus:
+        raise ConfigError(f"{name}: must lie in [1, {cpus}] (the usable CPU count), "
                           f"got {workers}")
+    return workers
 
 
-def parse_config(path, mode: str = "simulate", theorem: Optional[str] = None) -> RunConfig:
+def parse_config(path, mode: str = "simulate", overrides: Optional[dict] = None) -> RunConfig:
     """Read and validate a config file for the given mode.
 
+    ``overrides`` maps keys of ``_FLAGS`` (``seed``, ``replicas``,
+    ``workers``, ``out``, ``theorem``) to values that replace the file's, as
+    the command-line flags do.  Each key takes its override, else its value
+    in the file, else its default in ``_DEFAULTS``, and only then is checked.
     Unknown sections or keys, out-of-range values, and regime violations
     (a converge ladder whose ratio drifts in theorem1 mode) are rejected
-    with messages naming the offending key.  ``theorem`` overrides
-    run.theorem before the ladder regime is checked.
+    with messages naming the offending key, or the flag of an override.
     """
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}; expected one of {MODES}")
+    overrides = overrides or {}
+    for key in overrides:
+        if key not in _FLAGS:
+            raise ConfigError(f"run.{key}: no flag overrides it")
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
         cp.read(path)
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
 
+    raw = {section: dict(keys) for section, keys in _DEFAULTS.items()}
     for section in cp.sections():
-        if section not in _KNOWN_KEYS:
+        if section not in raw:
             raise ConfigError(f"unknown section [{section}]")
-        for key in cp.options(section):
-            if key not in _KNOWN_KEYS[section]:
+        for key, value in cp.items(section):
+            if key not in raw[section]:
                 raise ConfigError(f"unknown key {section}.{key}")
+            raw[section][key] = value
 
-    horizon = _positive_float("run", "horizon", _get(cp, "run", "horizon", "1.0"))
-    samples = _positive_int("run", "samples", _get(cp, "run", "samples", "21"))
-    replicas = _positive_int("run", "replicas", _get(cp, "run", "replicas", "1"))
-    seed = _positive_int("run", "seed", _get(cp, "run", "seed", "12345"), minimum=0)
-    _check_seed("run.seed", seed)
-    workers = _positive_int("run", "workers", _get(cp, "run", "workers", "1"))
-    _check_workers("run.workers", workers)
-    out = Path(_get(cp, "run", "out", "runs/out"))
-    record_raw = _get(cp, "run", "record_events", "false").strip().lower()
+    def entry(section: str, key: str) -> tuple[str, str]:
+        """The name a key's errors go under, and its text."""
+        if section == "run" and key in overrides:
+            return _FLAGS[key], str(overrides[key])
+        return f"{section}.{key}", raw[section][key]
+
+    horizon = _positive_float(*entry("run", "horizon"))
+    samples = _positive_int(*entry("run", "samples"))
+    replicas = _positive_int(*entry("run", "replicas"))
+    seed = _check_seed(*entry("run", "seed"))
+    workers = _check_workers(*entry("run", "workers"))
+    out = Path(entry("run", "out")[1])
+    record_raw = raw["run"]["record_events"].lower()
     if record_raw not in ("true", "false", "yes", "no", "1", "0"):
         raise ConfigError(f"run.record_events: not a boolean: {record_raw!r}")
     record_events = record_raw in ("true", "yes", "1")
-    if theorem is None:
-        theorem = _get(cp, "run", "theorem", "theorem1").strip()
+    name, theorem = entry("run", "theorem")
     if theorem not in ("theorem1", "theorem2"):
-        raise ConfigError(f"run.theorem: expected theorem1 or theorem2, got {theorem!r}")
+        raise ConfigError(f"{name}: expected theorem1 or theorem2, got {theorem!r}")
 
-    rates = {}
-    defaults = {"mu": "0.2", "alpha": "0.15", "gamma": "0.6", "rho": "0.3",
-                "beta": "1.2", "p_over_w": "0.8", "mu_b": "0.5",
-                "ell": "0.5", "p_out": "0.7"}
-    for key, dflt in defaults.items():
-        rates[key] = _positive_float("params", key, _get(cp, "params", key, dflt))
+    rates = {key: _positive_float(*entry("params", key)) for key in raw["params"]}
     if rates["p_out"] > 1.0:
-        raise ConfigError(
-            f"params.p_out: probability out of range [0, 1]: {rates['p_out']}"
-        )
+        raise ConfigError(f"params.p_out: probability out of range [0, 1]: {rates['p_out']}")
 
-    n_sites = _positive_int("scaling", "n", _get(cp, "scaling", "n", "8"), minimum=3)
-    h = _positive_int("scaling", "h", _get(cp, "scaling", "h", "100"))
-    k = _positive_int("scaling", "k", _get(cp, "scaling", "k", "100"))
-    ladder = None
-    ladder_raw = _get(cp, "scaling", "ladder")
-    if ladder_raw is not None:
-        ladder = _parse_ladder(ladder_raw)
+    n_sites = _positive_int(*entry("scaling", "n"), minimum=3)
+    h = _positive_int(*entry("scaling", "h"))
+    k = _positive_int(*entry("scaling", "k"))
+    ladder_raw = raw["scaling"]["ladder"]
+    ladder = None if ladder_raw is None else _parse_ladder(ladder_raw)
     if mode == "converge":
         if ladder is None:
             raise ConfigError("converge mode needs scaling.ladder")
         _check_ladder_regime(ladder, theorem)
 
-    initial_spec = {}
-    init_defaults = {"s": "constant 0.9", "i": "constant 0.1",
-                     "r": "constant 0.0", "b": "constant 0.5"}
-    for comp, dflt in init_defaults.items():
-        initial_spec[comp] = _parse_preset(comp, _get(cp, "initial", comp, dflt))
+    initial_spec = {comp: _parse_preset(comp, text) for comp, text in raw["initial"].items()}
 
-    pde_resolution = _positive_int(
-        "pde", "resolution", _get(cp, "pde", "resolution", str(n_sites)), minimum=3
-    )
-    dt_raw = _get(cp, "pde", "dt", "auto").strip()
-    pde_dt: float | str
-    if dt_raw == "auto":
-        pde_dt = "auto"
-    else:
-        pde_dt = _positive_float("pde", "dt", dt_raw)
+    resolution = raw["pde"]["resolution"]
+    pde_resolution = (n_sites if resolution is None
+                      else _positive_int("pde.resolution", resolution, minimum=3))
+    pde_dt = raw["pde"]["dt"]
+    if pde_dt != "auto":
+        pde_dt = _positive_float("pde.dt", pde_dt)
         if pde_dt == 0.0:
             raise ConfigError("pde.dt: must be positive or 'auto'")
 
@@ -367,21 +395,6 @@ def parse_config(path, mode: str = "simulate", theorem: Optional[str] = None) ->
             cfg.params().with_lattice(pde_resolution)
         except ValueError as exc:
             raise ConfigError(f"pde.resolution: {exc}") from exc
-    # Echo the resolved configuration, derived transport included.
-    tc = cfg.params().transport
-    cfg.echo = {
-        "mode": mode, "horizon": horizon, "samples": samples,
-        "replicas": replicas, "seed": seed, "workers": workers,
-        "record_events": record_events, "theorem": theorem,
-        "params": dict(rates),
-        "derived": {"bias": tc.bias, "nu": tc.nu, "diffusion": tc.diffusion},
-        "scaling": {"n": n_sites, "h": h, "k": k,
-                    "ladder": [list(r) for r in ladder] if ladder else None},
-        "initial": {c: f"{name} " + " ".join(str(a) for a in args)
-                    for c, (name, args) in initial_spec.items()},
-        "pde": {"resolution": pde_resolution, "dt": str(pde_dt)},
-        "version": __version__,
-    }
     return cfg
 
 
@@ -535,25 +548,10 @@ def main(argv: Optional[list[str]] = None) -> int:
                            choices=("theorem1", "theorem2"),
                            help="override run.theorem")
     args = parser.parse_args(argv)
+    overrides = {key: getattr(args, key) for key in _FLAGS
+                 if getattr(args, key, None) is not None}
     try:
-        cfg = parse_config(args.config, mode=args.mode,
-                           theorem=getattr(args, "theorem", None))
-        if args.seed is not None:
-            _check_seed("--seed", args.seed)
-            cfg.seed = args.seed
-            cfg.echo["seed"] = args.seed
-        if args.replicas is not None:
-            if args.replicas < 1:
-                raise ConfigError(f"--replicas must be >= 1, got {args.replicas}")
-            cfg.replicas = args.replicas
-            cfg.echo["replicas"] = args.replicas
-        if args.workers is not None:
-            _check_workers("--workers", args.workers)
-            cfg.workers = args.workers
-            cfg.echo["workers"] = args.workers
-        if args.out is not None:
-            cfg.out = Path(args.out)
-        return run(cfg)
+        return run(parse_config(args.config, mode=args.mode, overrides=overrides))
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,12 +1,15 @@
 """Config validation and end-to-end runs of every subcommand."""
 
+import configparser
 import csv
 import io as stdio
 import json
 import os
 import pickle
+import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -183,6 +186,30 @@ def test_parse_preset_shapes(tmp_path):
     assert np.allclose(fns[0](x), 0.8 + 0.1 * np.sin(4 * np.pi * x))
     assert fns[3](np.array([0.5]))[0] == pytest.approx(0.9)
     assert fns[3](np.array([0.0]))[0] < 0.01
+
+
+def test_bump_preset_wraps_any_centre():
+    # the periodic distance is taken modulo 1, so a centre off [0, 1] is the
+    # same bump as its image in [0, 1]
+    x = np.linspace(0, 1, 101)
+    ref = cli._preset_fn(("bump", (0.2, 0.1, 1.0)))(x)
+    assert ref.max() == pytest.approx(1.0)
+    for centre in (2.2, -1.8):
+        profile = cli._preset_fn(("bump", (centre, 0.1, 1.0)))(x)
+        assert np.allclose(profile, ref, rtol=0, atol=1e-12), centre
+
+
+def test_schema_block_lists_the_defaults():
+    doc = cli.__doc__
+    block = doc[doc.index("    [run]"):doc.index("\nUnknown keys")]
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    cp.read_string(textwrap.dedent(block))
+    assert {s: set(cp[s]) for s in cp.sections()} == {
+        s: set(keys) for s, keys in cli._DEFAULTS.items()}
+    for section, keys in cli._DEFAULTS.items():
+        for key, default in keys.items():
+            if default is not None:
+                assert cp[section][key] == default, f"{section}.{key}"
 
 
 # ---------------------------------------------------------------------------
@@ -517,6 +544,42 @@ def test_main_seed_override_lands_in_manifest(tmp_path):
           "--out", str(tmp_path / "o777")])
     manifest = json.loads((tmp_path / "o777" / "manifest.json").read_text())
     assert manifest["seed"] == 777
+
+
+@pytest.mark.parametrize("line, flag, value, key", [
+    ("workers = 64", "--workers", "1", "workers"),
+    ("replicas = 0", "--replicas", "2", "replicas"),
+    (f"seed = {2**64}", "--seed", "5", "seed"),
+])
+def test_flag_replaces_an_invalid_file_value(tmp_path, usable_cpus, line, flag, value, key):
+    usable_cpus(2)
+    path = write_config(tmp_path)
+    path.write_text(re.sub(rf"^{key} = .*$", line, path.read_text(), flags=re.M))
+    with pytest.raises(ConfigError, match=f"run.{key}"):
+        parse_config(path)
+    out = tmp_path / "flagged"
+    assert main(["simulate", "--config", str(path), flag, value, "--out", str(out)]) == 0
+    manifests = sorted(out.rglob("manifest.json"))
+    assert len(manifests) == (2 if key == "replicas" else 1)
+    for manifest in manifests:
+        assert json.loads(manifest.read_text())["config"][key] == int(value)
+
+
+def test_manifest_echoes_fields_set_after_parse(tmp_path):
+    cfg = parse_config(write_config(tmp_path), mode="simulate")
+    cfg.seed, cfg.replicas = 99, 2
+    assert run(cfg) == 0
+    for rep in range(2):
+        manifest = json.loads((cfg.out / f"replica_{rep:03d}" / "manifest.json").read_text())
+        assert manifest["seed"] == 99
+        assert manifest["config"]["seed"] == 99 and manifest["config"]["replicas"] == 2
+
+
+def test_parse_rejects_an_override_without_a_flag(tmp_path):
+    path = write_config(tmp_path)
+    assert parse_config(path, overrides={"seed": 7, "theorem": "theorem2"}).theorem == "theorem2"
+    with pytest.raises(ConfigError, match="run.horizon"):
+        parse_config(path, overrides={"horizon": 2.0})
 
 
 def test_main_reports_config_errors(tmp_path, capsys):
