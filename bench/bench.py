@@ -41,8 +41,8 @@ medians and the median of the runs' minimums, so runs of two checkouts
 taken in turn (parent, change, change, parent, ...) compare as pairs on the
 same machine state.  The model is
 ``demos/configs/quickstart.cfg``: its rates, its initial profiles and its
-transport rebuilt for each lattice size.  Runs at n = 8 span the horizon
-T = 1 and runs at n >= 16 T = 0.1, about 3 * 10^3 to 3 * 10^5 events each.
+transport rebuilt for each lattice size.  Runs at n <= 16 span the horizon
+T = 1 and runs at n >= 32 T = 0.1, about 10^4 to 3 * 10^5 events each.
 Uses only the standard library and numpy; BLAS is held to one thread.
 """
 
@@ -111,8 +111,9 @@ LAYERS = ("ssa", "paths", "sweep", "replay", "io", "rk4", "cli")
 
 
 def horizon(n: int) -> float:
-    """Simulated time of a run on n sites: the event count grows with n."""
-    return 1.0 if n <= 8 else 0.1
+    """Simulated time of a run on n sites: the event count grows with n, and
+    every run fires at least 10^4 events."""
+    return 1.0 if n <= 16 else 0.1
 
 
 def grid(n: int) -> np.ndarray:

@@ -44,7 +44,8 @@ directory.  The full schema, every key at its default:
                              # the continuum coefficients of (ell, p_out, n)
     dt = auto                # RK4 step: auto | positive float
 
-Unknown keys are rejected by name.  The command-line flags ``--seed``,
+Unknown keys are rejected by name, and values are taken as written, with
+no ``%`` interpolation.  The command-line flags ``--seed``,
 ``--replicas``, ``--workers``, ``--out`` and ``--mode`` are values of the
 run keys ``seed``, ``replicas``, ``workers``, ``out`` and ``theorem``: a flag
 replaces its key before any check, so a flag wins over the file, and the
@@ -323,7 +324,7 @@ def parse_config(path, mode: str = "simulate", overrides: Optional[dict] = None)
     for key in overrides:
         if key not in _FLAGS:
             raise ConfigError(f"run.{key}: no flag overrides it")
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
     try:
         cp.read(path)
     except configparser.Error as exc:
@@ -503,6 +504,8 @@ def _run_diagnose(cfg: RunConfig) -> None:
             cfg.out / "report_compensators.csv", grid, sweep.observed - sweep.predicted
         )
         files.append("report_compensators.csv")
+    else:  # an earlier run's file, which this manifest would not list
+        (cfg.out / "report_compensators.csv").unlink(missing_ok=True)
     state0, _, _ = starting_point(cfg.initial_fns(), cfg.scaling())
     run_io.RunManifest(
         seed=cfg.seed, config=cfg.echo, scaling=run_io._scaling_dict(cfg.scaling()),

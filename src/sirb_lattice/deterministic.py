@@ -357,12 +357,12 @@ def homogeneous_ode(
 def linear_oracle(
     m: int,
     amplitude: float,
-    tc,
+    tc: TransportCoefficients,
     mu_b: float,
     t: float,
     x,
     baseline: float = 0.0,
-) -> np.ndarray | float:
+) -> np.ndarray:
     """Exact solution of the bacteria-only linear equation for Fourier data.
 
     With initial profile ``baseline + amplitude * sin(2 pi m x)`` the
@@ -371,18 +371,14 @@ def linear_oracle(
         baseline * exp(-mu_b t)
         + amplitude * exp(-(mu_b + D (2 pi m)^2) t) * sin(2 pi m (x - nu t))
 
-    ``tc`` may be a TransportCoefficients or a plain ``(diffusion, nu)``
-    pair, so limiting cases (pure advection) stay expressible.
+    where D and nu are the continuum coefficients ``tc.diffusion`` and
+    ``tc.nu`` of the lattice transport.  Returns an array of the shape of
+    ``x``.
     """
-    if isinstance(tc, TransportCoefficients):
-        diffusion, nu = tc.diffusion, tc.nu
-    else:
-        diffusion, nu = tc
     x = np.asarray(x, dtype=float)
     w = 2.0 * math.pi * m
-    wave = amplitude * math.exp(-(mu_b + diffusion * w**2) * t) * np.sin(w * (x - nu * t))
-    out = baseline * math.exp(-mu_b * t) + wave
-    return out if out.shape else float(out)
+    wave = amplitude * math.exp(-(mu_b + tc.diffusion * w**2) * t) * np.sin(w * (x - tc.nu * t))
+    return baseline * math.exp(-mu_b * t) + wave
 
 
 def refine_compare(
@@ -390,11 +386,10 @@ def refine_compare(
     rf: ReactionField,
     horizon: float,
     dt: float | str = "auto",
-    n_samples: int = 17,
     quadrature_points: int = 64,
 ) -> float:
     """Distance between the lattice solutions at the resolution m of
-    ``rf.params`` and at 2m.
+    ``rf.params`` and at 2m, on 17 equally spaced times over [0, horizon].
 
     The finer run keeps the continuum transport coefficients
     (``EpidemicParams.with_lattice``); its solution is projected onto the
@@ -403,7 +398,7 @@ def refine_compare(
     """
     m = rf.params.transport.n_sites
     rf_fine = replace(rf, params=rf.params.with_lattice(2 * m))
-    grid = uniform_grid(horizon, n_samples)
+    grid = uniform_grid(horizon, 17)
     v0_c = DeterministicState.from_functions(initial_fns, m, quadrature_points)
     v0_f = DeterministicState.from_functions(initial_fns, 2 * m, quadrature_points)
     coarse = integrate(v0_c, horizon, rf, dt=dt, sample_times=grid)

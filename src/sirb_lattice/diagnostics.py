@@ -55,7 +55,6 @@ __all__ = [
     "Sweep",
     "sweep_log",
     "replica_mean_se",
-    "mean_zero_pass_fraction",
     "pass_fractions",
     "starting_point",
     "LadderRung",
@@ -330,24 +329,20 @@ def replica_mean_se(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return samples.mean(axis=0), samples.std(axis=0, ddof=1) / math.sqrt(n_rep)
 
 
-def mean_zero_pass_fraction(samples: np.ndarray, sigma: float = 3.0) -> float:
-    """Fraction of cells where the replica mean is within ``sigma`` standard
-    errors of zero (``replica_mean_se``).  Cells with zero variance pass iff
-    their mean is exactly zero (e.g. every residual at t = 0)."""
-    mean, se = replica_mean_se(samples)
-    ok = np.where(se > 0.0, np.abs(mean) <= sigma * np.where(se > 0, se, 1.0), mean == 0.0)
-    return float(ok.mean())
-
-
 def pass_fractions(
     samples: np.ndarray, names: Sequence[str], sigma: float = 3.0
 ) -> dict[str, float]:
-    """``mean_zero_pass_fraction`` of each row of (n_replicas, n_times,
-    rows, n) samples, keyed by the rows' ``names``: COMPARTMENTS for the
-    residuals Z, FAMILIES for the compensated jump sums."""
+    """Per row of (n_replicas, n_times, rows, n) samples, the fraction of
+    its cells where the replica mean is within ``sigma`` standard errors of
+    zero (``replica_mean_se``), keyed by the rows' ``names``: COMPARTMENTS
+    for the residuals Z, FAMILIES for the compensated jump sums.  Cells with
+    zero variance pass iff their mean is exactly zero (e.g. every residual
+    at t = 0)."""
     if len(names) != samples.shape[2]:
         raise ValueError(f"{len(names)} names for {samples.shape[2]} rows")
-    return {name: mean_zero_pass_fraction(samples[:, :, i], sigma) for i, name in enumerate(names)}
+    mean, se = replica_mean_se(samples)
+    ok = np.where(se > 0.0, np.abs(mean) <= sigma * np.where(se > 0, se, 1.0), mean == 0.0)
+    return {name: float(ok[:, i].mean()) for i, name in enumerate(names)}
 
 
 # ---------------------------------------------------------------------------

@@ -43,11 +43,11 @@ from .stochastic import (
     EpidemicParams,
     EventKind,
     EventLog,
-    SampledStates,
     ScalingParams,
     SystemState,
     Trajectory,
     _increasing_grid,
+    _state_views,
     log_entries,
 )
 
@@ -260,6 +260,9 @@ def write_trajectory(
     config_echo: Optional[dict] = None,
 ) -> RunManifest:
     """Persist one trajectory into a run directory (created if needed).
+    An events.bin left there by an earlier run is deleted when the
+    trajectory has no log, so the directory holds only what the manifest
+    lists.
 
     Returns the manifest, which is also written as manifest.json.
     """
@@ -272,6 +275,8 @@ def write_trajectory(
     if traj.event_log is not None:
         _write_events_bin(directory / "events.bin", traj.event_log)
         files.append("events.bin")
+    else:
+        (directory / "events.bin").unlink(missing_ok=True)
     return RunManifest(
         seed=traj.seed,
         config=config_echo or {},
@@ -349,7 +354,7 @@ def write_compensator_csv(path, times: Sequence[float], residuals: np.ndarray):
 
     A cell with zero spread has z-score 0 when its mean is 0 and the sign of
     its mean times infinity otherwise, so for every sigma such a cell has
-    |z| <= sigma exactly when ``mean_zero_pass_fraction`` passes it."""
+    |z| <= sigma exactly when ``pass_fractions`` passes it."""
     mean, se = replica_mean_se(residuals)  # (n_times, 6, n)
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where((mean == 0.0) & (se == 0.0), 0.0, mean / se)
@@ -405,11 +410,11 @@ def _check_sources(
 
 def replay_trajectory(
     initial: SystemState, log: EventLog, sample_times: Sequence[float]
-) -> SampledStates:
+) -> list[SystemState]:
     """Replay with snapshots at the given times (right-continuous, matching
     the simulator's convention): each snapshot is the initial counts plus
-    the deltas of every event at or before its time.  The snapshots share
-    one (n_samples, 4, n) int64 array, their ``counts``.
+    the deltas of every event at or before its time.  The snapshots are
+    read-only views of the rows of one (n_samples, 4, n) int64 array.
 
     Checks what apply_event checks, for every event: a known kind, a site
     on the lattice, and a source count of at least one just before it.
@@ -430,4 +435,4 @@ def replay_trajectory(
         segment = np.searchsorted(grid, part.times, side="left")[event]
         np.add.at(binned, (segment, cell), delta)
     snaps = initial_counts + np.cumsum(binned[: grid.size], axis=0)
-    return SampledStates(snaps.reshape(grid.size, 4, n))
+    return _state_views(snaps.reshape(grid.size, 4, n))

@@ -97,7 +97,8 @@ def project(f: Callable, n_sites: int, quadrature_points: int = 16) -> np.ndarra
     site.  Exact for functions that are constant on each site.
 
     Args:
-        f: 1-periodic function of x in [0, 1]; may be vectorized or scalar.
+        f: 1-periodic function of x in [0, 1], vectorized: it maps an
+            array of points to an array of values of the same shape.
         n_sites: lattice resolution.
         quadrature_points: midpoint sub-points per site (>= 1).
 
@@ -105,7 +106,8 @@ def project(f: Callable, n_sites: int, quadrature_points: int = 16) -> np.ndarra
         The site averages, a float array of length ``n_sites``.
 
     Raises:
-        ValueError: on non-finite function values or bad arguments.
+        ValueError: on values of another shape than the points, on
+            non-finite values, or on bad arguments.
     """
     if n_sites < MIN_SITES:
         raise ValueError(f"lattice needs at least {MIN_SITES} sites, got {n_sites}")
@@ -114,12 +116,10 @@ def project(f: Callable, n_sites: int, quadrature_points: int = 16) -> np.ndarra
         raise ValueError(f"quadrature_points must be >= 1, got {quadrature_points}")
     # Midpoints of q equal sub-intervals of each site, shape (n_sites, q).
     x = (np.arange(n_sites)[:, None] + (np.arange(q)[None, :] + 0.5) / q) / n_sites
-    try:
-        vals = np.asarray(f(x), dtype=float)
-        if vals.shape != x.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        vals = np.array([[float(f(xi)) for xi in row] for row in x])
+    vals = np.asarray(f(x), dtype=float)
+    if vals.shape != x.shape:
+        raise ValueError(f"function must map points of shape {x.shape} to values of "
+                         f"that shape, got {vals.shape}")
     if not np.all(np.isfinite(vals)):
         raise ValueError("function returned non-finite values on [0, 1]")
     return vals.mean(axis=1)

@@ -36,7 +36,6 @@ on wider ones; both add left to right, so they give the same bits.
 from __future__ import annotations
 
 import math
-import operator
 import textwrap
 from array import array
 from bisect import bisect_right
@@ -61,7 +60,6 @@ __all__ = [
     "SystemState",
     "Event",
     "EventLog",
-    "SampledStates",
     "Trajectory",
     "replica_rng",
     "all_rates",
@@ -272,30 +270,20 @@ def _renormalization(scaling: ScalingParams) -> np.ndarray:
     return np.array([scaling.h, scaling.h, scaling.h, scaling.k], dtype=float)[:, None]
 
 
-class SampledStates(Sequence):
-    """Read-only SystemState views of the samples of an (n_samples, 4, n)
-    count array, which stays the only copy of the counts."""
-
-    def __init__(self, counts: np.ndarray):
-        self.counts = counts.view()
-        self.counts.flags.writeable = False
-
-    def __len__(self) -> int:
-        return self.counts.shape[0]
-
-    def __getitem__(self, sample: int) -> SystemState:
-        return SystemState(self.counts[operator.index(sample)])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+def _state_views(counts: np.ndarray) -> list[SystemState]:
+    """SystemState views of the samples of an (n_samples, 4, n) count array,
+    through one read-only view of it, so the array stays the only copy of
+    the counts and no state can write to it."""
+    view = counts.view()
+    view.flags.writeable = False
+    return [SystemState(row) for row in view]
 
 
 @dataclass
 class Trajectory:
     """Sampled counts of one realization, one (n_samples, 4, n) int64 array
-    with rows (S, I, R, B), plus the optional full event log."""
+    with rows (S, I, R, B), plus the optional full event log.  ``states``,
+    ``initial`` and ``final`` are read-only SystemState views of its rows."""
 
     sample_times: np.ndarray
     counts: np.ndarray
@@ -305,16 +293,16 @@ class Trajectory:
     stats: dict = field(default_factory=dict)
 
     @property
-    def states(self) -> SampledStates:
-        return SampledStates(self.counts)
+    def states(self) -> list[SystemState]:
+        return _state_views(self.counts)
 
     @property
     def initial(self) -> SystemState:
-        return self.states[0]
+        return _state_views(self.counts[:1])[0]
 
     @property
     def final(self) -> SystemState:
-        return self.states[-1]
+        return _state_views(self.counts[-1:])[0]
 
     def densities(self, scaling: ScalingParams) -> np.ndarray:
         """Rescaled densities as an (n_samples, 4, n) float array."""
@@ -534,11 +522,11 @@ _MAX_COUNT = 2 ** 52
 # sums in Python lists and re-sum them from the first site an event
 # touched; wider ones keep numpy arrays and re-accumulate them whole.  The
 # value is the crossover of bench/bench.py's ``paths`` figures, which time
-# both representations: over ten runs in BENCH_change.json, lists against
-# arrays took 1.74 against 2.34 µs of CPU time per event at n = 8, 2.01
-# against 2.56 at n = 16 and 2.61 against 2.87 at n = 32 (lists faster in
-# 10, 10 and 9 of the runs), but 2.94 against 3.01 at n = 48 and 3.43
-# against 3.15 at n = 64 (lists faster in 3 and 0).
+# both representations: over ten runs in BENCH_change.json at commit
+# 73fa5c8, lists against arrays took 1.74 against 2.34 µs of CPU time per
+# event at n = 8, 2.01 against 2.56 at n = 16 and 2.61 against 2.87 at
+# n = 32 (lists faster in 10, 10 and 9 of the runs), but 2.94 against 3.01
+# at n = 48 and 3.43 against 3.15 at n = 64 (lists faster in 3 and 0).
 _LIST_SITES = 32
 
 _EVENT_LOOP_HEAD = """\

@@ -125,6 +125,14 @@ def test_parse_rejects_malformed_ladder(tmp_path):
         parse_config(path, mode="converge")
 
 
+@pytest.mark.parametrize("out", ["runs/50%", "runs/%(seed)s"])
+def test_percent_in_a_value_is_taken_as_written(tmp_path, out):
+    path = write_config(tmp_path, out=out)
+    assert parse_config(path).out == tmp_path / out
+    assert main(["pde", "--config", str(path)]) == 0
+    assert (tmp_path / out / "manifest.json").exists()
+
+
 def test_parse_rejects_missing_file(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
         parse_config(tmp_path / "nope.cfg")
@@ -230,6 +238,18 @@ def test_simulate_writes_run_directory(tmp_path):
     assert manifest["config"]["initial_rounding_error"] <= 0.5 / 20 + 1e-12
     header = (out / "trajectory.csv").read_text().splitlines()[0]
     assert header == "time,site,S,I,R,B"
+
+
+def test_simulate_rerun_without_a_log_into_the_same_out_reads_back(tmp_path):
+    path = write_config(tmp_path)
+    out = tmp_path / "run_out"
+    assert main(["simulate", "--config", str(path)]) == 0
+    assert (out / "events.bin").exists()
+    path.write_text(path.read_text().replace("record_events = true", "record_events = false"))
+    assert main(["simulate", "--config", str(path)]) == 0
+    assert not (out / "events.bin").exists()
+    traj, _ = run_io.read_trajectory(out)
+    assert traj.event_log is None
 
 
 def test_simulate_horizon_zero_single_snapshot(tmp_path):
@@ -448,6 +468,18 @@ def test_diagnose_writes_reports(tmp_path):
     assert len(stats["events_by_kind"]) == len(EventKind)
     assert sum(stats["events_by_kind"]) == sum(stats["n_events"]) > 0
     assert "stats" not in manifest["file_hashes"]
+
+
+def test_diagnose_rerun_with_one_replica_leaves_no_unlisted_report(tmp_path):
+    path = write_config(tmp_path)
+    out = tmp_path / "run_out"
+    assert main(["diagnose", "--config", str(path), "--replicas", "2"]) == 0
+    assert (out / "report_compensators.csv").exists()
+    assert main(["diagnose", "--config", str(path), "--replicas", "1"]) == 0
+    assert not (out / "report_compensators.csv").exists()
+    manifest = run_io.RunManifest.from_json((out / "manifest.json").read_text())
+    manifest.verify(out)
+    assert sorted(p.name for p in out.glob("report_*")) == sorted(manifest.file_hashes)
 
 
 DIAGNOSE_REPORTS = ("report_martingale.csv", "report_compensators.csv")

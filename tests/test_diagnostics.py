@@ -13,7 +13,6 @@ from sirb_lattice.diagnostics import (
     Sweep,
     _sweep_chunk,
     lln_experiment,
-    mean_zero_pass_fraction,
     pass_fractions,
     pool_size,
     square_amplitudes,
@@ -215,7 +214,7 @@ def test_residual_single_event_hand_path():
                    kinds=np.array([int(EventKind.BACTERIA_DEATH)], dtype=np.uint8),
                    sites=np.array([0], dtype=np.uint32))
     grid = np.array([0.0, 0.2, 0.4, 0.5, 1.0])
-    counts = replay_trajectory(initial, log, grid).counts
+    counts = np.stack([state.counts for state in replay_trajectory(initial, log, grid)])
     traj = Trajectory(sample_times=grid, counts=counts, event_log=log, seed=0)
     z = sweep_log(traj, params, scaling).z
     u0, u1 = 2.0, 1.9
@@ -465,14 +464,14 @@ def test_compensator_square_families_nondecreasing_in_time():
 
 
 def test_mean_zero_pass_fraction_conventions():
-    samples = np.zeros((10, 3))
-    assert mean_zero_pass_fraction(samples) == 1.0  # zero variance, zero mean
-    samples = np.ones((10, 3))
-    assert mean_zero_pass_fraction(samples) == 0.0  # zero variance, mean off
+    samples = np.zeros((10, 1, 1, 3))
+    assert pass_fractions(samples, ["a"]) == {"a": 1.0}  # zero variance, zero mean
+    samples = np.ones((10, 1, 1, 3))
+    assert pass_fractions(samples, ["a"]) == {"a": 0.0}  # zero variance, mean off
     with pytest.raises(ValueError):
-        mean_zero_pass_fraction(np.zeros((1, 3)))
+        pass_fractions(np.zeros((1, 1, 1, 3)), ["a"])
 
-    # pass_fractions: one fraction per row of axis 2, keyed by the names
+    # one fraction per row of axis 2, keyed by the names
     samples = np.zeros((10, 2, 3, 4))
     samples[:, :, 1] = 1.0  # zero spread, nonzero mean: every cell fails
     samples[:, 1, 2, :2] = 2.0  # zero spread again: half of row c fails

@@ -29,7 +29,7 @@ from sirb_lattice.diagnostics import (
     ConvergenceReport,
     LadderRung,
     Sweep,
-    mean_zero_pass_fraction,
+    pass_fractions,
     sweep_log,
 )
 from sirb_lattice.lattice import TransportCoefficients
@@ -378,6 +378,16 @@ def test_replay_trajectory_bit_identical_on_wide_lattice():
     assert replay_trajectory(traj.initial, traj.event_log, [math.inf])[0] == traj.final
 
 
+def test_sampled_and_replayed_states_are_read_only_views():
+    traj, _, _ = sample_run()
+    before = traj.counts.copy()
+    replayed = replay_trajectory(traj.initial, traj.event_log, traj.sample_times)
+    for state in (traj.states[2], traj.initial, traj.final, replayed[1]):
+        with pytest.raises(ValueError, match="read-only"):
+            state.counts[0, 0] += 1
+    assert np.array_equal(traj.counts, before)
+
+
 def test_replayed_round_trip_matches_terminal_state(tmp_path):
     traj, params, scaling = sample_run()
     write_trajectory(tmp_path, traj, params, scaling)
@@ -511,8 +521,9 @@ def test_report_zscores_agree_with_the_pass_test(tmp_path):
     write_compensator_csv(tmp_path / "compensators.csv", trajs[0].sample_times, res)
     with open(tmp_path / "compensators.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
-    passes = [mean_zero_pass_fraction(res[:, ti, fi, j:j + 1], sigma) == 1.0
-              for fi in range(len(FAMILIES)) for ti in range(3) for j in range(n)]
+    cells = [res[:, ti:ti + 1, fi:fi + 1, j:j + 1]
+             for fi in range(len(FAMILIES)) for ti in range(3) for j in range(n)]
+    passes = [pass_fractions(cell, ["cell"], sigma) == {"cell": 1.0} for cell in cells]
     zscores = [float(row["zscore"]) for row in rows]
     assert [abs(z) <= sigma for z in zscores] == passes
     assert any(math.isinf(z) for z, row in zip(zscores, rows) if row["family"] == "S")

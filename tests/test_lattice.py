@@ -118,9 +118,10 @@ def test_project_sine_matches_antiderivative():
     assert np.allclose(f, expected, atol=1e-8)
 
 
-def test_project_scalar_function_fallback():
-    f = project(lambda x: 1.0 if x < 0.5 else 2.0, 4, quadrature_points=8)
-    assert np.allclose(f, [1.0, 1.0, 2.0, 2.0])
+def test_project_rejects_values_of_another_shape():
+    # a profile maps the array of points to an array of that shape
+    with pytest.raises(ValueError, match=r"\(4, 8\).*got \(\)"):
+        project(lambda x: 1.0, 4, quadrature_points=8)
 
 
 def test_project_rejects_nonfinite():
