@@ -30,7 +30,13 @@ It times the package in this checkout's ``src`` and adds one run to
   ``homogeneous`` and ``diagnose`` on ``demos/configs/quickstart.cfg``, and
   ``converge`` on ``demos/configs/converge.cfg`` with ``--replicas 2``, in ms
   per run, as wall time and as the process's CPU time (the
-  ``resource.getrusage(RUSAGE_CHILDREN)`` difference across the run).
+  ``resource.getrusage(RUSAGE_CHILDREN)`` difference across the run, pool
+  workers included);
+* the process-pool orchestration: ``simulate`` and ``diagnose`` on
+  ``demos/configs/quickstart.cfg`` with ``--replicas 2``, at ``--workers 1``
+  and at ``--workers 2``, the two taking turns within each repeat, timed as
+  the subcommands are (left out, with a line saying so, where fewer than 2
+  CPUs are usable).
 
 Every figure is the median of ``REPEATS`` timed repeats of the same seeded
 work, with the minimum, the maximum and every repeat.  Every layer but the
@@ -76,7 +82,7 @@ from sirb_lattice.deterministic import (  # noqa: E402
     auto_dt,
     integrate,
 )
-from sirb_lattice.diagnostics import sweep_log  # noqa: E402
+from sirb_lattice.diagnostics import sweep_log, usable_cpus  # noqa: E402
 from sirb_lattice.lattice import TransportCoefficients  # noqa: E402
 from sirb_lattice.stochastic import (  # noqa: E402
     EpidemicParams,
@@ -107,7 +113,13 @@ CLI_RUNS = (
     ("diagnose", "--config", "demos/configs/quickstart.cfg"),
     ("converge", "--config", "demos/configs/converge.cfg", "--replicas", "2"),
 )
-LAYERS = ("ssa", "paths", "sweep", "replay", "io", "rk4", "cli")
+# subcommand and its arguments, run at each of POOL_WORKERS with a fresh --out
+POOL_RUNS = (
+    ("simulate", "--config", "demos/configs/quickstart.cfg", "--replicas", "2"),
+    ("diagnose", "--config", "demos/configs/quickstart.cfg", "--replicas", "2"),
+)
+POOL_WORKERS = (1, 2)
+LAYERS = ("ssa", "paths", "sweep", "replay", "io", "rk4", "cli", "pool")
 
 
 def horizon(n: int) -> float:
@@ -236,24 +248,44 @@ def bench_rk4(n: int) -> dict:
     return timed(lambda: integrate(v0, span, rf, dt=dt), stats["n_steps"], "us/step")
 
 
-def bench_cli(args: tuple) -> dict:
-    """One subcommand as its own process: wall time and the process's CPU
-    time, in ms per run."""
+def run_cli(args: tuple, workers: int, out: str) -> tuple[float, float]:
+    """One subcommand as its own process: its wall time and the CPU time of
+    it and its workers, in ms."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "sirb_lattice", *args, "--workers", str(workers), "--out", out]
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    start = time.perf_counter()
+    subprocess.run(argv, cwd=ROOT, env=env, check=True, stdout=subprocess.DEVNULL)
+    wall = (time.perf_counter() - start) * 1e3
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return wall, (after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime) * 1e3
+
+
+def bench_cli(args: tuple) -> dict:
+    """One subcommand at --workers 1: wall and CPU time, in ms per run."""
     wall, cpu = [], []
     with tempfile.TemporaryDirectory() as tmp:
         for rep in range(REPEATS):
-            argv = [sys.executable, "-m", "sirb_lattice", *args,
-                    "--workers", "1", "--out", os.path.join(tmp, str(rep))]
-            before = resource.getrusage(resource.RUSAGE_CHILDREN)
-            start = time.perf_counter()
-            subprocess.run(argv, cwd=ROOT, env=env, check=True, stdout=subprocess.DEVNULL)
-            wall.append((time.perf_counter() - start) * 1e3)
-            after = resource.getrusage(resource.RUSAGE_CHILDREN)
-            cpu.append((after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime) * 1e3)
+            w, c = run_cli(args, 1, os.path.join(tmp, str(rep)))
+            wall.append(w)
+            cpu.append(c)
     return {f"{args[0]},wall": figure(wall, 1, "ms/run"),
             f"{args[0]},cpu": figure(cpu, 1, "ms/run")}
+
+
+def bench_pool(args: tuple) -> dict:
+    """One subcommand at each of POOL_WORKERS, the order alternating between
+    repeats: wall and CPU time, in ms per run."""
+    runs: dict = {(workers, clock): [] for workers in POOL_WORKERS for clock in ("wall", "cpu")}
+    with tempfile.TemporaryDirectory() as tmp:
+        for rep in range(REPEATS):
+            for workers in POOL_WORKERS if rep % 2 == 0 else POOL_WORKERS[::-1]:
+                wall, cpu = run_cli(args, workers, os.path.join(tmp, f"{rep}-{workers}"))
+                runs[workers, "wall"].append(wall)
+                runs[workers, "cpu"].append(cpu)
+    return {f"{args[0]},workers={workers},{clock}": figure(r, 1, "ms/run")
+            for (workers, clock), r in runs.items()}
 
 
 def git_sha() -> str:
@@ -308,7 +340,11 @@ def main(argv=None) -> int:
         "io": {f"n={IO_SIZE}": bench_io(IO_SIZE)},
         "rk4": {f"n={n}": bench_rk4(n) for n in RK4_SIZES},
         "cli": {key: fig for args in CLI_RUNS for key, fig in bench_cli(args).items()},
+        "pool": {key: fig for args in POOL_RUNS for key, fig in bench_pool(args).items()}
+        if usable_cpus() >= max(POOL_WORKERS) else {},
     }
+    if not run["pool"]:
+        print(f"pool figures skipped: {usable_cpus()} usable CPU(s), {max(POOL_WORKERS)} needed")
     out = ROOT / f"BENCH_{args.label}.json"
     runs = json.loads(out.read_text())["runs"] if out.exists() else []
     runs.append(run)

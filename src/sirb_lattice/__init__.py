@@ -15,17 +15,14 @@ from .lattice import (  # noqa: F401
 )
 from .stochastic import (  # noqa: F401
     EpidemicParams,
-    Event,
     EventKind,
     EventLog,
     ScalingParams,
     SystemState,
     Trajectory,
-    all_rates,
     apply_event,
     replica_rng,
     simulate_ssa,
-    step_ssa,
 )
 from .deterministic import (  # noqa: F401
     DeterministicState,

@@ -424,7 +424,24 @@ def _one_simulation(args) -> None:
     run_io.write_trajectory(directory, traj, cfg.params(), cfg.scaling(), echo)
 
 
+def _remove_other_layout(cfg: RunConfig) -> None:
+    """Delete the run files that a simulate with another replica count left
+    in ``cfg.out``: those of the top level when this run writes replica_NNN
+    directories, and those of every replica_NNN directory it does not
+    write, which goes too once it is empty.  No other file is touched."""
+    first_stale = cfg.replicas if cfg.replicas > 1 else 0
+    stale = [d for d in cfg.out.glob("replica_*") if d.is_dir()
+             and d.name.removeprefix("replica_").isdecimal()
+             and int(d.name.removeprefix("replica_")) >= first_stale]
+    for directory in stale + ([cfg.out] if cfg.replicas > 1 else []):
+        run_io._remove_trajectory(directory)
+    for directory in stale:
+        if not any(directory.iterdir()):
+            directory.rmdir()
+
+
 def _run_simulate(cfg: RunConfig) -> None:
+    _remove_other_layout(cfg)
     jobs = []
     for rep in range(cfg.replicas):
         directory = cfg.out if cfg.replicas == 1 else cfg.out / f"replica_{rep:03d}"

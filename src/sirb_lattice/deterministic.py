@@ -147,7 +147,7 @@ def density_rates(
     ``_rate_coefficients(params)[k]`` times the density of the kind's rate
     source; the infection row is ``infection_stack(y, params)`` unless
     given.  Times the renormalization (H or K) of each kind's source, this
-    is ``all_rates`` of the counts.
+    is each kind's count-form rate, the propensity ``simulate_ssa`` draws from.
 
     No domain check: the integrator may probe infinitesimally negative
     values inside RK stages.  Every row is linear in y except infection, so

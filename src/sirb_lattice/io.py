@@ -288,6 +288,13 @@ def write_trajectory(
     ).write(directory, files)
 
 
+def _remove_trajectory(directory: Path) -> None:
+    """Delete the files write_trajectory writes, where ``directory`` holds
+    them, and no other file."""
+    for name in ("trajectory.csv", "snapshots.bin", "events.bin", "manifest.json"):
+        (directory / name).unlink(missing_ok=True)
+
+
 def read_trajectory(directory) -> tuple[Trajectory, RunManifest]:
     """Load a persisted run after verifying all file hashes.  Raises
     CorruptFileError unless the manifest lists snapshots.bin, and events.bin

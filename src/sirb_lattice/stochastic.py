@@ -30,7 +30,9 @@ per-site propensity totals for the site of each event.  It keeps them in
 Python lists, re-summed from the first site an event touched, on lattices
 of at most ``_LIST_SITES`` sites, and in numpy arrays, re-accumulated whole,
 on wider ones; both add left to right, so they give the same bits.
-``step_ssa`` is the numpy reference, one event at a time.
+The tests check it, event by event, against a second implementation of
+its draw-order contract that shares none of its rate code
+(``tests/reference_ssa.py``).
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from enum import IntEnum
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -58,14 +60,11 @@ __all__ = [
     "EpidemicParams",
     "ScalingParams",
     "SystemState",
-    "Event",
     "EventLog",
     "Trajectory",
     "replica_rng",
-    "all_rates",
     "apply_event",
     "log_entries",
-    "step_ssa",
     "simulate_ssa",
     "uniform_grid",
     "EVENT_LOOP_SOURCE",
@@ -234,12 +233,6 @@ class SystemState:
         return np.array_equal(self.counts, other.counts)
 
 
-@dataclass(frozen=True)
-class Event:
-    kind: EventKind
-    site: int
-
-
 @dataclass
 class EventLog:
     """Compact columnar record of every jump in a trajectory."""
@@ -250,10 +243,6 @@ class EventLog:
 
     def __len__(self) -> int:
         return self.times.shape[0]
-
-    def __iter__(self) -> Iterator[tuple[float, Event]]:
-        for t, k, j in zip(self.times, self.kinds, self.sites):
-            yield float(t), Event(EventKind(int(k)), int(j))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EventLog):
@@ -337,18 +326,6 @@ def _rate_coefficients(params: EpidemicParams) -> tuple[float, ...]:
     )
 
 
-def all_rates(
-    state: SystemState, params: EpidemicParams, scaling: ScalingParams
-) -> np.ndarray:
-    """All propensities as a (14, n_sites) array indexed by EventKind."""
-    _check_compatible(state.n_sites, params, scaling)
-    counts = state.counts.astype(float)
-    out = np.array(_rate_coefficients(params))[:, None] * counts[list(_RATE_SOURCE)]
-    b = counts[COMPARTMENTS.index("B")]
-    out[EventKind.INFECTION] = out[EventKind.INFECTION] * b / (scaling.k + b)
-    return out
-
-
 def _site_weights(params: EpidemicParams) -> tuple[tuple[float, ...], float]:
     """(A_c for each compartment c, beta).  A_c is the correctly rounded sum
     (``math.fsum``) of the coefficients of the linear kinds whose rate source
@@ -382,8 +359,10 @@ def _check_compatible(n_sites: int, params: EpidemicParams, scaling: ScalingPara
 # ---------------------------------------------------------------------------
 # State updates
 
-def apply_event(state: SystemState, e: Event) -> SystemState:
-    """Return the state after one jump.  Pure: the input is not modified.
+def apply_event(state: SystemState, kind: int, site: int) -> SystemState:
+    """Return the state after one jump of ``kind`` (an EventKind, or its
+    value as an EventLog's ``kinds`` hold it) at ``site``.  Pure: the input
+    is not modified.
 
     Raises ValueError when a source compartment is empty at the event site;
     an exact simulator never selects such an event, so hitting this signals
@@ -391,15 +370,15 @@ def apply_event(state: SystemState, e: Event) -> SystemState:
     """
     counts = state.counts.copy()
     n = state.n_sites
-    j = e.site % n
-    for c, _, need in SOURCES[e.kind].tolist():
+    kind, j = EventKind(int(kind)), int(site) % n
+    for c, _, need in SOURCES[kind].tolist():
         have = int(counts[c, j])
         if have < need:
             raise ValueError(
-                f"{e.kind.name} at site {j} requires {COMPARTMENTS[c].lower()}_counts "
+                f"{kind.name} at site {j} requires {COMPARTMENTS[c].lower()}_counts "
                 f">= {need} (got {have}); zero-propensity event applied"
             )
-    for c, offset, delta in STOICHIOMETRY[e.kind].tolist():
+    for c, offset, delta in STOICHIOMETRY[kind].tolist():
         counts[c, (j + offset) % n] += delta
     return SystemState(counts)
 
@@ -434,45 +413,6 @@ def log_entries(
 
 # ---------------------------------------------------------------------------
 # Exact simulation
-
-def step_ssa(
-    state: SystemState,
-    params: EpidemicParams,
-    scaling: ScalingParams,
-    rng: np.random.Generator,
-) -> tuple[Optional[Event], float]:
-    """Draw one jump of the exact chain: (event, waiting time).
-
-    Returns (None, inf) from an absorbing state (total propensity zero),
-    without drawing.  Otherwise it takes two ``random()`` draws u1, u2:
-    the wait is ``-log1p(-u1) / total``, where ``total`` is the last element
-    of the sequential cumsum of the site totals; the site is the right-sided
-    search of ``u2 * total`` in that cumsum (past the last boundary: the
-    last site with a positive total); the kind is the right-sided search
-    of the residual, ``u2 * total`` minus the cumsum before the site, in the
-    sequential cumsum of the site's 14 rates in EventKind order (past the
-    end: the last kind with a positive rate).  ``simulate_ssa`` draws in the
-    same order, so iterating this on the same stream reproduces its runs.
-    """
-    _check_compatible(state.n_sites, params, scaling)
-    weights, beta = _site_weights(params)
-    totals = _site_total(weights, beta, float(scaling.k), *state.counts)
-    cum = np.cumsum(totals)
-    total = float(cum[-1])
-    if total <= 0.0:
-        return None, math.inf
-    u1, u2 = rng.random(), rng.random()
-    x = u2 * total
-    site = int(np.searchsorted(cum, x, side="right"))
-    if site == state.n_sites:
-        site = int(np.flatnonzero(totals > 0.0)[-1])
-    rates = all_rates(state, params, scaling)[:, site]
-    residual = x - float(cum[site - 1]) if site else x
-    kind = int(np.searchsorted(np.cumsum(rates), residual, side="right"))
-    if kind == N_EVENT_KINDS:
-        kind = int(np.flatnonzero(rates > 0.0)[-1])
-    return Event(EventKind(kind), site), -math.log1p(-u1) / total
-
 
 def _resolve_grid(horizon: float, sample_times: Optional[Sequence[float]] = None) -> np.ndarray:
     """The sample grid of a run over [0, horizon] as a float array; None
@@ -633,7 +573,8 @@ def _site_update(offset: int, deltas: dict) -> list[str]:
 
 
 def _rate(kind: int) -> str:
-    """A kind's rate at the event site, as ``all_rates`` computes it."""
+    """A kind's rate at the event site: its coefficient times the count of
+    its rate source, and for infection ``(beta * s) * b / (K + b)``."""
     rate = f"c{kind} * {'sirb'[_RATE_SOURCE[kind]]}"
     return rate + " * b / (kcap + b)" if kind == EventKind.INFECTION else rate
 
@@ -696,10 +637,23 @@ def simulate_ssa(
     ``u2 * total`` minus the cumsum before the site, in the sequential
     cumsum of the site's 14 rates in EventKind order; past the end it takes
     the last kind with a positive rate.  An absorbed chain draws nothing.
-    This is the order of ``step_ssa``.  The uniforms are drawn in blocks of
-    ``2 * _UNIFORM_BLOCK``, which hold the same doubles as that many single
-    calls, and taken in pairs; what is left of the last block when the run
-    ends is discarded.
+    The uniforms are drawn in blocks of ``2 * _UNIFORM_BLOCK``, which hold
+    the same doubles as that many single calls, and taken in pairs; what is
+    left of the last block when the run ends is discarded.
+
+    The floating-point expressions, which a second implementation must
+    evaluate as written to draw the same run, with each kind's coefficient
+    from the module docstring's table (``ell * p_out`` and ``ell * p_in``
+    for the transports, ``p_in = 1.0 - p_out``) and the counts as floats:
+
+    * ``A_c``, for compartment c, is the ``math.fsum`` of the coefficients
+      of the kinds other than infection whose rate reads c;
+    * a site's total is ``A_s*s + A_i*i + A_r*r + A_b*b + beta*s*b/(K+b)``,
+      evaluated left to right;
+    * a kind's rate is its coefficient times its source count, and
+      infection's is ``(beta*s)*b/(K+b)``;
+    * both running sums, over the site totals and over a site's rates, are
+      sequential, as ``np.cumsum`` adds.
 
     The loop keeps the n site totals, not the 14n rates, and their running
     sums: an event rewrites the totals of the (at most two) sites it

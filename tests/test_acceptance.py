@@ -205,12 +205,12 @@ def test_criterion_7_structural_invariants():
                             and float(np.max(np.abs(back - counts))) < 1e-9)
         # replay the log event by event: jump sizes and conservation laws
         state = state0
-        for t, event in log:
-            nxt = apply_event(state, event)
+        for kind, site in zip(log.kinds, log.sites):
+            nxt = apply_event(state, kind, site)
             delta = nxt.counts - state.counts
             ok_jumps &= int(np.abs(delta).max()) <= 1
             db = int(nxt.counts[3].sum() - state.counts[3].sum())
-            if event.kind in (EventKind.TRANSPORT_OUT, EventKind.TRANSPORT_IN):
+            if kind in (EventKind.TRANSPORT_OUT, EventKind.TRANSPORT_IN):
                 ok_conserve &= db == 0
             else:
                 ok_conserve &= db in (-1, 0, 1)

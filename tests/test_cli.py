@@ -252,6 +252,26 @@ def test_simulate_rerun_without_a_log_into_the_same_out_reads_back(tmp_path):
     assert traj.event_log is None
 
 
+@pytest.mark.parametrize("first, second", [(1, 2), (2, 1), (3, 2)])
+def test_simulate_rerun_with_another_replica_count_leaves_only_listed_files(
+    tmp_path, first, second
+):
+    path = write_config(tmp_path)
+    out = tmp_path / "run_out"
+    for replicas in (first, second):
+        assert main(["simulate", "--config", str(path), "--replicas", str(replicas)]) == 0
+    runs = [out] if second == 1 else [out / f"replica_{rep:03d}" for rep in range(second)]
+    manifests = sorted(out.rglob("manifest.json"))
+    assert [m.parent for m in manifests] == runs
+    listed = set(manifests)
+    for manifest in manifests:
+        hashes = run_io.RunManifest.from_json(manifest.read_text()).file_hashes
+        listed |= {manifest.parent / name for name in hashes}
+        run_io.read_trajectory(manifest.parent)
+    assert {p for p in out.rglob("*") if p.is_file()} - listed == {out / "plot.py"}
+    assert {p for p in out.rglob("*") if p.is_dir()} == set(runs) - {out}
+
+
 def test_simulate_horizon_zero_single_snapshot(tmp_path):
     path = write_config(tmp_path)
     text = path.read_text().replace("horizon = 0.2", "horizon = 0.0")

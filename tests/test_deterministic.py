@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import closed_forms
+from reference_ssa import all_rates
 from sirb_lattice.deterministic import (
     DeterministicState,
     IntegrationError,
@@ -25,7 +26,6 @@ from sirb_lattice.stochastic import (
     ScalingParams,
     SystemState,
     _renormalization,
-    all_rates,
 )
 
 # Decay factor of the m=1 wave with diffusion 0.01, speed 0.1, death rate 1

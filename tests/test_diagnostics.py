@@ -271,16 +271,17 @@ def reference_sweep(traj, params, scaling):
     int_drift = np.zeros((4, state.n_sites))
     int_amp = np.zeros((6, state.n_sites))
     jumps = np.zeros((6, state.n_sites))
-    events = list(traj.event_log)
+    log = traj.event_log
+    events = list(zip(log.times, log.kinds, log.sites))
     e = 0
     z_out, obs_out, pred_out = [], [], []
     for g in traj.sample_times:
         while e < len(events) and events[e][0] <= g:
-            t_event, event = events[e]
+            t_event, kind, site = events[e]
             drift, amp = integrands(state)
             int_drift += drift * (t_event - t)
             int_amp += amp * (t_event - t)
-            new = apply_event(state, event)
+            new = apply_event(state, kind, site)
             du = new.counts - state.counts
             db = du[COMPARTMENTS.index("B")]
             jumps[squares] += du**2

@@ -36,7 +36,6 @@ from sirb_lattice.lattice import TransportCoefficients
 from sirb_lattice.stochastic import (
     RNG_ALGORITHM,
     EpidemicParams,
-    Event,
     EventKind,
     EventLog,
     ScalingParams,
@@ -288,7 +287,7 @@ def test_replay_single_event():
                    np.array([int(EventKind.RECOVERY)], dtype=np.uint8),
                    np.array([2], dtype=np.uint32))
     final = replay_trajectory(state, log, [math.inf])[0]
-    assert final == apply_event(state, Event(EventKind.RECOVERY, 2))
+    assert final == apply_event(state, EventKind.RECOVERY, 2)
 
 
 def test_replay_reproduces_simulated_snapshots():
@@ -350,8 +349,8 @@ def test_replay_detects_source_emptied_then_refilled(padding):
     message = r"CONTAMINATION at site 0 requires i_counts >= 1 \(got 0\)"
     oracle = state
     with pytest.raises(ValueError, match=message):
-        for _, event in log:
-            oracle = apply_event(oracle, event)
+        for kind, site in zip(log.kinds, log.sites):
+            oracle = apply_event(oracle, kind, site)
     with pytest.raises(ValueError, match=message):
         replay_trajectory(state, log, [math.inf])[0]
     with pytest.raises(ValueError, match=message):

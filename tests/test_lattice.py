@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from reference_ssa import all_rates
 from sirb_lattice.deterministic import (
     DeterministicState,
     ReactionField,
@@ -18,7 +19,6 @@ from sirb_lattice.stochastic import (
     EventKind,
     ScalingParams,
     SystemState,
-    all_rates,
 )
 
 RNG = np.random.default_rng(20240811)

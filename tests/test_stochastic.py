@@ -1,28 +1,29 @@
 """Event rates, jump bookkeeping, and the exact simulator."""
 
+import ast
 import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import reference_ssa
+from reference_ssa import all_rates, step_ssa
 from sirb_lattice import stochastic
 from sirb_lattice.lattice import TransportCoefficients
 from sirb_lattice.stochastic import (
     SOURCES,
     STOICHIOMETRY,
     EpidemicParams,
-    Event,
     EventKind,
     EventLog,
     ScalingParams,
     SystemState,
     Trajectory,
-    all_rates,
     apply_event,
     replica_rng,
     simulate_ssa,
-    step_ssa,
 )
 
 
@@ -160,7 +161,7 @@ def test_apply_event_deltas_for_every_kind():
     n = 5
     state = uniform_state(n)
     for kind, deltas in EVENT_DELTAS.items():
-        out = apply_event(state, Event(kind, 1))
+        out = apply_event(state, kind, 1)
         expected = state.counts.copy()
         for comp, off, d in deltas:
             expected["sirb".index(comp), (1 + off) % n] += d
@@ -183,7 +184,7 @@ def test_apply_event_deltas_for_every_kind():
 
 def test_infection_preserves_site_population():
     state = uniform_state(4)
-    out = apply_event(state, Event(EventKind.INFECTION, 2))
+    out = apply_event(state, EventKind.INFECTION, 2)
     total_before = state.counts[:3, 2].sum()
     total_after = out.counts[:3, 2].sum()
     assert total_after == total_before
@@ -191,10 +192,10 @@ def test_infection_preserves_site_population():
 
 def test_transport_wraps_around():
     state = uniform_state(4)
-    out = apply_event(state, Event(EventKind.TRANSPORT_OUT, 3))
+    out = apply_event(state, EventKind.TRANSPORT_OUT, 3)
     assert out.counts[3, 3] == state.counts[3, 3] - 1
     assert out.counts[3, 0] == state.counts[3, 0] + 1
-    out = apply_event(state, Event(EventKind.TRANSPORT_IN, 0))
+    out = apply_event(state, EventKind.TRANSPORT_IN, 0)
     assert out.counts[3, 0] == state.counts[3, 0] - 1
     assert out.counts[3, 3] == state.counts[3, 3] + 1
 
@@ -202,7 +203,7 @@ def test_transport_wraps_around():
 def test_apply_event_is_pure():
     state = uniform_state(4)
     before = state.counts.copy()
-    apply_event(state, Event(EventKind.BACTERIA_DEATH, 0))
+    apply_event(state, EventKind.BACTERIA_DEATH, 0)
     assert np.array_equal(state.counts, before)
 
 
@@ -211,9 +212,9 @@ def test_apply_event_rejects_empty_source():
         np.full(4, 5), np.zeros(4, int), np.zeros(4, int), np.zeros(4, int)
     )
     with pytest.raises(ValueError, match="BACTERIA_DEATH"):
-        apply_event(state, Event(EventKind.BACTERIA_DEATH, 1))
+        apply_event(state, EventKind.BACTERIA_DEATH, 1)
     with pytest.raises(ValueError, match="INFECTION"):
-        apply_event(state, Event(EventKind.INFECTION, 0))
+        apply_event(state, EventKind.INFECTION, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -247,9 +248,9 @@ def test_step_ssa_category_frequencies():
     draws = 100_000
     counts = {k: 0 for k in rates}
     for _ in range(draws):
-        event, _ = step_ssa(state, params, scaling, rng)
-        assert event.site == 0
-        counts[event.kind] += 1
+        (kind, site), _ = step_ssa(state, params, scaling, rng)
+        assert site == 0
+        counts[kind] += 1
     # Pearson chi-square against the exact probabilities; 13.8155 is the
     # 99.9% point of chi-square with 2 degrees of freedom.
     stat = sum(
@@ -273,8 +274,8 @@ def test_step_ssa_event_frequencies_match_all_rates():
     draws = 60_000
     counts = np.zeros_like(rates)
     for _ in range(draws):
-        event, _ = step_ssa(state, params, scaling, rng)
-        counts[event.kind, event.site] += 1
+        (kind, site), _ = step_ssa(state, params, scaling, rng)
+        counts[kind, site] += 1
     assert not counts[~live].any()
     expected = draws * rates[live] / rates.sum()
     assert expected.min() >= 5
@@ -309,9 +310,9 @@ def test_step_ssa_top_uniform_selects_a_live_event():
     scaling = ScalingParams(5, 10, 10)
     state = SystemState.from_counts([9, 3, 4, 0, 0], [2, 0, 1, 0, 0],
                                     [0, 2, 0, 0, 0], [5, 1, 7, 0, 0])
-    event, _ = step_ssa(state, params, scaling, Uniforms(TOP_UNIFORM))
-    assert event.site == 2
-    assert all_rates(state, params, scaling)[event.kind, event.site] > 0
+    (kind, site), _ = step_ssa(state, params, scaling, Uniforms(TOP_UNIFORM))
+    assert site == 2
+    assert all_rates(state, params, scaling)[kind, site] > 0
 
 
 @pytest.mark.parametrize("engine", ["step_ssa", "simulate_ssa"])
@@ -338,8 +339,8 @@ def test_selection_fallbacks_at_a_subnormal_total(engine, monkeypatch):
                             record_events=True)
         assert len(traj.event_log) == 1 and not traj.final.counts[3].any()
         assert traj.stats["events_by_kind"] == [0] * 10 + [1] + [0] * 3
-        _, event = next(iter(traj.event_log))
-    assert event == Event(EventKind.BACTERIA_DEATH, 1)
+        event = next(zip(traj.event_log.kinds, traj.event_log.sites))
+    assert event == (EventKind.BACTERIA_DEATH, 1)
 
 
 @pytest.mark.parametrize("engine", ["step_ssa", "simulate_ssa"])
@@ -357,16 +358,16 @@ def test_transport_fallback_wraps_around(engine, monkeypatch):
     if engine == "step_ssa":
         event, wait = step_ssa(state, params, scaling, uniforms)
         assert wait == 0.0 and uniforms.drawn == 2
-        final = apply_event(state, event)
+        final = apply_event(state, *event)
         assert step_ssa(final, params, scaling, uniforms)[1] == math.inf
     else:
         monkeypatch.setattr(stochastic, "replica_rng", lambda seed, stream=0: uniforms)
         traj = simulate_ssa(state, 1.0, [0.0, 1.0], params, scaling, seed=0,
                             record_events=True)
         assert len(traj.event_log) == 1
-        _, event = next(iter(traj.event_log))
+        event = next(zip(traj.event_log.kinds, traj.event_log.sites))
         final = traj.final
-    assert event == Event(EventKind.TRANSPORT_IN, 0)
+    assert event == (EventKind.TRANSPORT_IN, 0)
     assert final.counts[3].tolist() == [0, 0, 1]
 
 
@@ -467,7 +468,7 @@ def test_simulate_matches_manual_step_loop():
         if event is None or t + wait > horizon:
             break
         t += wait
-        state = apply_event(state, event)
+        state = apply_event(state, *event)
     assert state == traj.final
 
 
@@ -551,10 +552,11 @@ def manual_run(state, horizon, grid, params, scaling, seed, stream):
         if event is None or t_next > horizon:
             break
         t = t_next
-        state = apply_event(state, event)
+        state = apply_event(state, *event)
+        kind, site = event
         times.append(t)
-        kinds.append(int(event.kind))
-        sites.append(event.site)
+        kinds.append(int(kind))
+        sites.append(site)
     log = EventLog(np.array(times), np.array(kinds, np.uint8), np.array(sites, np.uint32))
     return log, snapshots
 
@@ -601,6 +603,39 @@ def test_simulate_matches_manual_step_loop_event_by_event(run_args):
     # generated event loop is checked against step_ssa + apply_event
     fired = {int(k) for shape in EQUIVALENCE_SHAPES for k in logged_run(shape).event_log.kinds}
     assert fired == set(range(len(EventKind)))
+
+
+def test_reference_catches_the_shared_weights_mutant(monkeypatch):
+    # A mutant engine whose A_r leaves out DEATH_R's mu: its site totals no
+    # longer add up its rates.  A reference that read the engine's weights
+    # would follow it event for event; one written from the contract parts
+    # from it.
+    engine_weights = stochastic._site_weights
+
+    def mutant_weights(params):
+        (a_s, a_i, _, a_b), beta = engine_weights(params)
+        return (a_s, a_i, math.fsum((params.mu, params.rho)), a_b), beta
+
+    for run_args in EQUIVALENCE_SHAPES:
+        assert logged_run(run_args).event_log == manual_run(*run_args())[0]
+    monkeypatch.setattr(stochastic, "_site_weights", mutant_weights)
+    assert logged_run(crowded_run_args).event_log != manual_run(*crowded_run_args())[0]
+
+
+def test_reference_imports_only_public_names():
+    # the reference shares no private rate code with the engine it checks
+    tree = ast.parse(Path(reference_ssa.__file__).read_text())
+    from_package = {
+        alias.name for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "sirb_lattice"
+        for alias in node.names
+    }
+    assert from_package <= {"EventKind", "SystemState", "EpidemicParams", "ScalingParams",
+                            "replica_rng"}
+    assert not any(
+        isinstance(node, ast.Import) and alias.name.split(".")[0] == "sirb_lattice"
+        for node in ast.walk(tree) for alias in getattr(node, "names", ())
+    )
 
 
 @pytest.mark.parametrize("run_args", [wrapping_run_args, absorbed_run_args])
