@@ -36,7 +36,16 @@ It times the package in this checkout's ``src`` and adds one run to
   ``demos/configs/quickstart.cfg`` with ``--replicas 2``, at ``--workers 1``
   and at ``--workers 2``, the two taking turns within each repeat, timed as
   the subcommands are (left out, with a line saying so, where fewer than 2
-  CPUs are usable).
+  CPUs are usable);
+* the footprint: the peak resident memory, in MiB, of ``pde`` on
+  ``demos/configs/quickstart.cfg`` at ``--workers 1`` and of each process-pool
+  run above at each of its worker counts (``--workers 2`` left out where
+  fewer than 2 CPUs are usable).  Each is the ``ru_maxrss`` of the process
+  tree, pool workers included, that ``os.wait4`` returns to a ``python -I
+  -S`` stub which forks and execs the subcommand (``FOOTPRINT_STUB``): a
+  process started from this script itself would carry this script's own
+  high-water mark, tens of MiB, across its exec.  These runs are not timed,
+  so the stub's start-up enters neither the subcommand nor the pool figures.
 
 Every figure is the median of ``REPEATS`` timed repeats of the same seeded
 work, with the minimum, the maximum and every repeat.  Every layer but the
@@ -119,7 +128,22 @@ POOL_RUNS = (
     ("diagnose", "--config", "demos/configs/quickstart.cfg", "--replicas", "2"),
 )
 POOL_WORKERS = (1, 2)
-LAYERS = ("ssa", "paths", "sweep", "replay", "io", "rk4", "cli", "pool")
+# subcommand and its arguments, and its --workers, each run with a fresh --out
+FOOTPRINT_RUNS = ((CLI_RUNS[1], 1),) + tuple((args, w) for args in POOL_RUNS
+                                             for w in POOL_WORKERS)
+# Run as ``python -I -S -c FOOTPRINT_STUB ARGV...``: forks, execs ARGV with
+# its stdout on /dev/null, and prints the peak RSS of its process tree in KiB.
+FOOTPRINT_STUB = """\
+import os, sys
+pid = os.fork()
+if pid == 0:
+    os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+    os.execv(sys.argv[1], sys.argv[1:])
+_, status, usage = os.wait4(pid, 0)
+print(usage.ru_maxrss)
+sys.exit(os.waitstatus_to_exitcode(status))
+"""
+LAYERS = ("ssa", "paths", "sweep", "replay", "io", "rk4", "cli", "pool", "footprint")
 
 
 def horizon(n: int) -> float:
@@ -248,12 +272,18 @@ def bench_rk4(n: int) -> dict:
     return timed(lambda: integrate(v0, span, rf, dt=dt), stats["n_steps"], "us/step")
 
 
-def run_cli(args: tuple, workers: int, out: str) -> tuple[float, float]:
-    """One subcommand as its own process: its wall time and the CPU time of
-    it and its workers, in ms."""
+def cli_command(args: tuple, workers: int, out: str) -> tuple[list, dict]:
+    """The argv and environment of one subcommand run from this checkout."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     argv = [sys.executable, "-m", "sirb_lattice", *args, "--workers", str(workers), "--out", out]
+    return argv, env
+
+
+def run_cli(args: tuple, workers: int, out: str) -> tuple[float, float]:
+    """One subcommand as its own process: its wall time and the CPU time of
+    it and its workers, in ms."""
+    argv, env = cli_command(args, workers, out)
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
     start = time.perf_counter()
     subprocess.run(argv, cwd=ROOT, env=env, check=True, stdout=subprocess.DEVNULL)
@@ -286,6 +316,22 @@ def bench_pool(args: tuple) -> dict:
                 runs[workers, "cpu"].append(cpu)
     return {f"{args[0]},workers={workers},{clock}": figure(r, 1, "ms/run")
             for (workers, clock), r in runs.items()}
+
+
+def bench_footprint(max_workers: int) -> dict:
+    """Peak RSS of each of FOOTPRINT_RUNS at up to ``max_workers`` workers,
+    each started through FOOTPRINT_STUB, in MiB per run."""
+    runs = {(args, workers): [] for args, workers in FOOTPRINT_RUNS if workers <= max_workers}
+    with tempfile.TemporaryDirectory() as tmp:
+        for rep in range(REPEATS):
+            for index, ((args, workers), peaks) in enumerate(runs.items()):
+                argv, env = cli_command(args, workers, os.path.join(tmp, f"{rep}-{index}"))
+                done = subprocess.run([sys.executable, "-I", "-S", "-c", FOOTPRINT_STUB, *argv],
+                                      cwd=ROOT, env=env, check=True, capture_output=True,
+                                      text=True)
+                peaks.append(int(done.stdout) / 1024)
+    return {f"{args[0]},workers={workers}": figure(peaks, 1, "MiB")
+            for (args, workers), peaks in runs.items()}
 
 
 def git_sha() -> str:
@@ -342,6 +388,7 @@ def main(argv=None) -> int:
         "cli": {key: fig for args in CLI_RUNS for key, fig in bench_cli(args).items()},
         "pool": {key: fig for args in POOL_RUNS for key, fig in bench_pool(args).items()}
         if usable_cpus() >= max(POOL_WORKERS) else {},
+        "footprint": bench_footprint(usable_cpus()),
     }
     if not run["pool"]:
         print(f"pool figures skipped: {usable_cpus()} usable CPU(s), {max(POOL_WORKERS)} needed")

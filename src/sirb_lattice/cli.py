@@ -491,7 +491,9 @@ def _run_converge(cfg: RunConfig) -> None:
     run_io.write_convergence_report(cfg.out, report)
     # every rung has its own lattice (the config echoes the ladder), so the
     # run-wide scaling, params and initial_counts stay empty
-    run_io.RunManifest(seed=cfg.seed, config=cfg.echo).write(
+    keys = ("n_sites", "h", "k", "n_events", "events_by_kind", "ball_exits", "rounding_error")
+    stats = {"rungs": [{key: getattr(r, key) for key in keys} for r in report.rungs]}
+    run_io.RunManifest(seed=cfg.seed, config=cfg.echo, stats=stats).write(
         cfg.out, ["report_distances.csv", "report_summary.csv"]
     )
 

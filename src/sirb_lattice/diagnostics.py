@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
@@ -358,6 +358,8 @@ class LadderRung:
     distances: np.ndarray
     rounding_error: float  # sup |rounded counts / scale - projected density|
     ball_exits: int  # replicas leaving the a-priori sup-norm ball
+    n_events: list[int] = field(default_factory=list)  # per replica
+    events_by_kind: list[int] = field(default_factory=list)  # summed over the replicas
     median: float = field(init=False)
     q25: float = field(init=False)
     q75: float = field(init=False)
@@ -441,14 +443,31 @@ def pool_size(workers: int, jobs: int) -> int:
     return max(1, min(workers, jobs, usable_cpus()))
 
 
+def __getattr__(name: str):
+    """``ProcessPoolExecutor``, imported and kept here on first use (PEP
+    562), so that a process that starts no pool never loads the
+    ``concurrent.futures.process`` stack, about 2 MiB of resident memory."""
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        globals()[name] = ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def map_jobs(fn: Callable, jobs: Sequence, workers: int) -> list:
     """``[fn(job) for job in jobs]``, in order: serially when ``pool_size``
     gives one worker, else through one process pool's ``map``.  ``fn`` must
-    be a top-level function so the pool can ship it."""
+    be a top-level function so the pool can ship it.
+
+    The pool class is ``diagnostics.ProcessPoolExecutor``, looked up on the
+    module at each call: the module's ``__getattr__`` imports it on first
+    use, and a class set on the module in its place (a stand-in pool, a
+    timing wrapper) is the one used."""
     size = pool_size(workers, len(jobs))
     if size == 1:
         return [fn(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=size) as pool:
+    with sys.modules[__name__].ProcessPoolExecutor(max_workers=size) as pool:
         return list(pool.map(fn, jobs))
 
 
@@ -463,13 +482,13 @@ def starting_point(
     return state0, v0, float(np.max(np.abs(state0.rescaled(scaling) - v0.stack())))
 
 
-def _replica_distance(payload) -> tuple[float, float]:
-    """One replica of one rung: (sup distance, sup density).  Top level so a
-    process pool can ship it."""
+def _replica_distance(payload) -> tuple[float, float, dict]:
+    """One replica of one rung: (sup distance, sup density, run stats).  Top
+    level so a process pool can ship it."""
     (state0, horizon, grid, prm, scaling, seed, stream, det_states, comps) = payload
     traj = simulate_ssa(state0, horizon, grid, prm, scaling, seed, stream=stream)
     d = sup_distance(traj, det_states, scaling, compartments=comps)
-    return d, float(np.max(traj.densities(scaling)))
+    return d, float(np.max(traj.densities(scaling))), traj.stats
 
 
 def lln_experiment(
@@ -543,8 +562,11 @@ def lln_experiment(
         mine = results[rung_idx * replicas: (rung_idx + 1) * replicas]
         rungs.append(
             LadderRung(
-                n_sites=n, h=h, k=k, distances=np.array([d for d, _ in mine]),
-                rounding_error=rounding, ball_exits=sum(1 for _, u in mine if u > ball),
+                n_sites=n, h=h, k=k, distances=np.array([d for d, _, _ in mine]),
+                rounding_error=rounding, ball_exits=sum(1 for _, u, _ in mine if u > ball),
+                n_events=[s["n_events"] for _, _, s in mine],
+                events_by_kind=np.sum([s["events_by_kind"] for _, _, s in mine],
+                                      axis=0).tolist(),
             )
         )
     return ConvergenceReport(

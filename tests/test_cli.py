@@ -20,7 +20,14 @@ from sirb_lattice import io as run_io
 from sirb_lattice.cli import ConfigError, main, parse_config, run
 from sirb_lattice.deterministic import ReactionField, homogeneous_ode
 from sirb_lattice.diagnostics import Sweep, starting_point, sweep_log
-from sirb_lattice.stochastic import RNG_ALGORITHM, EventKind, EventLog, Trajectory, simulate_ssa
+from sirb_lattice.stochastic import (
+    RNG_ALGORITHM,
+    EventKind,
+    EventLog,
+    ScalingParams,
+    Trajectory,
+    simulate_ssa,
+)
 
 BASE_CONFIG = """
 [run]
@@ -396,6 +403,7 @@ def test_manifest_records_rng_algorithm(tmp_path, mode):
     loaded = run_io.RunManifest.from_json((cfg.out / "manifest.json").read_text())
     assert loaded.seed == cfg.seed and loaded.config["mode"] == mode
     assert loaded.file_hashes
+    assert loaded.stats  # run telemetry, outside the hashes
     loaded.verify(cfg.out)
 
 
@@ -408,6 +416,29 @@ def test_integrator_counters_in_manifest_stats(tmp_path, mode):
     assert loaded.stats["n_steps"] > 0
     assert loaded.stats["clamped"] >= 0 and loaded.stats["min_value_seen"] <= 0.0
     assert list(loaded.file_hashes) == ["trajectory.csv"]
+
+
+def test_converge_stats_count_each_rungs_events(tmp_path):
+    path = write_config(tmp_path, ladder="ladder = 4:20:20, 4:40:40")
+    cfg = parse_config(path, mode="converge")
+    cfg.replicas = 3
+    assert run(cfg) == 0
+    rungs = run_io.RunManifest.from_json((cfg.out / "manifest.json").read_text()).stats["rungs"]
+    summary = list(csv.DictReader(open(cfg.out / "report_summary.csv", newline="")))
+    assert len(rungs) == len(summary) == 2
+    for rung, row in zip(rungs, summary):
+        assert (rung["n_sites"], rung["h"], rung["k"]) == (int(row["n_sites"]), int(row["h"]),
+                                                           int(row["k"]))
+        assert rung["ball_exits"] == int(row["ball_exits"])
+        assert rung["rounding_error"] == float(row["rounding_error"])
+        assert len(rung["n_events"]) == 3 and min(rung["n_events"]) > 0
+        assert len(rung["events_by_kind"]) == len(EventKind)
+        assert sum(rung["events_by_kind"]) == sum(rung["n_events"])
+    # replica 1 of rung 0 draws stream 1
+    state0, _, _ = starting_point(cfg.initial_fns(), ScalingParams(4, 20, 20))
+    traj = simulate_ssa(state0, cfg.horizon, cfg.sample_grid(), cfg.params().with_lattice(4),
+                        ScalingParams(4, 20, 20), cfg.seed, stream=1)
+    assert rungs[0]["n_events"][1] == traj.stats["n_events"]
 
 
 def test_read_trajectory_carries_the_run_stats(tmp_path):
@@ -431,13 +462,53 @@ def test_converge_does_not_import_numpy_ma(tmp_path):
         f"assert main(['converge', '--config', {str(path)!r}, '--replicas', '3']) == 0\n"
         "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
     )
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    done = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
+    done = run_fresh(code)
     if done.returncode == 3:
         pytest.skip("this numpy imports numpy.ma together with numpy")
     assert done.returncode == 0
+
+
+def run_fresh(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports this package."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    return subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
+                          capture_output=True, text=True)
+
+
+# hashlib maps OpenSSL (_hashlib), and concurrent.futures.process the pool
+# stack: a few MiB of resident memory that a CLI process takes on only where
+# it uses them
+HEAVY_MODULES = ("_hashlib", "concurrent.futures.process")
+
+
+def test_importing_the_cli_maps_neither_openssl_nor_the_pool_stack():
+    done = run_fresh(
+        "import sys, numpy\n"
+        "before = set(sys.modules)\n"
+        "import sirb_lattice.cli\n"
+        f"print(sorted(set({HEAVY_MODULES!r}) & (set(sys.modules) - before)))\n"
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
+@pytest.mark.skipif(diagnostics.usable_cpus() < 2, reason="a pool needs 2 usable CPUs")
+@pytest.mark.skipif(int(np.__version__.split(".")[0]) < 2,
+                    reason="numpy < 2 maps OpenSSL at import, through numpy.random")
+def test_a_pool_parent_never_maps_openssl(tmp_path):
+    path = write_config(tmp_path)
+    done = run_fresh(
+        "import sys, numpy\n"
+        "from sirb_lattice.cli import main\n"
+        f"assert main(['diagnose', '--config', {str(path)!r}, '--replicas', '2',\n"
+        "             '--workers', '2']) == 0\n"
+        f"print(sorted(set({HEAVY_MODULES!r}) & set(sys.modules)))\n"
+    )
+    assert done.returncode == 0, done.stderr
+    # the pool ran, and only its workers hashed through OpenSSL
+    assert done.stdout.splitlines()[-1] == "['concurrent.futures.process']"
 
 
 def test_pde_writes_lattice_solution(tmp_path):

@@ -627,7 +627,7 @@ def test_lln_submits_longest_jobs_first_and_reports_in_ladder_order(monkeypatch)
 
     def recording_map(fn, jobs, workers):
         results = map_jobs(fn, jobs, workers)
-        for job, (distance, _) in zip(jobs, results):
+        for job, (distance, *_) in zip(jobs, results):
             scaling, stream = job[4], job[6]
             submitted[(scaling.n_sites, scaling.h, scaling.k, stream)] = distance
         return results

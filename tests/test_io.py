@@ -179,6 +179,16 @@ def test_wrong_magic_detected(tmp_path):
         read_trajectory(tmp_path)
 
 
+@pytest.mark.parametrize("size", [0, 1, 2**20 - 1, 2**20, 2**20 + 1, 3 * 2**20 + 5])
+def test_sha256_file_is_hashlibs_digest_at_the_read_boundaries(tmp_path, size):
+    # sha256_file reads 1 MiB at a time through CPython's built-in SHA-256;
+    # the goldens and every manifest hold hashlib's digests
+    data = np.random.default_rng(size).integers(0, 256, size, dtype=np.uint8).tobytes()
+    path = tmp_path / "blob"
+    path.write_bytes(data)
+    assert sha256_file(path) == hashlib.sha256(data).hexdigest()
+
+
 def rehash(directory):
     """Record the current hash of every listed file, so that a corruption
     passes the hash check and reaches the parser."""
