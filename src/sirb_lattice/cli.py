@@ -73,7 +73,9 @@ import numpy as np
 from . import __version__
 from . import io as run_io
 from .deterministic import DeterministicState, ReactionField, homogeneous_ode, integrate
-from .diagnostics import Sweep, lln_experiment, map_jobs, starting_point, sweep_log, usable_cpus
+from .diagnostics import (
+    Sweep, _validate_ladder, lln_experiment, map_jobs, starting_point, sweep_log, usable_cpus,
+)
 from .lattice import TransportCoefficients
 from .stochastic import COMPARTMENTS, EpidemicParams, ScalingParams, simulate_ssa, uniform_grid
 
@@ -401,8 +403,6 @@ def parse_config(path, mode: str = "simulate", overrides: Optional[dict] = None)
 
 def _check_ladder_regime(ladder, theorem: str):
     """Reuse the diagnostics regime check, rephrasing failures as ConfigError."""
-    from .diagnostics import _validate_ladder
-
     try:
         _validate_ladder(ladder, theorem)
     except ValueError as exc:
@@ -424,24 +424,7 @@ def _one_simulation(args) -> None:
     run_io.write_trajectory(directory, traj, cfg.params(), cfg.scaling(), echo)
 
 
-def _remove_other_layout(cfg: RunConfig) -> None:
-    """Delete the run files that a simulate with another replica count left
-    in ``cfg.out``: those of the top level when this run writes replica_NNN
-    directories, and those of every replica_NNN directory it does not
-    write, which goes too once it is empty.  No other file is touched."""
-    first_stale = cfg.replicas if cfg.replicas > 1 else 0
-    stale = [d for d in cfg.out.glob("replica_*") if d.is_dir()
-             and d.name.removeprefix("replica_").isdecimal()
-             and int(d.name.removeprefix("replica_")) >= first_stale]
-    for directory in stale + ([cfg.out] if cfg.replicas > 1 else []):
-        run_io._remove_trajectory(directory)
-    for directory in stale:
-        if not any(directory.iterdir()):
-            directory.rmdir()
-
-
 def _run_simulate(cfg: RunConfig) -> None:
-    _remove_other_layout(cfg)
     jobs = []
     for rep in range(cfg.replicas):
         directory = cfg.out if cfg.replicas == 1 else cfg.out / f"replica_{rep:03d}"
@@ -457,7 +440,6 @@ def _run_pde(cfg: RunConfig) -> None:
     grid = cfg.sample_grid()
     stats = {}
     densities = integrate(v0, cfg.horizon, rf, dt=cfg.pde_dt, sample_times=grid, stats=stats)
-    cfg.out.mkdir(parents=True, exist_ok=True)
     run_io._write_density_csv(cfg.out / "trajectory.csv", grid, densities)
     run_io.RunManifest(
         seed=cfg.seed, config=cfg.echo, params=run_io._params_dict(params),
@@ -474,7 +456,6 @@ def _run_homogeneous(cfg: RunConfig) -> None:
     grid = cfg.sample_grid()
     stats = {}
     series = homogeneous_ode(y0, cfg.horizon, rf, sample_times=grid, stats=stats)
-    cfg.out.mkdir(parents=True, exist_ok=True)
     # the trajectory schema on a one-site lattice
     run_io._write_density_csv(cfg.out / "trajectory.csv", grid, series[:, :, None])
     run_io.RunManifest(
@@ -515,7 +496,6 @@ def _run_diagnose(cfg: RunConfig) -> None:
     sweeps, stats = zip(*map_jobs(_one_diagnose_replica, jobs, cfg.workers))
     sweep = Sweep.stack(sweeps)
     grid = cfg.sample_grid()
-    cfg.out.mkdir(parents=True, exist_ok=True)
     run_io.write_martingale_csv(cfg.out / "report_martingale.csv", grid, sweep.z[0])
     files = ["report_martingale.csv"]
     if cfg.replicas >= 2:
@@ -523,8 +503,6 @@ def _run_diagnose(cfg: RunConfig) -> None:
             cfg.out / "report_compensators.csv", grid, sweep.observed - sweep.predicted
         )
         files.append("report_compensators.csv")
-    else:  # an earlier run's file, which this manifest would not list
-        (cfg.out / "report_compensators.csv").unlink(missing_ok=True)
     state0, _, _ = starting_point(cfg.initial_fns(), cfg.scaling())
     run_io.RunManifest(
         seed=cfg.seed, config=cfg.echo, scaling=run_io._scaling_dict(cfg.scaling()),
@@ -536,9 +514,37 @@ def _run_diagnose(cfg: RunConfig) -> None:
     ).write(cfg.out, files)
 
 
+def _clear_earlier_run(out: Path) -> None:
+    """Delete the earlier run in ``out``, as its manifests record it.
+
+    The manifests are ``out/manifest.json`` and each
+    ``out/replica_NNN/manifest.json``.  From each, every listed name that
+    is a plain file name of a regular file goes, then the manifest itself;
+    a replica directory that this leaves empty goes last.  A manifest that
+    cannot be read or parsed, or whose file_hashes is not a mapping, is
+    skipped, and no other file is touched: a file left by a run that died
+    before it wrote its manifest stays.
+    """
+    replicas = [d for d in out.glob("replica_*") if d.name.removeprefix("replica_").isdecimal()]
+    for directory in [out, *replicas]:
+        try:
+            manifest = run_io.RunManifest.from_json((directory / "manifest.json").read_text())
+        except (OSError, ValueError, run_io.CorruptFileError):
+            continue
+        if not isinstance(manifest.file_hashes, dict):  # parsed, but off the schema
+            continue
+        for name in [*manifest.file_hashes, "manifest.json"]:
+            if Path(name).name == name and (directory / name).is_file():
+                (directory / name).unlink()
+        if directory != out and not any(directory.iterdir()):
+            directory.rmdir()
+
+
 def run(config: RunConfig) -> int:
-    """Execute a validated config; returns a process exit status."""
+    """Execute a validated config; returns a process exit status.  The
+    earlier run in ``config.out``, if any, is deleted first."""
     config.out.mkdir(parents=True, exist_ok=True)
+    _clear_earlier_run(config.out)
     dispatch = {
         "simulate": _run_simulate,
         "pde": _run_pde,

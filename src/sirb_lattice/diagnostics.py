@@ -387,10 +387,6 @@ class LadderRung:
 class ConvergenceReport:
     """Distances along a renormalization ladder, one rung per scaling."""
 
-    mode: str
-    horizon: float
-    replicas: int
-    seed: int
     rungs: list[LadderRung]
 
     @property
@@ -569,6 +565,4 @@ def lln_experiment(
                                       axis=0).tolist(),
             )
         )
-    return ConvergenceReport(
-        mode=mode, horizon=horizon, replicas=replicas, seed=seed, rungs=rungs
-    )
+    return ConvergenceReport(rungs)

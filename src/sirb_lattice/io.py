@@ -278,9 +278,6 @@ def write_trajectory(
     config_echo: Optional[dict] = None,
 ) -> RunManifest:
     """Persist one trajectory into a run directory (created if needed).
-    An events.bin left there by an earlier run is deleted when the
-    trajectory has no log, so the directory holds only what the manifest
-    lists.
 
     Returns the manifest, which is also written as manifest.json.
     """
@@ -293,8 +290,6 @@ def write_trajectory(
     if traj.event_log is not None:
         _write_events_bin(directory / "events.bin", traj.event_log)
         files.append("events.bin")
-    else:
-        (directory / "events.bin").unlink(missing_ok=True)
     return RunManifest(
         seed=traj.seed,
         config=config_echo or {},
@@ -304,13 +299,6 @@ def write_trajectory(
         rng_algorithm=traj.rng_algorithm,
         stats=dict(traj.stats),
     ).write(directory, files)
-
-
-def _remove_trajectory(directory: Path) -> None:
-    """Delete the files write_trajectory writes, where ``directory`` holds
-    them, and no other file."""
-    for name in ("trajectory.csv", "snapshots.bin", "events.bin", "manifest.json"):
-        (directory / name).unlink(missing_ok=True)
 
 
 def read_trajectory(directory) -> tuple[Trajectory, RunManifest]:

@@ -259,24 +259,66 @@ def test_simulate_rerun_without_a_log_into_the_same_out_reads_back(tmp_path):
     assert traj.event_log is None
 
 
-@pytest.mark.parametrize("first, second", [(1, 2), (2, 1), (3, 2)])
+RERUNS = {  # test id: the first and the second command into one --out
+    "1-2": ("simulate --replicas 1", "simulate --replicas 2"),
+    "2-1": ("simulate --replicas 2", "simulate --replicas 1"),
+    "3-2": ("simulate --replicas 3", "simulate --replicas 2"),
+    "simulate-converge": ("simulate", "converge"),
+    "simulate2-diagnose2": ("simulate --replicas 2", "diagnose --replicas 2"),
+    "diagnose2-pde": ("diagnose --replicas 2", "pde"),
+    "converge-simulate3": ("converge", "simulate --replicas 3"),
+}
+
+
+@pytest.mark.parametrize("first, second", RERUNS.values(), ids=RERUNS.keys())
 def test_simulate_rerun_with_another_replica_count_leaves_only_listed_files(
     tmp_path, first, second
 ):
-    path = write_config(tmp_path)
+    path = write_config(tmp_path, ladder="ladder = 4:20:20, 4:40:40")
     out = tmp_path / "run_out"
-    for replicas in (first, second):
-        assert main(["simulate", "--config", str(path), "--replicas", str(replicas)]) == 0
-    runs = [out] if second == 1 else [out / f"replica_{rep:03d}" for rep in range(second)]
+    for command in (first, second):
+        assert main([*command.split(), "--config", str(path)]) == 0
+    mode, *flags = second.split()
+    replicas = int(flags[1]) if flags else 1
+    runs = ([out / f"replica_{rep:03d}" for rep in range(replicas)]
+            if mode == "simulate" and replicas > 1 else [out])
     manifests = sorted(out.rglob("manifest.json"))
     assert [m.parent for m in manifests] == runs
     listed = set(manifests)
     for manifest in manifests:
-        hashes = run_io.RunManifest.from_json(manifest.read_text()).file_hashes
-        listed |= {manifest.parent / name for name in hashes}
-        run_io.read_trajectory(manifest.parent)
+        record = run_io.RunManifest.from_json(manifest.read_text())
+        record.verify(manifest.parent)
+        listed |= {manifest.parent / name for name in record.file_hashes}
+        if mode == "simulate":
+            run_io.read_trajectory(manifest.parent)
     assert {p for p in out.rglob("*") if p.is_file()} - listed == {out / "plot.py"}
     assert {p for p in out.rglob("*") if p.is_dir()} == set(runs) - {out}
+
+
+def test_rerun_deletes_only_plain_listed_files_and_skips_a_broken_manifest(tmp_path):
+    path = write_config(tmp_path)
+    out = tmp_path / "run_out"
+    assert main(["pde", "--config", str(path)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["file_hashes"].update({"../outside.txt": "0" * 64, "sub": "0" * 64})
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    kept = [tmp_path / "outside.txt", out / "notes.txt", out / "sub" / "notes.txt"]
+    (out / "sub").mkdir()
+    for user_file in kept:
+        user_file.write_text("not a run file")
+    assert main(["simulate", "--config", str(path), "--replicas", "2"]) == 0
+    assert not (out / "trajectory.csv").exists() and not (out / "manifest.json").exists()
+    kept.append(out / "replica_000" / "notes.txt")
+    kept[-1].write_text("not a run file")
+    (out / "manifest.json").write_text("{not json")
+    (out / "replica_001" / "manifest.json").write_text('{"seed": 1, "file_hashes": 5}')
+    assert main(["pde", "--config", str(path)]) == 0
+    assert all(user_file.read_text() == "not a run file" for user_file in kept)
+    assert sorted(p.name for p in (out / "replica_000").iterdir()) == ["notes.txt"]
+    assert (out / "replica_001" / "snapshots.bin").exists()  # its manifest is off the schema
+    pde = run_io.RunManifest.from_json((out / "manifest.json").read_text())
+    assert list(pde.file_hashes) == ["trajectory.csv"]
+    pde.verify(out)
 
 
 def test_simulate_horizon_zero_single_snapshot(tmp_path):

@@ -500,7 +500,7 @@ def test_report_writers_match_csv_module_reference(tmp_path):
     observed[:, 2, 4, 0] = -1.0  # zero spread, negative mean: -inf
     predicted[:, 2, 4, 0] = 0.0
 
-    report = ConvergenceReport("theorem1", 1.0, 3, 7, [
+    report = ConvergenceReport([
         LadderRung(n, h, k, field(3) ** 2, 0.5 / h, exits)
         for n, h, k, exits in ((8, 10, 10, 0), (16, 10**6, 10**6, 2), (8, 2**40, 2**41, 3))
     ])
