@@ -11,7 +11,7 @@ directory.  The full schema, every key at its default:
     replicas = 1             # independent runs, >= 1
     seed = 12345             # master seed (u64)
     workers = 1              # process count for replica parallelism, <= CPUs
-    record_events = false    # keep full event logs (simulate/diagnose)
+    record_events = false    # keep full event logs (simulate; diagnose always logs)
     out = runs/out           # output directory
     theorem = theorem1       # converge regime: theorem1 | theorem2
 
@@ -72,7 +72,9 @@ import numpy as np
 
 from . import __version__
 from . import io as run_io
-from .deterministic import DeterministicState, ReactionField, homogeneous_ode, integrate
+from .deterministic import (
+    DeterministicState, IntegrationError, ReactionField, homogeneous_ode, integrate,
+)
 from .diagnostics import (
     Sweep, _validate_ladder, lln_experiment, map_jobs, starting_point, sweep_log, usable_cpus,
 )
@@ -102,31 +104,6 @@ _DEFAULTS = {
 # The run keys that a command-line flag sets, with the flag's name
 _FLAGS = {"seed": "--seed", "replicas": "--replicas", "workers": "--workers",
           "out": "--out", "theorem": "--mode"}
-
-_PLOT_STUB = """\
-#!/usr/bin/env python3
-# Minimal plotting stub for the CSV files in this directory.
-# Requires matplotlib, which is intentionally not a package dependency.
-import csv, sys
-from collections import defaultdict
-
-path = sys.argv[1] if len(sys.argv) > 1 else "trajectory.csv"
-rows = list(csv.DictReader(open(path)))
-by_site = defaultdict(list)
-for row in rows:
-    by_site[row["site"]].append(row)
-
-import matplotlib.pyplot as plt
-fig, axes = plt.subplots(2, 2, sharex=True)
-for ax, comp in zip(axes.flat, ("S", "I", "R", "B")):
-    for site, series in sorted(by_site.items()):
-        ax.plot([float(r["time"]) for r in series],
-                [float(r[comp]) for r in series], label=f"site {site}")
-    ax.set_title(comp)
-axes.flat[0].legend(fontsize="x-small")
-plt.tight_layout()
-plt.show()
-"""
 
 
 class ConfigError(ValueError):
@@ -519,10 +496,10 @@ def _clear_earlier_run(out: Path) -> None:
 
     The manifests are ``out/manifest.json`` and each
     ``out/replica_NNN/manifest.json``.  From each, every listed name that
-    is a plain file name of a regular file goes, then the manifest itself;
-    a replica directory that this leaves empty goes last.  A manifest that
-    cannot be read or parsed, or whose file_hashes is not a mapping, is
-    skipped, and no other file is touched: a file left by a run that died
+    is a regular file goes, then the manifest itself; a replica directory
+    that this leaves empty goes last.  A manifest that cannot be read, or
+    that ``RunManifest.from_json`` refuses (it lists only plain file names),
+    is skipped, and no other file is touched: a file left by a run that died
     before it wrote its manifest stays.
     """
     replicas = [d for d in out.glob("replica_*") if d.name.removeprefix("replica_").isdecimal()]
@@ -531,10 +508,8 @@ def _clear_earlier_run(out: Path) -> None:
             manifest = run_io.RunManifest.from_json((directory / "manifest.json").read_text())
         except (OSError, ValueError, run_io.CorruptFileError):
             continue
-        if not isinstance(manifest.file_hashes, dict):  # parsed, but off the schema
-            continue
         for name in [*manifest.file_hashes, "manifest.json"]:
-            if Path(name).name == name and (directory / name).is_file():
+            if (directory / name).is_file():
                 (directory / name).unlink()
         if directory != out and not any(directory.iterdir()):
             directory.rmdir()
@@ -553,7 +528,6 @@ def run(config: RunConfig) -> int:
         "diagnose": _run_diagnose,
     }
     dispatch[config.mode](config)
-    (config.out / "plot.py").write_text(_PLOT_STUB)
     return 0
 
 
@@ -580,7 +554,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                  if getattr(args, key, None) is not None}
     try:
         return run(parse_config(args.config, mode=args.mode, overrides=overrides))
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, IntegrationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional, Sequence
@@ -124,10 +124,25 @@ class RunManifest:
 
     @classmethod
     def from_json(cls, text: str) -> "RunManifest":
+        """Parse a manifest.  Raises CorruptFileError unless its keys are
+        fields of this class, seed among them, each of its annotated type (a
+        bool is not an int), and file_hashes maps plain file names to sha256
+        hex digests."""
         try:
-            return cls(**json.loads(text))
+            manifest = cls(**json.loads(text))
         except (json.JSONDecodeError, TypeError) as exc:
             raise CorruptFileError(f"manifest does not match the manifest schema: {exc}") from exc
+        for f in fields(cls):
+            value = getattr(manifest, f.name)
+            if type(value).__name__ != f.type:  # the annotation: "int", "str" or "dict"
+                raise CorruptFileError(f"manifest field {f.name} is not of type {f.type}: "
+                                       f"{value!r:.40}")
+        for name, digest in manifest.file_hashes.items():
+            if (name in ("", "..") or Path(name).name != name or type(digest) is not str
+                    or len(digest) != 64 or set(digest) - set("0123456789abcdef")):
+                raise CorruptFileError(f"manifest lists {name!r} with digest {digest!r:.70}; "
+                                       "expected a plain file name and a sha256 hex digest")
+        return manifest
 
     def write(self, directory, files: Sequence[str]) -> "RunManifest":
         """Hash ``files`` of ``directory`` into file_hashes, then write the
@@ -141,8 +156,9 @@ class RunManifest:
         """Check every recorded hash against the file on disk."""
         for name, expected in self.file_hashes.items():
             path = Path(directory) / name
-            if not path.exists():
-                raise CorruptFileError(f"{name} listed in manifest but missing on disk")
+            if not path.is_file():
+                raise CorruptFileError(
+                    f"{name} listed in manifest but missing or not a regular file on disk")
             actual = sha256_file(path)
             if actual != expected:
                 raise CorruptFileError(

@@ -235,9 +235,8 @@ def test_simulate_writes_run_directory(tmp_path):
     cfg = parse_config(path, mode="simulate")
     assert run(cfg) == 0
     out = cfg.out
-    for name in ("manifest.json", "trajectory.csv", "snapshots.bin",
-                 "events.bin", "plot.py"):
-        assert (out / name).exists(), name
+    assert sorted(p.name for p in out.iterdir()) == [
+        "events.bin", "manifest.json", "snapshots.bin", "trajectory.csv"]
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["seed"] == 4242
     assert manifest["config"]["derived"]["nu"] == pytest.approx(0.4 * 0.5 / 4)
@@ -291,7 +290,7 @@ def test_simulate_rerun_with_another_replica_count_leaves_only_listed_files(
         listed |= {manifest.parent / name for name in record.file_hashes}
         if mode == "simulate":
             run_io.read_trajectory(manifest.parent)
-    assert {p for p in out.rglob("*") if p.is_file()} - listed == {out / "plot.py"}
+    assert {p for p in out.rglob("*") if p.is_file()} - listed == set()
     assert {p for p in out.rglob("*") if p.is_dir()} == set(runs) - {out}
 
 
@@ -300,7 +299,7 @@ def test_rerun_deletes_only_plain_listed_files_and_skips_a_broken_manifest(tmp_p
     out = tmp_path / "run_out"
     assert main(["pde", "--config", str(path)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    manifest["file_hashes"].update({"../outside.txt": "0" * 64, "sub": "0" * 64})
+    manifest["file_hashes"]["sub"] = "0" * 64
     (out / "manifest.json").write_text(json.dumps(manifest))
     kept = [tmp_path / "outside.txt", out / "notes.txt", out / "sub" / "notes.txt"]
     (out / "sub").mkdir()
@@ -311,11 +310,15 @@ def test_rerun_deletes_only_plain_listed_files_and_skips_a_broken_manifest(tmp_p
     kept.append(out / "replica_000" / "notes.txt")
     kept[-1].write_text("not a run file")
     (out / "manifest.json").write_text("{not json")
-    (out / "replica_001" / "manifest.json").write_text('{"seed": 1, "file_hashes": 5}')
+    off_schema = out / "replica_001" / "manifest.json"  # lists a file outside the run
+    manifest = json.loads(off_schema.read_text())
+    manifest["file_hashes"]["../../outside.txt"] = "0" * 64
+    off_schema.write_text(json.dumps(manifest))
     assert main(["pde", "--config", str(path)]) == 0
     assert all(user_file.read_text() == "not a run file" for user_file in kept)
     assert sorted(p.name for p in (out / "replica_000").iterdir()) == ["notes.txt"]
-    assert (out / "replica_001" / "snapshots.bin").exists()  # its manifest is off the schema
+    assert off_schema.exists()
+    assert all((out / "replica_001" / name).is_file() for name in manifest["file_hashes"])
     pde = run_io.RunManifest.from_json((out / "manifest.json").read_text())
     assert list(pde.file_hashes) == ["trajectory.csv"]
     pde.verify(out)
@@ -753,6 +756,15 @@ def test_main_reports_config_errors(tmp_path, capsys):
     code = main(["simulate", "--config", str(path)])
     assert code == 2
     assert "bogus" in capsys.readouterr().err
+
+
+def test_main_reports_an_integrator_blow_up_as_a_config_error(tmp_path, capsys):
+    # the step is far beyond RK4's stability bound at this resolution
+    path = write_config(tmp_path, extra="\n[pde]\nresolution = 512\ndt = 0.5\n")
+    path.write_text(path.read_text().replace("s = constant 0.9", "s = fourier 1 0.05 0.9"))
+    code = main(["pde", "--config", str(path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: solution went negative")
 
 
 def test_main_converge_mode_flag(tmp_path):

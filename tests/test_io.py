@@ -5,6 +5,7 @@ import hashlib
 import io as stdio
 import json
 import math
+import shutil
 import struct
 from dataclasses import asdict
 
@@ -243,6 +244,58 @@ def test_manifest_schema_mismatch_detected(tmp_path, edit):
     rehash(tmp_path)
     with pytest.raises(CorruptFileError, match="manifest"):
         read_trajectory(tmp_path)
+
+
+# Manifest edits off the schema.  Every one must raise CorruptFileError, and
+# all but "subdirectory", which only a look at the disk can see, from
+# RunManifest.from_json itself.
+OFF_SCHEMA = {
+    "file_hashes-int": lambda m: m.update(file_hashes=5),
+    "file_hashes-list": lambda m: m.update(file_hashes=list(m["file_hashes"])),
+    "digests-int": lambda m: m.update(file_hashes=dict.fromkeys(m["file_hashes"], 7)),
+    "stats-list": lambda m: m.update(stats=[1]),
+    "seed-str": lambda m: m.update(seed="x"),
+    "seed-bool": lambda m: m.update(seed=True),
+    "params-list": lambda m: m.update(params=[]),
+    "config-str": lambda m: m.update(config="x"),
+    "rng_algorithm-int": lambda m: m.update(rng_algorithm=5),
+    # a copy of trajectory.csv outside the run directory, with its digest
+    "outside": lambda m: m["file_hashes"].update(
+        {"../base/trajectory.csv": m["file_hashes"]["trajectory.csv"]}),
+    "subdirectory": lambda m: m["file_hashes"].update(sub="0" * 64),
+}
+
+
+@pytest.mark.parametrize("edit", OFF_SCHEMA.values(), ids=OFF_SCHEMA.keys())
+def test_off_schema_manifest_raises_corrupt_file_error(tmp_path, edit):
+    run_dir = tmp_path / "run"
+    traj, params, scaling = sample_run()
+    write_trajectory(run_dir, traj, params, scaling)
+    (run_dir / "sub").mkdir()
+    (tmp_path / "base").mkdir()
+    shutil.copy(run_dir / "trajectory.csv", tmp_path / "base")
+    path = run_dir / "manifest.json"
+    manifest = json.loads(path.read_text())
+    edit(manifest)
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(CorruptFileError):
+        read_trajectory(run_dir)
+    if edit is not OFF_SCHEMA["subdirectory"]:
+        with pytest.raises(CorruptFileError, match="manifest"):
+            RunManifest.from_json(path.read_text())
+
+
+def test_manifest_with_empty_scaling_reads_back(tmp_path):
+    # converge writes "scaling": {}, since each rung has its own lattice
+    traj, params, scaling = sample_run()
+    write_trajectory(tmp_path, traj, params, scaling)
+    path = tmp_path / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["scaling"] = {}
+    path.write_text(json.dumps(manifest))
+    loaded, manifest = read_trajectory(tmp_path)
+    assert manifest.scaling == {}
+    assert loaded.counts.tolist() == traj.counts.tolist()
 
 
 def test_event_frame_layout(tmp_path):
