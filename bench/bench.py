@@ -38,14 +38,18 @@ It times the package in this checkout's ``src`` and adds one run to
   the subcommands are (left out, with a line saying so, where fewer than 2
   CPUs are usable);
 * the footprint: the peak resident memory, in MiB, of ``pde`` on
-  ``demos/configs/quickstart.cfg`` at ``--workers 1`` and of each process-pool
+  ``demos/configs/quickstart.cfg`` at ``--workers 1``, of each process-pool
   run above at each of its worker counts (``--workers 2`` left out where
-  fewer than 2 CPUs are usable).  Each is the ``ru_maxrss`` of the process
-  tree, pool workers included, that ``os.wait4`` returns to a ``python -I
-  -S`` stub which forks and execs the subcommand (``FOOTPRINT_STUB``): a
-  process started from this script itself would carry this script's own
-  high-water mark, tens of MiB, across its exec.  These runs are not timed,
-  so the stub's start-up enters neither the subcommand nor the pool figures.
+  fewer than 2 CPUs are usable), and of a logged ``simulate`` of the
+  benchmark's roundtrip shape (quickstart.cfg with n = 256, H = K = 10^3,
+  T = 0.1, ``record_events = true`` and 2 replicas, written to a temporary
+  config) at ``--workers 2``, or 1 where fewer than 2 CPUs are usable.
+  Each is the ``ru_maxrss`` of the process tree, pool workers included,
+  that ``os.wait4`` returns to a ``python -I -S`` stub which forks and
+  execs the subcommand (``FOOTPRINT_STUB``): a process started from this
+  script itself would carry this script's own high-water mark, tens of MiB,
+  across its exec.  These runs are not timed, so the stub's start-up enters
+  neither the subcommand nor the pool figures.
 
 Every figure is the median of ``REPEATS`` timed repeats of the same seeded
 work, with the minimum, the maximum and every repeat.  Every layer but the
@@ -67,6 +71,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import resource
 import statistics
 import subprocess
@@ -131,6 +136,10 @@ POOL_WORKERS = (1, 2)
 # subcommand and its arguments, and its --workers, each run with a fresh --out
 FOOTPRINT_RUNS = ((CLI_RUNS[1], 1),) + tuple((args, w) for args in POOL_RUNS
                                              for w in POOL_WORKERS)
+# quickstart.cfg's keys that the logged footprint run sets: the shape of the
+# benchmark's roundtrip workload
+LOGGED_SHAPE = {"horizon": "0.1", "replicas": "2", "record_events": "true",
+                "n": "256", "h": "1000", "k": "1000"}
 # Run as ``python -I -S -c FOOTPRINT_STUB ARGV...``: forks, execs ARGV with
 # its stdout on /dev/null, and prints the peak RSS of its process tree in KiB.
 FOOTPRINT_STUB = """\
@@ -318,20 +327,36 @@ def bench_pool(args: tuple) -> dict:
             for (workers, clock), r in runs.items()}
 
 
+def logged_config(path: Path) -> Path:
+    """Write quickstart.cfg to ``path`` with the keys of LOGGED_SHAPE set;
+    return ``path``."""
+    text = (ROOT / "demos/configs/quickstart.cfg").read_text()
+    for key, value in LOGGED_SHAPE.items():
+        text, found = re.subn(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+        if found != 1:
+            raise ValueError(f"quickstart.cfg sets {key} {found} times; expected once")
+    path.write_text(text)
+    return path
+
+
 def bench_footprint(max_workers: int) -> dict:
-    """Peak RSS of each of FOOTPRINT_RUNS at up to ``max_workers`` workers,
-    each started through FOOTPRINT_STUB, in MiB per run."""
-    runs = {(args, workers): [] for args, workers in FOOTPRINT_RUNS if workers <= max_workers}
+    """Peak RSS of each of FOOTPRINT_RUNS at up to ``max_workers`` workers
+    and of the logged run, each started through FOOTPRINT_STUB, in MiB per
+    run."""
     with tempfile.TemporaryDirectory() as tmp:
+        runs = {f"{args[0]},workers={workers}": (args, workers, [])
+                for args, workers in FOOTPRINT_RUNS if workers <= max_workers}
+        logged = ("simulate", "--config", str(logged_config(Path(tmp) / "logged.cfg")))
+        workers = min(2, max_workers)
+        runs[f"simulate,logged,n={LOGGED_SHAPE['n']},workers={workers}"] = (logged, workers, [])
         for rep in range(REPEATS):
-            for index, ((args, workers), peaks) in enumerate(runs.items()):
+            for index, (args, workers, peaks) in enumerate(runs.values()):
                 argv, env = cli_command(args, workers, os.path.join(tmp, f"{rep}-{index}"))
                 done = subprocess.run([sys.executable, "-I", "-S", "-c", FOOTPRINT_STUB, *argv],
                                       cwd=ROOT, env=env, check=True, capture_output=True,
                                       text=True)
                 peaks.append(int(done.stdout) / 1024)
-    return {f"{args[0]},workers={workers}": figure(peaks, 1, "MiB")
-            for (args, workers), peaks in runs.items()}
+    return {key: figure(peaks, 1, "MiB") for key, (_, _, peaks) in runs.items()}
 
 
 def git_sha() -> str:

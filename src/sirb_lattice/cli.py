@@ -417,11 +417,9 @@ def _run_pde(cfg: RunConfig) -> None:
     grid = cfg.sample_grid()
     stats = {}
     densities = integrate(v0, cfg.horizon, rf, dt=cfg.pde_dt, sample_times=grid, stats=stats)
-    run_io._write_density_csv(cfg.out / "trajectory.csv", grid, densities)
-    run_io.RunManifest(
-        seed=cfg.seed, config=cfg.echo, params=run_io._params_dict(params),
-        scaling=run_io._scaling_dict(ScalingParams(m, cfg.h, cfg.k)), stats=stats,
-    ).write(cfg.out, ["trajectory.csv"])
+    run_io.write_density_csv(cfg.out / "trajectory.csv", grid, densities)
+    run_io.write_manifest(cfg.out, ["trajectory.csv"], cfg.seed, cfg.echo, stats,
+                          params=params, scaling=ScalingParams(m, cfg.h, cfg.k))
 
 
 def _run_homogeneous(cfg: RunConfig) -> None:
@@ -434,10 +432,8 @@ def _run_homogeneous(cfg: RunConfig) -> None:
     stats = {}
     series = homogeneous_ode(y0, cfg.horizon, rf, sample_times=grid, stats=stats)
     # the trajectory schema on a one-site lattice
-    run_io._write_density_csv(cfg.out / "trajectory.csv", grid, series[:, :, None])
-    run_io.RunManifest(
-        seed=cfg.seed, config=cfg.echo, params=run_io._params_dict(params), stats=stats,
-    ).write(cfg.out, ["trajectory.csv"])
+    run_io.write_density_csv(cfg.out / "trajectory.csv", grid, series[:, :, None])
+    run_io.write_manifest(cfg.out, ["trajectory.csv"], cfg.seed, cfg.echo, stats, params=params)
 
 
 def _run_converge(cfg: RunConfig) -> None:
@@ -451,9 +447,8 @@ def _run_converge(cfg: RunConfig) -> None:
     # run-wide scaling, params and initial_counts stay empty
     keys = ("n_sites", "h", "k", "n_events", "events_by_kind", "ball_exits", "rounding_error")
     stats = {"rungs": [{key: getattr(r, key) for key in keys} for r in report.rungs]}
-    run_io.RunManifest(seed=cfg.seed, config=cfg.echo, stats=stats).write(
-        cfg.out, ["report_distances.csv", "report_summary.csv"]
-    )
+    run_io.write_manifest(cfg.out, ["report_distances.csv", "report_summary.csv"], cfg.seed,
+                          cfg.echo, stats)
 
 
 def _one_diagnose_replica(args):
@@ -481,14 +476,10 @@ def _run_diagnose(cfg: RunConfig) -> None:
         )
         files.append("report_compensators.csv")
     state0, _, _ = starting_point(cfg.initial_fns(), cfg.scaling())
-    run_io.RunManifest(
-        seed=cfg.seed, config=cfg.echo, scaling=run_io._scaling_dict(cfg.scaling()),
-        params=run_io._params_dict(cfg.params()), initial_counts=run_io._counts_dict(state0),
-        stats={
-            "n_events": [s["n_events"] for s in stats],
-            "events_by_kind": np.sum([s["events_by_kind"] for s in stats], axis=0).tolist(),
-        },
-    ).write(cfg.out, files)
+    run_io.write_manifest(cfg.out, files, cfg.seed, cfg.echo, {
+        "n_events": [s["n_events"] for s in stats],
+        "events_by_kind": np.sum([s["events_by_kind"] for s in stats], axis=0).tolist(),
+    }, params=cfg.params(), scaling=cfg.scaling(), initial=state0)
 
 
 def _clear_earlier_run(out: Path) -> None:

@@ -17,8 +17,9 @@ Sites are reported 1-based in CSV output. Binary formats, little-endian:
                    u32 n_samples, then per sample: f64 time followed by
                    4 * n_sites u64 counts (S, I, R, B blocks)
 
-Every emitted file is hashed (sha256) into the manifest; reads verify the
-hashes and fail loudly on any mismatch or truncation.
+Every emitted file is hashed (sha256) into the manifest by
+``write_manifest``; reads verify the hashes, parse only the bytes they
+verified, and fail loudly on any mismatch or truncation.
 
 The SHA-256 is CPython's own module, ``_sha2`` on Python 3.12+ and
 ``_sha256`` on 3.10-3.11, and ``hashlib``'s only on a build that has
@@ -72,8 +73,10 @@ from .stochastic import (
 __all__ = [
     "CorruptFileError",
     "RunManifest",
+    "write_manifest",
     "write_trajectory",
     "read_trajectory",
+    "write_density_csv",
     "write_convergence_report",
     "write_martingale_csv",
     "write_compensator_csv",
@@ -102,8 +105,9 @@ def sha256_file(path: Path) -> str:
 @dataclass
 class RunManifest:
     """Everything needed to reproduce and verify a run directory.  Every
-    subcommand writes one.  Fields that do not apply to a run stay empty,
-    such as the initial counts of a deterministic ``pde`` run."""
+    subcommand writes one, through ``write_manifest``.  Fields that do not
+    apply to a run stay empty, such as the initial counts of a deterministic
+    ``pde`` run."""
 
     seed: int
     version: str = __version__
@@ -144,58 +148,85 @@ class RunManifest:
                                        "expected a plain file name and a sha256 hex digest")
         return manifest
 
-    def write(self, directory, files: Sequence[str]) -> "RunManifest":
-        """Hash ``files`` of ``directory`` into file_hashes, then write the
-        manifest there as manifest.json."""
-        directory = Path(directory)
-        self.file_hashes = {name: sha256_file(directory / name) for name in files}
-        (directory / "manifest.json").write_text(self.to_json())
-        return self
+    def verify(self, directory: Path, skip: Sequence[str] = ()):
+        """Check every recorded hash, but those of ``skip``, against the file
+        on disk, reading it a chunk at a time."""
+        for name in self.file_hashes:
+            if name not in skip:
+                self._check(name, sha256_file(self._listed_path(directory, name)))
 
-    def verify(self, directory: Path):
-        """Check every recorded hash against the file on disk."""
-        for name, expected in self.file_hashes.items():
-            path = Path(directory) / name
-            if not path.is_file():
-                raise CorruptFileError(
-                    f"{name} listed in manifest but missing or not a regular file on disk")
-            actual = sha256_file(path)
-            if actual != expected:
-                raise CorruptFileError(
-                    f"{name} failed its hash check (expected {expected[:12]}..., "
-                    f"got {actual[:12]}...)"
-                )
+    def read_verified(self, directory: Path, name: str) -> bytes:
+        """The bytes of the listed file ``name``, read once and checked
+        against its hash: a parser of them reads exactly what was verified,
+        whatever happens to the file meanwhile."""
+        raw = self._listed_path(directory, name).read_bytes()
+        self._check(name, _sha256(raw).hexdigest())
+        return raw
 
+    def _listed_path(self, directory: Path, name: str) -> Path:
+        path = Path(directory) / name
+        if not path.is_file():
+            raise CorruptFileError(
+                f"{name} listed in manifest but missing or not a regular file on disk")
+        return path
 
-def _params_dict(params: EpidemicParams) -> dict:
-    tc = params.transport
-    return {
-        "mu": params.mu, "alpha": params.alpha, "gamma": params.gamma,
-        "rho": params.rho, "beta": params.beta, "p_over_w": params.p_over_w,
-        "mu_b": params.mu_b, "ell": tc.ell, "p_out": tc.p_out,
-        # derived, echoed for the record
-        "bias": tc.bias, "nu": tc.nu, "diffusion": tc.diffusion,
-    }
+    def _check(self, name: str, actual: str):
+        expected = self.file_hashes[name]
+        if actual != expected:
+            raise CorruptFileError(
+                f"{name} failed its hash check (expected {expected[:12]}..., "
+                f"got {actual[:12]}...)"
+            )
 
 
-def _scaling_dict(scaling: ScalingParams) -> dict:
-    return {"n_sites": scaling.n_sites, "h": scaling.h, "k": scaling.k}
+def write_manifest(directory, files: Sequence[str], seed: int, config: dict, stats: dict,
+                   params: Optional[EpidemicParams] = None,
+                   scaling: Optional[ScalingParams] = None,
+                   initial: Optional[SystemState] = None,
+                   rng_algorithm: str = RNG_ALGORITHM) -> RunManifest:
+    """The one writer of manifest.json: hash ``files`` of ``directory`` and
+    record them there with the run's seed, config echo and stats.  Of
+    ``params``, ``scaling`` and the ``initial`` counts, each given one is
+    recorded and each field of one not given stays empty."""
+    directory = Path(directory)
+    tc = params.transport if params is not None else None
+    manifest = RunManifest(
+        seed=seed, config=config, stats=stats, rng_algorithm=rng_algorithm,
+        params={} if params is None else {
+            "mu": params.mu, "alpha": params.alpha, "gamma": params.gamma,
+            "rho": params.rho, "beta": params.beta, "p_over_w": params.p_over_w,
+            "mu_b": params.mu_b, "ell": tc.ell, "p_out": tc.p_out,
+            # derived, echoed for the record
+            "bias": tc.bias, "nu": tc.nu, "diffusion": tc.diffusion,
+        },
+        scaling={} if scaling is None else {
+            "n_sites": scaling.n_sites, "h": scaling.h, "k": scaling.k},
+        initial_counts={} if initial is None else {
+            c.lower(): row.tolist() for c, row in zip(COMPARTMENTS, initial.counts)},
+        file_hashes={name: sha256_file(directory / name) for name in files},
+    )
+    (directory / "manifest.json").write_text(manifest.to_json())
+    return manifest
 
 
-def _counts_dict(state: SystemState) -> dict:
-    return {c.lower(): row.tolist() for c, row in zip(COMPARTMENTS, state.counts)}
+# Rows per block of a CSV body: a block's values and text are all that are
+# held at once, however long the table.
+_CSV_BLOCK = 256
 
 
 def _write_csv(path, header: str, rows: Sequence[str], table: np.ndarray):
-    """Write a CSV as csv.writer would, formatting the body in one pass.
+    """Write a CSV as csv.writer would, formatting the body a block of rows
+    at a time.
 
     ``table`` is (blocks, rows per block, columns); every row of block b is
     formatted with the template ``rows[b]``, which ends in "\\r\\n" and may
     hold a literal field such as the block's name."""
-    body = "".join(row * table.shape[1] for row in rows)
     with open(path, "w", newline="") as fh:
         fh.write(header + "\r\n")
-        fh.write(body % tuple(table.ravel().tolist()))
+        for row, block in zip(rows, table):
+            for a in range(0, len(block), _CSV_BLOCK):
+                part = block[a : a + _CSV_BLOCK]
+                fh.write(row * len(part) % tuple(part.ravel().tolist()))
 
 
 def _sample_site_table(times: Sequence[float], values: np.ndarray) -> np.ndarray:
@@ -208,7 +239,7 @@ def _sample_site_table(times: Sequence[float], values: np.ndarray) -> np.ndarray
     return table
 
 
-def _write_density_csv(path, times: Sequence[float], densities: np.ndarray):
+def write_density_csv(path, times: Sequence[float], densities: np.ndarray):
     """Write (n_samples, 4, n) densities as (time, site, S, I, R, B) rows,
     sites 1-based: the trajectory schema of every density output, sampled
     or deterministic."""
@@ -230,12 +261,14 @@ def _write_snapshots_bin(path: Path, traj: Trajectory):
     with open(path, "wb") as fh:
         fh.write(SNAPSHOTS_MAGIC)
         fh.write(struct.pack("<BII", FORMAT_VERSION, n, n_samples))
-        fh.write(frames.tobytes())
+        fh.write(frames)
 
 
-def _read_snapshots_bin(path: Path) -> tuple[np.ndarray, np.ndarray]:
-    """(sample times, (n_samples, 4, n) int64 counts) of a snapshots file."""
-    raw = Path(path).read_bytes()
+def _read_snapshots_bin(manifest: RunManifest, directory: Path) -> tuple[np.ndarray, np.ndarray]:
+    """(sample times, (n_samples, 4, n) int64 counts) of the snapshots file
+    of ``directory``, parsed from the bytes that ``manifest`` verified."""
+    path = directory / "snapshots.bin"
+    raw = manifest.read_verified(directory, path.name)
     head = len(SNAPSHOTS_MAGIC) + 1 + 8
     if len(raw) < head or raw[: len(SNAPSHOTS_MAGIC)] != SNAPSHOTS_MAGIC:
         raise CorruptFileError(f"{path} is not a snapshots file")
@@ -258,11 +291,14 @@ def _write_events_bin(path: Path, log: EventLog):
     with open(path, "wb") as fh:
         fh.write(EVENTS_MAGIC)
         fh.write(struct.pack("<B", FORMAT_VERSION))
-        fh.write(arr.tobytes())
+        fh.write(arr)
 
 
-def _read_events_bin(path: Path) -> EventLog:
-    raw = Path(path).read_bytes()
+def _read_events_bin(manifest: RunManifest, directory: Path) -> EventLog:
+    """The event log file of ``directory``, parsed from the bytes that
+    ``manifest`` verified."""
+    path = directory / "events.bin"
+    raw = manifest.read_verified(directory, path.name)
     head = len(EVENTS_MAGIC) + 1
     if len(raw) < head or raw[: len(EVENTS_MAGIC)] != EVENTS_MAGIC:
         raise CorruptFileError(f"{path} is not an event log file")
@@ -299,29 +335,23 @@ def write_trajectory(
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    _write_density_csv(directory / "trajectory.csv", traj.sample_times,
-                       traj.densities(scaling))
+    write_density_csv(directory / "trajectory.csv", traj.sample_times,
+                      traj.densities(scaling))
     _write_snapshots_bin(directory / "snapshots.bin", traj)
     files = ["trajectory.csv", "snapshots.bin"]
     if traj.event_log is not None:
         _write_events_bin(directory / "events.bin", traj.event_log)
         files.append("events.bin")
-    return RunManifest(
-        seed=traj.seed,
-        config=config_echo or {},
-        scaling=_scaling_dict(scaling),
-        params=_params_dict(params),
-        initial_counts=_counts_dict(traj.initial),
-        rng_algorithm=traj.rng_algorithm,
-        stats=dict(traj.stats),
-    ).write(directory, files)
+    return write_manifest(directory, files, traj.seed, config_echo or {}, dict(traj.stats),
+                          params, scaling, traj.initial, traj.rng_algorithm)
 
 
 def read_trajectory(directory) -> tuple[Trajectory, RunManifest]:
     """Load a persisted run after verifying all file hashes.  Raises
     CorruptFileError unless the manifest lists snapshots.bin, and events.bin
     too when that file exists: a file the manifest does not list is never
-    read unverified."""
+    read unverified.  Each of those two is read once, and its hash checked
+    on the very bytes that are then parsed."""
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
     if not manifest_path.exists():
@@ -333,9 +363,11 @@ def read_trajectory(directory) -> tuple[Trajectory, RunManifest]:
         raise CorruptFileError(
             f"manifest in {directory} must list snapshots.bin, and events.bin when present"
         )
-    manifest.verify(directory)
-    times, counts = _read_snapshots_bin(directory / "snapshots.bin")
-    log = _read_events_bin(directory / "events.bin") if has_log else None
+    # a parsed file is hashed as it is read for parsing, below
+    parsed = ("snapshots.bin", "events.bin") if has_log else ("snapshots.bin",)
+    manifest.verify(directory, skip=parsed)
+    times, counts = _read_snapshots_bin(manifest, directory)
+    log = _read_events_bin(manifest, directory) if has_log else None
     traj = Trajectory(
         sample_times=times,
         counts=counts,

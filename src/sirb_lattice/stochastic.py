@@ -700,8 +700,10 @@ def simulate_ssa(
         snapshots, replica_rng(seed, stream), record_events)
     event_log = None
     if record_events:
-        event_log = EventLog(np.array(times, dtype=np.float64), np.array(kinds, dtype=np.uint8),
-                             np.array(sites, dtype=np.uint32))
+        # views of the filled arrays, not copies: the log is held once
+        event_log = EventLog(np.frombuffer(times, dtype=np.float64),
+                             np.frombuffer(kinds, dtype=np.uint8),
+                             np.frombuffer(sites, dtype=np.uint32))
     return Trajectory(
         sample_times=grid,
         counts=snapshots,

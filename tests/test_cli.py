@@ -1,5 +1,6 @@
 """Config validation and end-to-end runs of every subcommand."""
 
+import ast
 import configparser
 import csv
 import io as stdio
@@ -440,6 +441,7 @@ def test_homogeneous_csv_matches_csv_module_reference(tmp_path):
 def test_manifest_records_rng_algorithm(tmp_path, mode):
     path = write_config(tmp_path, ladder="ladder = 4:20:20")
     cfg = parse_config(path, mode=mode)
+    cfg.pde_resolution = 6
     assert run(cfg) == 0
     manifest = json.loads((cfg.out / "manifest.json").read_text())
     assert manifest["rng_algorithm"] == RNG_ALGORITHM
@@ -450,6 +452,35 @@ def test_manifest_records_rng_algorithm(tmp_path, mode):
     assert loaded.file_hashes
     assert loaded.stats  # run telemetry, outside the hashes
     loaded.verify(cfg.out)
+    # what each subcommand records of its lattice, rates and start
+    recorded = {"simulate": {"params", "scaling", "initial_counts"}, "pde": {"params", "scaling"},
+                "homogeneous": {"params"}, "converge": set(),
+                "diagnose": {"params", "scaling", "initial_counts"}}[mode]
+    assert {f for f in ("params", "scaling", "initial_counts") if getattr(loaded, f)} == recorded
+    if mode == "pde":  # the pde lattice's, not scaling.n
+        assert loaded.scaling["n_sites"] == cfg.pde_resolution
+        assert loaded.params["nu"] == cfg.params().with_lattice(cfg.pde_resolution).transport.nu
+
+
+def test_cli_reads_no_private_name_of_io():
+    # io decides what a run records: the CLI uses only its public names
+    tree = ast.parse(Path(cli.__file__).read_text())
+    io_names = {
+        alias.asname or alias.name for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module in (None, "sirb_lattice")
+        for alias in node.names if alias.name == "io"
+    }
+    assert io_names == {"run_io"}
+    private = [
+        f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in io_names and node.attr.startswith("_")
+    ] + [
+        alias.name for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "io"
+        for alias in node.names if alias.name.startswith("_")
+    ]
+    assert private == []
 
 
 @pytest.mark.parametrize("mode", ["pde", "homogeneous"])

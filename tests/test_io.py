@@ -1,27 +1,31 @@
 """Round trips, corruption detection, replay, and a pinned regression run."""
 
+import builtins
 import csv
 import hashlib
 import io as stdio
 import json
 import math
+import os
 import shutil
 import struct
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from sirb_lattice import io as run_io
 from sirb_lattice.io import (
     _REPLAY_CHUNK,
     CorruptFileError,
     RunManifest,
-    _write_density_csv,
     read_trajectory,
     replay_trajectory,
     sha256_file,
     write_compensator_csv,
     write_convergence_report,
+    write_density_csv,
     write_martingale_csv,
     write_trajectory,
 )
@@ -140,6 +144,9 @@ def test_run_directory_from_an_older_rng_contract(tmp_path):
     assert old.stats == {}
     snaps = replay_trajectory(loaded.initial, loaded.event_log, loaded.sample_times)
     assert snaps == loaded.states
+    # and a rewrite of it keeps that label
+    rewritten = write_trajectory(tmp_path / "again", loaded, params, scaling)
+    assert rewritten.rng_algorithm == "philox4x64"
 
 
 def test_truncated_events_detected(tmp_path):
@@ -188,6 +195,31 @@ def test_sha256_file_is_hashlibs_digest_at_the_read_boundaries(tmp_path, size):
     path = tmp_path / "blob"
     path.write_bytes(data)
     assert sha256_file(path) == hashlib.sha256(data).hexdigest()
+
+
+def test_read_parses_the_bytes_it_verified(tmp_path, monkeypatch):
+    # events.bin loses its last frame on disk as soon as it is first
+    # opened, while that first reader still sees the whole file: a read
+    # that opened it again to parse it would parse bytes it never verified
+    traj, params, scaling = sample_run()
+    write_trajectory(tmp_path, traj, params, scaling)
+    events = tmp_path / "events.bin"
+    whole = events.read_bytes()
+    real_open = stdio.open
+
+    def open_then_shorten(file, *args, **kwargs):
+        if (isinstance(file, (str, Path)) and Path(file) == events
+                and events.stat().st_size == len(whole)):
+            os.truncate(events, len(whole) - 13)
+            return stdio.BytesIO(whole)
+        return real_open(file, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(builtins, "open", open_then_shorten)
+        patch.setattr(stdio, "open", open_then_shorten)
+        loaded, _ = read_trajectory(tmp_path)
+    assert events.stat().st_size == len(whole) - 13
+    assert loaded.event_log == traj.event_log
 
 
 def rehash(directory):
@@ -485,7 +517,7 @@ def test_csv_writers_match_csv_module_reference(tmp_path):
     stacks = [rng.exponential(size=(4, 6)) * 10.0 ** rng.integers(-20, 20) for _ in times]
     stacks[0][1, 2] = -0.0
     stacks[1][3, 0] = 1e17
-    _write_density_csv(tmp_path / "det.csv", times, np.stack(stacks))
+    write_density_csv(tmp_path / "det.csv", times, np.stack(stacks))
     assert (tmp_path / "det.csv").read_bytes() == csv_reference(times, stacks)
 
 
@@ -566,6 +598,16 @@ def test_report_writers_match_csv_module_reference(tmp_path):
         "martingale.csv", "compensators.csv", "report_distances.csv", "report_summary.csv")]
     assert written == list(report_reference(times, z, observed, predicted, report))
     assert b"inf" in written[1] and b"-inf" in written[1]
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_csv_writers_format_a_block_of_rows_at_a_time(tmp_path, monkeypatch, block):
+    # blocks that split every table, evenly or not, write the same bytes
+    monkeypatch.setattr(run_io, "_CSV_BLOCK", block)
+    for name in ("density", "reports"):
+        (tmp_path / name).mkdir()
+    test_csv_writers_match_csv_module_reference(tmp_path / "density")
+    test_report_writers_match_csv_module_reference(tmp_path / "reports")
 
 
 def test_report_zscores_agree_with_the_pass_test(tmp_path):

@@ -406,7 +406,9 @@ def test_simulate_all_rates_zero_is_constant():
                         record_events=True)
     assert len(traj.states) == 5
     assert all(st == state for st in traj.states)
-    assert len(traj.event_log) == 0
+    log = traj.event_log
+    assert [(a.shape, a.dtype) for a in (log.times, log.kinds, log.sites)] == [
+        ((0,), np.float64), ((0,), np.uint8), ((0,), np.uint32)]
 
 
 def test_simulate_pure_death_matches_exponential_decay():
