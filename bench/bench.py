@@ -18,7 +18,9 @@ It times the package in this checkout's ``src`` and adds one run to
   at n = 8, 16, 32, 48 and 64 with H = K = 10^3, the two taking turns
   within each repeat, in µs per event (the figures that set ``_LIST_SITES``;
   left out for a checkout without it);
-* the event-log sweep (``sweep_log``) at n = 8 and n = 64 and the replay
+* the event-log sweep (``sweep_log``) at n = 8 and n = 64 and at the shape
+  of the benchmark's roundtrip workload (n = 256, T = 0.1, with quickstart's
+  hop rate, about 3.6 * 10^4 events), and the replay
   (``io.replay_trajectory``) at n = 8, in µs per event, with H = K = 10^3;
 * the run-directory I/O, ``io.write_trajectory`` then ``io.read_trajectory``
   of one logged run at n = 256, H = K = 10^3, T = 0.1, with quickstart's
@@ -115,7 +117,8 @@ RK4_STEPS = 400
 SSA_CONFIGS = ((8, 1000, 1000, False), (8, 1000, 100_000, False), (32, 1000, 1000, False),
                (64, 1000, 1000, False), (256, 1000, 1000, True))
 PATH_SIZES = (8, 16, 32, 48, 64)
-SWEEP_SIZES = (8, 64)
+# the last is the roundtrip workload's lattice, swept at quickstart's hop rate
+SWEEP_SIZES = (8, 64, 256)
 REPLAY_SIZE = 8
 IO_SIZE = 256
 RK4_SIZES = (8, 64, 256)
@@ -251,7 +254,7 @@ def logged_run(n: int, continuum: bool = True):
 
 
 def bench_sweep(n: int) -> dict:
-    traj, params, scaling, _ = logged_run(n)
+    traj, params, scaling, _ = logged_run(n, continuum=n < SWEEP_SIZES[-1])
     return timed(lambda: sweep_log(traj, params, scaling), len(traj.event_log), "us/event")
 
 

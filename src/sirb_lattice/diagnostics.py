@@ -7,9 +7,11 @@ else; the tests check the table against the paper's closed forms.  On that
 table rest two layers of checks, in increasing strength:
 
 * pathwise residuals: the centered fluctuation Z(t) = u(t) - u(0) -
-  integral of the drift, computed exactly from an event log, and the
-  compensated sums of squared/crossed jumps, which are mean-zero
-  martingales;
+  integral of the drift, and the compensated sums of squared/crossed
+  jumps, which are mean-zero martingales.  ``sweep_log`` computes them
+  exactly from an event log in one chunked pass: it integrates the
+  piecewise-constant path by parts, so each event adds a fixed number of
+  terms whatever the lattice size;
 * convergence ladders: replica sup-distances between the stochastic
   process and its deterministic companion system as the renormalization
   constants grow.
@@ -69,19 +71,14 @@ FAMILIES = COMPARTMENTS + ("B_cross_plus", "B_cross_minus")
 # The compartment whose renormalization divides each family: its name's prefix.
 _FAMILY_COMPARTMENT = [COMPARTMENTS.index(f.split("_")[0]) for f in FAMILIES]
 
-# Per-state integrands of the sweep: the four densities and the infection
-# field.  Every drift and amplitude integrand is affine in these five rows.
-_N_INTEGRANDS = 5
-# Byte budget of the sweep's per-state float buffers in one chunk: the counts
-# (4 a site), the integrands and a scratch row for the infection field.
-# Small enough to stay in cache and to keep the sweep's memory flat in the
-# log length.
-_SWEEP_CHUNK_BYTES = 1 << 16
-
-
-def _sweep_chunk(n_sites: int) -> int:
-    """Events per chunk of the sweep on an n_sites lattice."""
-    return max(1, _SWEEP_CHUNK_BYTES // (8 * (4 + _N_INTEGRANDS + 1) * n_sites))
+# Events per chunk of the sweep.  Its working arrays hold a few dozen
+# numbers per event, whatever the lattice size, so the chunk bounds the
+# sweep's memory however long the log is.
+_SWEEP_CHUNK = 512
+# Column blocks of the sweep's per-sample bins, in units of n sites: the
+# count jumps, the same times their event times t_e, t_e times the jumps of
+# the infection field, and the jump products, rows FAMILIES.
+_BIN_OFFSETS = np.cumsum([0, 4, 4, 1, len(FAMILIES)])
 
 
 def _jump_products() -> np.ndarray:
@@ -187,27 +184,48 @@ class Sweep(NamedTuple):
         return cls(*(np.stack(fields) for fields in zip(*sweeps)))
 
 
-def _jump_sums(log: EventLog, grid: np.ndarray, n_sites: int, n_events: int) -> np.ndarray:
-    """Per sample, the jump products of ``_JUMP_PRODUCTS`` summed over the
-    first ``n_events`` events of the log that it sees: (n_times, families, n)
-    integers as floats.  Each chunk's products are binned by (first sample
-    that sees the event, cell) and the bins are cumulated over samples.
+def _bin_events(
+    bins: np.ndarray, grid: np.ndarray, part: EventLog, counts: np.ndarray,
+    params: EpidemicParams, scale: np.ndarray,
+):
+    """Add a chunk of events to the sweep's per-sample bins, and their jumps
+    to ``counts``, the (4, n) float counts just before the chunk.
 
-    No buffer here is n-wide; the largest per-event one is the event's
-    gathered _JUMP_PRODUCTS row, and the chunk fits the sweep's budget."""
-    width = len(FAMILIES) * n_sites
-    jumps = np.zeros((grid.size, width))
-    chunk = max(1, _SWEEP_CHUNK_BYTES // _JUMP_PRODUCTS[0].nbytes)
-    for a in range(0, n_events, chunk):
-        e = min(a + chunk, n_events)
-        part = EventLog(log.times[a:e], log.kinds[a:e], log.sites[a:e])
-        ev, cell, product = log_entries(part, n_sites, _JUMP_PRODUCTS)
-        first = np.searchsorted(grid, part.times, side="left")
-        lo, hi = first[0], first[-1] + 1
-        jumps[lo:hi] += np.bincount(
-            (first[ev] - lo) * width + cell, weights=product, minlength=(hi - lo) * width
-        ).reshape(hi - lo, width)
-    return np.cumsum(jumps, axis=0).reshape(grid.size, len(FAMILIES), n_sites)
+    Row k of ``bins`` gets the terms of the events that sample k is the
+    first to see, in the blocks of ``_BIN_OFFSETS``.  The infection field f
+    after each entry that moves s or b comes from a cumsum of those entries
+    in (site, event) order, restarted at each site from its counts before
+    the chunk; f's jump at the entry is f there minus f after the site's
+    entry before it, or minus f of the site's counts before the chunk."""
+    n = counts.shape[1]
+    ev, cell, delta = log_entries(part, n)
+    moves = np.flatnonzero((cell < n) | (cell >= 3 * n))  # of s or b
+    # stable, so that a hop's two entries on a one-site lattice, which tie,
+    # keep one order and the bits do not depend on the machine's sort
+    moves = moves[np.argsort(cell[moves] % n * len(part) + ev[moves], kind="stable")]
+    site = cell[moves] % n
+    step = np.zeros((4, moves.size))
+    step[cell[moves] // n, np.arange(moves.size)] = delta[moves]
+    level = np.cumsum(step, axis=1)
+    head = np.flatnonzero(np.diff(site, prepend=-1))  # each site's first entry
+    level += np.repeat(counts[:, site[head]] - (level - step)[:, head],
+                       np.diff(head, append=moves.size), axis=1)
+    f = infection_stack(level / scale, params)
+    f_before = np.roll(f, 1)
+    f_before[head] = infection_stack(counts / scale, params)[site[head]]
+    p_ev, p_cell, product = log_entries(part, n, _JUMP_PRODUCTS)
+
+    first = np.searchsorted(grid, part.times, side="left")
+    lo, hi = first[0], first[-1] + 1
+    row = (first - lo) * bins.shape[1]
+    at = row[ev] + cell
+    offset = _BIN_OFFSETS * n
+    keys = np.concatenate((at, at + offset[1], row[ev[moves]] + offset[2] + site,
+                           row[p_ev] + offset[3] + p_cell))
+    t = part.times
+    weights = np.concatenate((delta, t[ev] * delta, t[ev[moves]] * (f - f_before), product))
+    bins[lo:hi] += np.bincount(keys, weights, (hi - lo) * bins.shape[1]).reshape(hi - lo, -1)
+    counts += np.bincount(cell, delta, 4 * n).reshape(4, n)
 
 
 def sweep_log(
@@ -215,7 +233,7 @@ def sweep_log(
     params: EpidemicParams,
     scaling: ScalingParams,
 ) -> Sweep:
-    """Prefix-sum pass over an event log.
+    """One chunked pass over an event log.
 
     Returns a Sweep (z, observed, predicted):
       z: (n_times, 4, n) residual fields, rows COMPARTMENTS,
@@ -223,99 +241,57 @@ def sweep_log(
       predicted: (n_times, 6, n) accumulated compensator integrals,
     the last two with rows FAMILIES.
 
-    The state is constant between events, so every quantity is a prefix sum
-    over the log.  State c is the initial counts plus the deltas of events
-    0..c-1 and holds on [t_{c-1}, t_c) (t_{-1} = 0).  Sample k sees state
-    c_k = searchsorted(times, grid[k], "right"): a sample coinciding with a
-    jump records the post-jump value (right-continuous convention, same as
-    the simulator), and events after the last sample time are ignored.
+    Sample k sees the initial counts plus the jumps of every event at or
+    before its time: a sample coinciding with a jump records the post-jump
+    value (right-continuous convention, same as the simulator), and events
+    after the last sample time are ignored.  Every drift and amplitude
+    integrand is affine in the densities u and in the infection field
+    f = beta s b/(1+b), so the table contractions are evaluated once per
+    sample, on the integrals of u and f.
 
-    Every drift and amplitude integrand is affine in the densities u and in
-    the infection field beta s b/(1+b).  So the sweep integrates only those
-    5n columns of each state and evaluates the table contractions once per
-    sample, on the integrals, with the integrated infection field in place
-    of the infection term.
+    Integration by parts gives those integrals.  A piecewise-constant x with
+    jumps dx_e at times t_e has
 
-    States are taken in chunks of ``_sweep_chunk(n)``, carrying the counts,
-    the integrals and the time of the last event from chunk to chunk, so the
-    working memory does not grow with the log.  Within a chunk:
+        integral_0^t x ds = t x(t) - sum over t_e <= t of t_e dx_e,
 
-    * the counts of every state are a cumsum of the chunk's deltas seeded
-      with the carry, scattered from ``log_entries`` by one bincount;
-    * the integrals up to each state's start are a cumsum of the state's
-      densities and infection field times its duration, seeded with the
-      carried integrals;
-    * a sample that sees state c adds c's columns times the time since c
-      began.
+    so every quantity is a sum of per-event terms: the count jumps and the
+    same times t_e at each ``log_entries`` cell, t_e times the jump of f at
+    each site where the event moves s or b, and the ``_JUMP_PRODUCTS``
+    products.  Each term is binned by the first sample that sees its event
+    and one cumsum over the samples adds them up, so an event costs the
+    same work whatever the lattice size.
 
-    The observed sums come from ``_jump_sums``, in chunks of their own.
+    Events are binned ``_SWEEP_CHUNK`` at a time (``_bin_events``), with
+    the counts carried from chunk to chunk, so the working memory does not
+    grow with the log.
     """
     if traj.event_log is None:
         raise ValueError("trajectory has no event log; rerun with record_events=True")
     grid = traj.sample_times
-    n_times = grid.shape[0]
     n = traj.counts.shape[2]
     hk = scaling.h / scaling.k
     scale = _renormalization(scaling)
     family_scale = scale[_FAMILY_COMPARTMENT]
-
     log = traj.event_log
-    seen = np.searchsorted(log.times, grid, side="right")
-    n_events = int(seen[-1])
+    n_events = int(np.searchsorted(log.times, grid[-1], side="right"))
 
-    counts = traj.counts[0].ravel().astype(float)
-    u0 = counts.reshape(4, n) / scale
-    integral = np.zeros((_N_INTEGRANDS, n))
-    t_last = 0.0
-    u_seen = np.empty((n_times, 4, n))  # the state each sample sees
-    u_int = np.empty((n_times, _N_INTEGRANDS, n))  # integrals up to each sample
+    bins = np.zeros((grid.size, _BIN_OFFSETS[-1] * n))
+    counts = traj.counts[0].astype(float)
+    for a in range(0, n_events, _SWEEP_CHUNK):
+        e = min(a + _SWEEP_CHUNK, n_events)
+        _bin_events(bins, grid, EventLog(log.times[a:e], log.kinds[a:e], log.sites[a:e]),
+                    counts, params, scale)
 
-    chunk = _sweep_chunk(n)
-    for a in range(0, n_events + 1, chunk):
-        b = min(a + chunk, n_events + 1)
-        m = b - a
-        e = min(b, n_events)
-        part = EventLog(log.times[a:e], log.kinds[a:e], log.sites[a:e])
-        # state c holds from the event before it to event c; the state after
-        # the last event ends where it starts
-        starts = np.concatenate(([t_last], part.times))[:m]
-        ends = np.append(part.times, starts[-1])[:m]
-        t_last = ends[-1]
-        # row c: the counts of state a + c; row m carries to the next chunk
-        ev, cell, delta = log_entries(part, n)
-        states = np.bincount(
-            (ev + 1) * 4 * n + cell, weights=delta, minlength=(m + 1) * 4 * n
-        ).reshape(m + 1, 4 * n).astype(float, copy=False)  # int when ev is empty
-        states[0] += counts
-        np.cumsum(states, axis=0, out=states)
-        counts = states[m]
-
-        # row c + 1: state a + c's columns, then times its duration; row 0
-        # the carried integrals, so the cumsum gives the integrals up to the
-        # start of each state
-        cols = np.empty((m + 1, _N_INTEGRANDS, n))
-        np.divide(states[:m].reshape(m, 4, n), scale, out=cols[1:, :4])
-        cols[1:, 4] = infection_stack(cols[1:, :4], params)
-        lo, hi = np.searchsorted(seen, (a, b))
-        rows = seen[lo:hi] - a
-        at_row = cols[rows + 1]
-        cols[1:] *= (ends - starts)[:, None, None]
-        cols[0] = integral
-        if hi == lo:
-            # no sample sees this chunk: only the carry is needed, and the
-            # sum adds the rows in the cumsum's order
-            integral = cols.sum(axis=0)
-            continue
-        np.cumsum(cols, axis=0, out=cols)
-        integral = cols[m]
-        u_seen[lo:hi] = at_row[:, :4]
-        u_int[lo:hi] = cols[rows] + at_row * (grid[lo:hi] - starts[rows])[:, None, None]
-
-    u_bar, infection = u_int[:, :4], u_int[:, 4]
+    jumps, t_jumps, t_f, products = np.split(np.cumsum(bins, axis=0, out=bins),
+                                             _BIN_OFFSETS[1:-1] * n, axis=1)
+    at = grid[:, None]
+    u = (traj.counts[0] + jumps.reshape(-1, 4, n)) / scale
+    u_bar = at[..., None] * u - t_jumps.reshape(-1, 4, n) / scale
+    infection = at * infection_stack(u, params) - t_f
     drift = drift_field(ReactionField(params, hk_ratio=hk), n)
     return Sweep(
-        z=u_seen - u0 - drift(u_bar, infection),
-        observed=_jump_sums(log, grid, n, n_events) * (1.0 / family_scale**2),
+        z=u - traj.counts[0] / scale - drift(u_bar, infection),
+        observed=products.reshape(-1, len(FAMILIES), n) * (1.0 / family_scale**2),
         predicted=_amplitude_field(params, hk, n)(u_bar, infection) / family_scale,
     )
 

@@ -266,7 +266,9 @@ def _write_snapshots_bin(path: Path, traj: Trajectory):
 
 def _read_snapshots_bin(manifest: RunManifest, directory: Path) -> tuple[np.ndarray, np.ndarray]:
     """(sample times, (n_samples, 4, n) int64 counts) of the snapshots file
-    of ``directory``, parsed from the bytes that ``manifest`` verified."""
+    of ``directory``, parsed from the bytes that ``manifest`` verified.  The
+    first snapshot is the state at t = 0 to every reader, so a grid that is
+    empty or does not strictly increase from exactly 0 is corrupt."""
     path = directory / "snapshots.bin"
     raw = manifest.read_verified(directory, path.name)
     head = len(SNAPSHOTS_MAGIC) + 1 + 8
@@ -280,7 +282,13 @@ def _read_snapshots_bin(manifest: RunManifest, directory: Path) -> tuple[np.ndar
     if len(raw) != head + n_samples * frame.itemsize:
         raise CorruptFileError(f"{path} is truncated or padded")
     frames = np.frombuffer(raw, dtype=frame, count=n_samples, offset=head)
-    return frames["time"].astype(np.float64), frames["counts"].astype(np.int64)
+    try:
+        times = _increasing_grid(frames["time"].astype(np.float64))
+    except ValueError as err:
+        raise CorruptFileError(f"{path}: {err}") from err
+    if times[0] != 0.0:
+        raise CorruptFileError(f"{path}: sample times must start at t = 0")
+    return times, frames["counts"].astype(np.int64)
 
 
 def _write_events_bin(path: Path, log: EventLog):
@@ -400,8 +408,9 @@ def write_convergence_report(directory, report: ConvergenceReport):
 
 
 def write_martingale_csv(path, times: Sequence[float], z: np.ndarray):
-    """Residual fields Z, (n_times, 4, n) on the grid ``times``, keyed by
-    (time, site, compartment)."""
+    """Residual fields Z of one replica, (n_times, 4, n) on the grid
+    ``times``, keyed by (time, site, compartment).  ``diagnose`` writes
+    replica 0's path here; its compensator report pools all replicas."""
     table = _sample_site_table(times, z.transpose(1, 0, 2)[..., None])
     _write_csv(path, "time,site,compartment,z",
                [f"%.17g,%d,{name},%.17g\r\n" for name in COMPARTMENTS],

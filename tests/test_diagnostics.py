@@ -11,7 +11,6 @@ from sirb_lattice.deterministic import ReactionField, drift_field, integrate
 from sirb_lattice.diagnostics import (
     FAMILIES,
     Sweep,
-    _sweep_chunk,
     lln_experiment,
     pass_fractions,
     pool_size,
@@ -295,10 +294,11 @@ def reference_sweep(traj, params, scaling):
     return np.stack(z_out), np.stack(obs_out), np.stack(pred_out)
 
 
-def test_sweep_matches_per_event_reference():
+def test_sweep_matches_per_event_reference(monkeypatch):
     rng = np.random.default_rng(21)
     n = 3
-    chunk = _sweep_chunk(n)
+    chunk = 7
+    monkeypatch.setattr(diagnostics, "_SWEEP_CHUNK", chunk)
     for trial in range(4):
         params = make_params(
             n=n, mu=rng.uniform(0.1, 1), alpha=rng.uniform(0.1, 1),
@@ -336,19 +336,23 @@ def test_sweep_matches_per_event_reference():
             np.testing.assert_allclose(stacked.predicted[r], pred_ref, rtol=1e-12, atol=1e-12)
 
 
-def test_sweep_matches_per_event_reference_on_a_wide_lattice():
-    # n = 64 with a handful of individuals per site: a chunk holds a dozen
-    # events, and bacteria hop across the periodic boundary both ways.
-    n = 64
+@pytest.mark.parametrize("n, ell", [(64, 3.0), (256, 12.0)], ids=["n=64", "n=256"])
+def test_sweep_matches_per_event_reference_on_a_wide_lattice(monkeypatch, n, ell):
+    # n = 64, and the roundtrip workload's n = 256, with a handful of
+    # individuals per site: the log spans many chunks of a dozen events, and
+    # bacteria hop across the periodic boundary both ways (at n = 256 at a
+    # hop rate four times as high, so that the sampled log holds both ways).
+    chunk = 12
+    monkeypatch.setattr(diagnostics, "_SWEEP_CHUNK", chunk)
     rng = np.random.default_rng(22)
-    params = make_params(n=n, ell=3.0, p_out=0.6)
+    params = make_params(n=n, ell=ell, p_out=0.6)
     scaling = ScalingParams(n, 3, 2)
     state = SystemState.from_counts(*(rng.integers(0, 4, n) for _ in range(4)))
     grid = np.array([0.0, 0.05, 0.1, 0.2, 0.3])
     traj = simulate_ssa(state, 0.4, grid, params, scaling, seed=8, record_events=True)
     log = traj.event_log
     sampled = log.times <= grid[-1]
-    assert sampled.sum() > 10 * _sweep_chunk(n)
+    assert sampled.sum() > 10 * chunk
     kinds, sites = log.kinds[sampled], log.sites[sampled]
     assert np.any((kinds == EventKind.TRANSPORT_OUT) & (sites == n - 1))
     assert np.any((kinds == EventKind.TRANSPORT_IN) & (sites == 0))
@@ -370,14 +374,13 @@ def test_sweep_does_not_depend_on_the_chunk_size(monkeypatch):
     state = random_state(rng, n, hi=150)
     traj = simulate_ssa(state, 1.0, [0.0, 1.0], params, scaling, seed=9, record_events=True)
     log = traj.event_log
-    assert len(log) > 2 * _sweep_chunk(n)
+    assert len(log) > 2 * diagnostics._SWEEP_CHUNK
     # one sample exactly at an event, and events after the last sample
     grid = np.sort(np.append(rng.uniform(0.0, 0.9, 5), [0.0, log.times[len(log) // 2]]))
     traj = Trajectory(grid, state.counts[None], log, seed=0)
     default = diagnostics.sweep_log(traj, params, scaling)
-    for budget in (1, 1 << 40):  # one event per chunk, then the whole log in one
-        monkeypatch.setattr(diagnostics, "_SWEEP_CHUNK_BYTES", budget)
-        assert _sweep_chunk(n) == 1 or _sweep_chunk(n) > len(log)
+    for chunk in (1, len(log)):  # one event per chunk, then the whole log in one
+        monkeypatch.setattr(diagnostics, "_SWEEP_CHUNK", chunk)
         sweep = diagnostics.sweep_log(traj, params, scaling)
         np.testing.assert_allclose(sweep.z, default.z, rtol=1e-12, atol=1e-12)
         np.testing.assert_array_equal(sweep.observed, default.observed)

@@ -366,6 +366,30 @@ def test_snapshot_frame_layout(tmp_path, n):
             read_trajectory(tmp_path)
 
 
+@pytest.mark.parametrize("edit", ["no samples", "reversed", "shifted"])
+def test_snapshot_grid_that_no_run_writes_is_rejected(tmp_path, edit):
+    # the sweep and the replay take the first snapshot as the state at
+    # t = 0, so a grid that is empty, or does not strictly increase from
+    # exactly 0, must not read back
+    traj, params, scaling = sample_run()
+    write_trajectory(tmp_path, traj, params, scaling)
+    path = tmp_path / "snapshots.bin"
+    raw = path.read_bytes()
+    size = (len(raw) - 17) // traj.sample_times.size
+    frames = [raw[at:at + size] for at in range(17, len(raw), size)]
+    frames = {
+        "no samples": [],
+        "reversed": frames[::-1],
+        "shifted": [struct.pack("<d", t + 0.5) + frame[8:]
+                    for t, frame in zip(traj.sample_times, frames)],
+    }[edit]
+    n_sites = traj.initial.n_sites
+    path.write_bytes(raw[:9] + struct.pack("<II", n_sites, len(frames)) + b"".join(frames))
+    rehash(tmp_path)
+    with pytest.raises(CorruptFileError, match="sample times"):
+        read_trajectory(tmp_path)
+
+
 # ---------------------------------------------------------------------------
 # Replay
 
