@@ -140,7 +140,8 @@ def infection_stack(y: np.ndarray, params: EpidemicParams) -> np.ndarray:
 
 
 def density_rates(
-    y: np.ndarray, params: EpidemicParams, infection: Optional[np.ndarray] = None
+    y: np.ndarray, params: EpidemicParams, infection: Optional[np.ndarray] = None,
+    coefficients: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """The rates of the fourteen kinds per unit of renormalization on a
     (..., 4, n) density stack: (..., 14, n), rows EventKind.  Row k is
@@ -148,13 +149,17 @@ def density_rates(
     source; the infection row is ``infection_stack(y, params)`` unless
     given.  Times the renormalization (H or K) of each kind's source, this
     is each kind's count-form rate, the propensity ``simulate_ssa`` draws from.
+    ``coefficients``, the (14, 1) column of ``_rate_coefficients(params)``,
+    spares a caller that evaluates many stacks rebuilding it each time.
 
     No domain check: the integrator may probe infinitesimally negative
     values inside RK stages.  Every row is linear in y except infection, so
     the time integrals of y and of the infection term give the time
     integral of every rate.
     """
-    rates = np.array(_rate_coefficients(params))[:, None] * y[..., list(_RATE_SOURCE), :]
+    if coefficients is None:
+        coefficients = np.array(_rate_coefficients(params))[:, None]
+    rates = coefficients * y[..., list(_RATE_SOURCE), :]
     rates[..., EventKind.INFECTION, :] = (
         infection_stack(y, params) if infection is None else infection
     )
@@ -177,9 +182,9 @@ def table_contraction(
     jump-product table of ``diagnostics`` the square and cross amplitudes.
 
     Offsets are taken modulo n_sites, so on one site a hop lands where it
-    leaves and its entries cancel in the weights.  The weights are built
-    here, once; each call is one gather of the rates over the table's site
-    shifts and one matrix product.
+    leaves and its entries cancel in the weights.  The weights and the
+    rate coefficients are built here, once; each call is one gather of the
+    rates over the table's site shifts and one matrix product.
     """
     b = COMPARTMENTS.index("B")
     entries = [
@@ -196,9 +201,11 @@ def table_contraction(
     # gather[s, j]: the site whose kinds land on site j through shifts[s]
     gather = (np.arange(n_sites) - np.array(shifts)[:, None]) % n_sites
     params = rf.params
+    coefficients = np.array(_rate_coefficients(params))[:, None]
 
     def contract(y: np.ndarray, infection: Optional[np.ndarray] = None) -> np.ndarray:
-        rates = density_rates(y, params, infection)[..., gather]  # (..., 14, shifts, n)
+        # (..., 14, shifts, n)
+        rates = density_rates(y, params, infection, coefficients)[..., gather]
         return weights @ rates.reshape(rates.shape[:-3] + (-1, n_sites))
 
     return contract

@@ -44,6 +44,7 @@ from .stochastic import (
     ScalingParams,
     SystemState,
     Trajectory,
+    _entry_table,
     _renormalization,
     log_entries,
     simulate_ssa,
@@ -97,10 +98,7 @@ def _jump_products() -> np.ndarray:
                 if abs(o2 - o1) == 1:
                     entries.append((plus if o2 == o1 + 1 else minus, o1, d1 * d2))
         rows.append(entries)
-    table = np.zeros((len(rows), max(map(len, rows)), 3), dtype=np.int64)
-    for kind, entries in enumerate(rows):
-        table[kind, : len(entries)] = entries
-    return table
+    return _entry_table(rows)
 
 
 _JUMP_PRODUCTS = _jump_products()
@@ -288,10 +286,13 @@ def sweep_log(
     u = (traj.counts[0] + jumps.reshape(-1, 4, n)) / scale
     u_bar = at[..., None] * u - t_jumps.reshape(-1, 4, n) / scale
     infection = at * infection_stack(u, params) - t_f
+    observed = products.reshape(-1, len(FAMILIES), n) * (1.0 / family_scale**2)
+    # the contractions need only the integrals: free the bins before them
+    del bins, jumps, t_jumps, t_f, products
     drift = drift_field(ReactionField(params, hk_ratio=hk), n)
     return Sweep(
         z=u - traj.counts[0] / scale - drift(u_bar, infection),
-        observed=products.reshape(-1, len(FAMILIES), n) * (1.0 / family_scale**2),
+        observed=observed,
         predicted=_amplitude_field(params, hk, n)(u_bar, infection) / family_scale,
     )
 

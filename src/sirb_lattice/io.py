@@ -302,9 +302,12 @@ def _write_events_bin(path: Path, log: EventLog):
         fh.write(arr)
 
 
-def _read_events_bin(manifest: RunManifest, directory: Path) -> EventLog:
+def _read_events_bin(manifest: RunManifest, directory: Path, n_sites: int) -> EventLog:
     """The event log file of ``directory``, parsed from the bytes that
-    ``manifest`` verified."""
+    ``manifest`` verified.  The sweep takes the log's times as sorted and
+    the replay its sites as on the lattice, so a log whose times are not
+    finite, >= 0 and nondecreasing, or with a site not below ``n_sites``
+    (the snapshots' lattice size), is corrupt."""
     path = directory / "events.bin"
     raw = manifest.read_verified(directory, path.name)
     head = len(EVENTS_MAGIC) + 1
@@ -323,8 +326,18 @@ def _read_events_bin(manifest: RunManifest, directory: Path) -> EventLog:
             f"{path} holds kind byte {arr['kind'][bad[0]]} at event {bad[0]}; "
             f"kinds run 0..{N_EVENT_KINDS - 1}"
         )
+    bad = np.flatnonzero(arr["site"] >= n_sites)
+    if bad.size:
+        raise CorruptFileError(
+            f"{path} holds site {arr['site'][bad[0]]} at event {bad[0]}; "
+            f"the snapshots have {n_sites} sites"
+        )
+    times = arr["time"].astype(np.float64)
+    if not (np.isfinite(times).all() and (times[:1] >= 0.0).all()
+            and (times[1:] >= times[:-1]).all()):
+        raise CorruptFileError(f"{path}: event times must be finite, >= 0 and nondecreasing")
     return EventLog(
-        times=arr["time"].astype(np.float64),
+        times=times,
         kinds=arr["kind"].astype(np.uint8),
         sites=arr["site"].astype(np.uint32),
     )
@@ -375,7 +388,7 @@ def read_trajectory(directory) -> tuple[Trajectory, RunManifest]:
     parsed = ("snapshots.bin", "events.bin") if has_log else ("snapshots.bin",)
     manifest.verify(directory, skip=parsed)
     times, counts = _read_snapshots_bin(manifest, directory)
-    log = _read_events_bin(manifest, directory) if has_log else None
+    log = _read_events_bin(manifest, directory, counts.shape[2]) if has_log else None
     traj = Trajectory(
         sample_times=times,
         counts=counts,

@@ -73,68 +73,59 @@ __all__ = [
 RNG_ALGORITHM = "philox4x64/site-major-2u"
 
 
-class EventKind(IntEnum):
-    """The fourteen jump kinds; values double as the on-disk kind byte."""
-
-    BIRTH_FROM_S = 0
-    BIRTH_FROM_I = 1
-    BIRTH_FROM_R = 2
-    DEATH_S = 3
-    INFECTION = 4
-    DEATH_I_NATURAL = 5
-    DEATH_I_CHOLERA = 6
-    RECOVERY = 7
-    DEATH_R = 8
-    IMMUNITY_LOSS = 9
-    BACTERIA_DEATH = 10
-    CONTAMINATION = 11
-    TRANSPORT_OUT = 12
-    TRANSPORT_IN = 13
-
-
-N_EVENT_KINDS = len(EventKind)
-
 # The compartment axis of every (..., 4, n) count or density array.
 COMPARTMENTS = ("S", "I", "R", "B")
 
-# The reaction table, one row per kind in EventKind order.  Compartments
-# are 0-3 for S, I, R, B; offsets are relative to the event site, periodic;
-# unused slots hold value 0.  STOICHIOMETRY entries are (compartment, site
-# offset, count delta).  SOURCES entries are (compartment, 0, least count
-# the event needs at its site): the compartments whose local count must be
-# >= 1 for the event to have nonzero propensity.
-STOICHIOMETRY = np.array([
-    [(0, 0, +1), (0, 0, 0)],  # BIRTH_FROM_S
-    [(0, 0, +1), (0, 0, 0)],  # BIRTH_FROM_I
-    [(0, 0, +1), (0, 0, 0)],  # BIRTH_FROM_R
-    [(0, 0, -1), (0, 0, 0)],  # DEATH_S
-    [(0, 0, -1), (1, 0, +1)],  # INFECTION
-    [(1, 0, -1), (0, 0, 0)],  # DEATH_I_NATURAL
-    [(1, 0, -1), (0, 0, 0)],  # DEATH_I_CHOLERA
-    [(1, 0, -1), (2, 0, +1)],  # RECOVERY
-    [(2, 0, -1), (0, 0, 0)],  # DEATH_R
-    [(2, 0, -1), (0, 0, +1)],  # IMMUNITY_LOSS
-    [(3, 0, -1), (0, 0, 0)],  # BACTERIA_DEATH
-    [(3, 0, +1), (0, 0, 0)],  # CONTAMINATION
-    [(3, 0, -1), (3, +1, +1)],  # TRANSPORT_OUT
-    [(3, 0, -1), (3, -1, +1)],  # TRANSPORT_IN
-], dtype=np.int64)
-SOURCES = np.array([
-    [(0, 0, 1), (0, 0, 0)],  # BIRTH_FROM_S
-    [(1, 0, 1), (0, 0, 0)],  # BIRTH_FROM_I
-    [(2, 0, 1), (0, 0, 0)],  # BIRTH_FROM_R
-    [(0, 0, 1), (0, 0, 0)],  # DEATH_S
-    [(0, 0, 1), (3, 0, 1)],  # INFECTION
-    [(1, 0, 1), (0, 0, 0)],  # DEATH_I_NATURAL
-    [(1, 0, 1), (0, 0, 0)],  # DEATH_I_CHOLERA
-    [(1, 0, 1), (0, 0, 0)],  # RECOVERY
-    [(2, 0, 1), (0, 0, 0)],  # DEATH_R
-    [(2, 0, 1), (0, 0, 0)],  # IMMUNITY_LOSS
-    [(3, 0, 1), (0, 0, 0)],  # BACTERIA_DEATH
-    [(1, 0, 1), (0, 0, 0)],  # CONTAMINATION
-    [(3, 0, 1), (0, 0, 0)],  # TRANSPORT_OUT
-    [(3, 0, 1), (0, 0, 0)],  # TRANSPORT_IN
-], dtype=np.int64)
+# The reaction table, one row per kind in on-disk byte order: the kind's
+# name; its rate coefficient, a function of EpidemicParams; the
+# compartments whose count at the event site must be >= 1 for the event to
+# have nonzero propensity, rate source first; and its count changes as
+# (compartment, site offset, count delta), offsets relative to the event
+# site, periodic.  The rate of a kind at site j is its coefficient times the
+# count of its rate source at j; infection's beta * s_j is further
+# multiplied by b_j / (K + b_j).
+_REACTIONS = (
+    ("BIRTH_FROM_S", lambda p: p.mu, "S", [("S", 0, +1)]),
+    ("BIRTH_FROM_I", lambda p: p.mu, "I", [("S", 0, +1)]),
+    ("BIRTH_FROM_R", lambda p: p.mu, "R", [("S", 0, +1)]),
+    ("DEATH_S", lambda p: p.mu, "S", [("S", 0, -1)]),
+    ("INFECTION", lambda p: p.beta, "SB", [("S", 0, -1), ("I", 0, +1)]),
+    ("DEATH_I_NATURAL", lambda p: p.mu, "I", [("I", 0, -1)]),
+    ("DEATH_I_CHOLERA", lambda p: p.alpha, "I", [("I", 0, -1)]),
+    ("RECOVERY", lambda p: p.gamma, "I", [("I", 0, -1), ("R", 0, +1)]),
+    ("DEATH_R", lambda p: p.mu, "R", [("R", 0, -1)]),
+    ("IMMUNITY_LOSS", lambda p: p.rho, "R", [("R", 0, -1), ("S", 0, +1)]),
+    ("BACTERIA_DEATH", lambda p: p.mu_b, "B", [("B", 0, -1)]),
+    ("CONTAMINATION", lambda p: p.p_over_w, "I", [("B", 0, +1)]),
+    ("TRANSPORT_OUT", lambda p: p.transport.ell * p.transport.p_out, "B",
+     [("B", 0, -1), ("B", +1, +1)]),
+    ("TRANSPORT_IN", lambda p: p.transport.ell * p.transport.p_in, "B",
+     [("B", 0, -1), ("B", -1, +1)]),
+)
+
+EventKind = IntEnum("EventKind", [(name, kind) for kind, (name, *_) in enumerate(_REACTIONS)],
+                    module=__name__)
+EventKind.__doc__ = """The fourteen jump kinds; values double as the on-disk kind byte."""
+N_EVENT_KINDS = len(EventKind)
+
+
+def _entry_table(rows) -> np.ndarray:
+    """One (kinds, slots, 3) int64 entry table from a list per kind of
+    (row, site offset, value) entries; unused slots hold value 0."""
+    table = np.zeros((len(rows), max(map(len, rows)), 3), dtype=np.int64)
+    for kind, entries in enumerate(rows):
+        table[kind, : len(entries)] = entries
+    return table
+
+
+# The reaction table as entry tables in EventKind order, compartments 0-3
+# for S, I, R, B.  STOICHIOMETRY entries are (compartment, site offset,
+# count delta); SOURCES entries are (compartment, 0, least count the event
+# needs at its site).
+STOICHIOMETRY = _entry_table([[(COMPARTMENTS.index(c), off, d) for c, off, d in jumps]
+                              for *_, jumps in _REACTIONS])
+SOURCES = _entry_table([[(COMPARTMENTS.index(c), 0, 1) for c in sources]
+                        for _, _, sources, _ in _REACTIONS])
 # The compartment each kind's rate is proportional to (its first source).
 _RATE_SOURCE = tuple(SOURCES[:, 0, 0].tolist())
 
@@ -315,15 +306,11 @@ def replica_rng(seed: int, stream: int = 0) -> np.random.Generator:
 # Rates
 
 def _rate_coefficients(params: EpidemicParams) -> tuple[float, ...]:
-    """Rate coefficient of each kind, in EventKind order.  The rate of a kind
-    at site j is its coefficient times the count of its source compartment
-    ``_RATE_SOURCE[kind]`` at j; infection's beta * s_j is further multiplied
-    by b_j / (K + b_j)."""
-    p, tc = params, params.transport
-    return (
-        p.mu, p.mu, p.mu, p.mu, p.beta, p.mu, p.alpha, p.gamma, p.mu, p.rho,
-        p.mu_b, p.p_over_w, tc.ell * tc.p_out, tc.ell * tc.p_in,
-    )
+    """Rate coefficient of each kind, in EventKind order, from ``_REACTIONS``.
+    The rate of a kind at site j is its coefficient times the count of its
+    source compartment ``_RATE_SOURCE[kind]`` at j; infection's beta * s_j
+    is further multiplied by b_j / (K + b_j)."""
+    return tuple([coefficient(params) for _, coefficient, _, _ in _REACTIONS])
 
 
 def _site_weights(params: EpidemicParams) -> tuple[tuple[float, ...], float]:
@@ -366,11 +353,14 @@ def apply_event(state: SystemState, kind: int, site: int) -> SystemState:
 
     Raises ValueError when a source compartment is empty at the event site;
     an exact simulator never selects such an event, so hitting this signals
-    an engine or replay bug.
+    an engine or replay bug.  Raises ValueError, as ``log_entries`` does,
+    for a site outside the lattice.
     """
     counts = state.counts.copy()
     n = state.n_sites
-    kind, j = EventKind(int(kind)), int(site) % n
+    kind, j = EventKind(int(kind)), int(site)
+    if not 0 <= j < n:
+        raise ValueError(f"event site {j} outside lattice of {n} sites")
     for c, _, need in SOURCES[kind].tolist():
         have = int(counts[c, j])
         if have < need:
@@ -643,7 +633,7 @@ def simulate_ssa(
 
     The floating-point expressions, which a second implementation must
     evaluate as written to draw the same run, with each kind's coefficient
-    from the module docstring's table (``ell * p_out`` and ``ell * p_in``
+    from the reaction table ``_REACTIONS`` (``ell * p_out`` and ``ell * p_in``
     for the transports, ``p_in = 1.0 - p_out``) and the counts as floats:
 
     * ``A_c``, for compartment c, is the ``math.fsum`` of the coefficients

@@ -390,6 +390,33 @@ def test_snapshot_grid_that_no_run_writes_is_rejected(tmp_path, edit):
         read_trajectory(tmp_path)
 
 
+@pytest.mark.parametrize("edit", ["swapped", "negative", "nan", "site = n"])
+def test_event_log_that_no_run_writes_is_rejected(tmp_path, edit):
+    # the sweep takes the log's times as sorted and the replay its sites as
+    # on the lattice, so a log out of time order, with a time below 0 or not
+    # a number, or with a site off the snapshots' lattice must not read back
+    traj, params, scaling = sample_run()
+    write_trajectory(tmp_path, traj, params, scaling)
+    path = tmp_path / "events.bin"
+    raw = path.read_bytes()
+    frames = np.frombuffer(raw, np.dtype([("time", "<f8"), ("kind", "u1"), ("site", "<u4")]),
+                           offset=9).copy()
+    assert frames["time"][5] < frames["time"][154]
+    if edit == "swapped":
+        frames["time"][[5, 154]] = frames["time"][[154, 5]]
+    elif edit == "negative":
+        frames["time"][0] = -1.0
+    elif edit == "nan":
+        frames["time"][100] = math.nan
+    else:
+        frames["site"][3] = traj.initial.n_sites
+    path.write_bytes(raw[:9] + frames.tobytes())
+    rehash(tmp_path)
+    with pytest.raises(CorruptFileError, match="site 4 at event 3" if edit == "site = n"
+                       else "event times must be finite"):
+        read_trajectory(tmp_path)
+
+
 # ---------------------------------------------------------------------------
 # Replay
 

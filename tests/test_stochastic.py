@@ -217,6 +217,14 @@ def test_apply_event_rejects_empty_source():
         apply_event(state, EventKind.INFECTION, 0)
 
 
+@pytest.mark.parametrize("site", [4, -1])
+def test_apply_event_rejects_a_site_off_the_lattice(site):
+    # the replay refuses the same event, so no event wraps onto the lattice
+    state = SystemState.from_counts(*(np.full(4, 5) for _ in range(4)))
+    with pytest.raises(ValueError, match=f"event site {site} outside lattice of 4 sites"):
+        apply_event(state, EventKind.DEATH_S, site)
+
+
 # ---------------------------------------------------------------------------
 # step_ssa
 
