@@ -128,7 +128,7 @@ class RunConfig:
     h: int
     k: int
     ladder: Optional[list[tuple[int, int, int]]]
-    initial_spec: dict
+    initial_spec: dict  # compartment -> preset text: text, not a profile, so it pickles
     pde_resolution: int
     pde_dt: float | str
 
@@ -146,8 +146,7 @@ class RunConfig:
             "derived": {"bias": tc.bias, "nu": tc.nu, "diffusion": tc.diffusion},
             "scaling": {"n": self.n_sites, "h": self.h, "k": self.k,
                         "ladder": [list(r) for r in self.ladder] if self.ladder else None},
-            "initial": {c: f"{name} " + " ".join(str(a) for a in args)
-                        for c, (name, args) in self.initial_spec.items()},
+            "initial": dict(self.initial_spec),
             "pde": {"resolution": self.pde_resolution, "dt": str(self.pde_dt)},
             "version": __version__,
         }
@@ -164,66 +163,56 @@ class RunConfig:
         return ScalingParams(self.n_sites, self.h, self.k)
 
     def initial_fns(self) -> list[Callable]:
-        return [_preset_fn(self.initial_spec[c.lower()]) for c in COMPARTMENTS]
+        return [_preset(c.lower(), self.initial_spec[c.lower()]) for c in COMPARTMENTS]
 
     def sample_grid(self) -> np.ndarray:
         return uniform_grid(self.horizon, self.samples)
 
 
-def _preset_fn(spec: tuple) -> Callable:
-    """Turn a parsed preset tuple into a 1-periodic profile function."""
-    name, args = spec
-    if name == "constant":
-        (c,) = args
-        return lambda x: np.full_like(np.asarray(x, dtype=float), c)
-    if name == "fourier":
-        m, amp, base = args
-        return lambda x: base + amp * np.sin(2.0 * math.pi * m * np.asarray(x, dtype=float))
-    if name == "bump":
-        center, width, height = args
-
-        def bump(x):
-            x = np.asarray(x, dtype=float)
-            d = np.abs(x - center) % 1.0
-            d = np.minimum(d, 1.0 - d)  # periodic distance
-            return height * np.exp(-0.5 * (d / width) ** 2)
-
-        return bump
-    raise AssertionError(f"unhandled preset {name}")
+# Each preset's name and the types of its arguments, in order
+_PRESETS = {"constant": (float,), "fourier": (int, float, float), "bump": (float, float, float)}
 
 
-def _parse_preset(key: str, raw: str) -> tuple:
-    parts = raw.split()
+def _preset(key: str, text: str) -> Callable:
+    """The 1-periodic profile that the preset ``text`` of ``initial.<key>``
+    names.  Raises ConfigError naming the key for an empty or unknown
+    preset, malformed arguments, or a profile that dips below 0."""
+    parts = text.split()
     if not parts:
         raise ConfigError(f"initial.{key}: empty preset")
     name, args = parts[0], parts[1:]
+    if name not in _PRESETS:
+        raise ConfigError(
+            f"initial.{key}: unknown preset {name!r} (use constant, fourier, or bump)"
+        )
     try:
-        if name == "constant":
-            (c,) = map(float, args)
-            if c < 0:
-                raise ConfigError(f"initial.{key}: constant must be >= 0, got {c}")
-            return ("constant", (c,))
-        if name == "fourier":
-            m_s, amp_s, base_s = args
-            m, amp, base = int(m_s), float(amp_s), float(base_s)
-            if base - abs(amp) < 0:
-                raise ConfigError(
-                    f"initial.{key}: fourier profile dips below 0 "
-                    f"(baseline {base}, amplitude {amp})"
-                )
-            return ("fourier", (m, amp, base))
-        if name == "bump":
-            center, width, height = map(float, args)
-            if width <= 0 or height < 0:
-                raise ConfigError(f"initial.{key}: bump needs width > 0 and height >= 0")
-            return ("bump", (center, width, height))
-    except ConfigError:
-        raise
-    except (ValueError, TypeError):
+        values = [kind(arg) for kind, arg in zip(_PRESETS[name], args, strict=True)]
+    except ValueError:
         raise ConfigError(f"initial.{key}: malformed arguments {args!r} for {name!r}")
-    raise ConfigError(
-        f"initial.{key}: unknown preset {name!r} (use constant, fourier, or bump)"
-    )
+    if name == "constant":
+        (c,) = values
+        if c < 0:
+            raise ConfigError(f"initial.{key}: constant must be >= 0, got {c}")
+        return lambda x: np.full_like(np.asarray(x, dtype=float), c)
+    if name == "fourier":
+        m, amp, base = values
+        if base - abs(amp) < 0:
+            raise ConfigError(
+                f"initial.{key}: fourier profile dips below 0 "
+                f"(baseline {base}, amplitude {amp})"
+            )
+        return lambda x: base + amp * np.sin(2.0 * math.pi * m * np.asarray(x, dtype=float))
+    center, width, height = values
+    if width <= 0 or height < 0:
+        raise ConfigError(f"initial.{key}: bump needs width > 0 and height >= 0")
+
+    def bump(x):
+        x = np.asarray(x, dtype=float)
+        d = np.abs(x - center) % 1.0
+        d = np.minimum(d, 1.0 - d)  # periodic distance
+        return height * np.exp(-0.5 * (d / width) ** 2)
+
+    return bump
 
 
 def _parse_ladder(raw: str) -> list[tuple[int, int, int]]:
@@ -352,7 +341,10 @@ def parse_config(path, mode: str = "simulate", overrides: Optional[dict] = None)
             raise ConfigError("converge mode needs scaling.ladder")
         _check_ladder_regime(ladder, theorem)
 
-    initial_spec = {comp: _parse_preset(comp, text) for comp, text in raw["initial"].items()}
+    # the preset texts, whitespace normalised, each checked by building its profile
+    initial_spec = {comp: " ".join(text.split()) for comp, text in raw["initial"].items()}
+    for comp, text in initial_spec.items():
+        _preset(comp, text)
 
     resolution = raw["pde"]["resolution"]
     pde_resolution = (n_sites if resolution is None
@@ -532,14 +524,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     for mode in MODES:
         p = sub.add_parser(mode, help=f"{mode} run")
         p.add_argument("--config", required=True, help="path to the config file")
-        p.add_argument("--seed", type=int, help="override run.seed")
-        p.add_argument("--replicas", type=int, help="override run.replicas")
-        p.add_argument("--workers", type=int, help="override run.workers")
-        p.add_argument("--out", help="override run.out")
-        if mode == "converge":
-            p.add_argument("--mode", dest="theorem",
-                           choices=("theorem1", "theorem2"),
-                           help="override run.theorem")
+        # plain strings: the key's own check in parse_config is the one check
+        for key, flag in _FLAGS.items():
+            if flag != "--mode" or mode == "converge":
+                p.add_argument(flag, dest=key, help=f"override run.{key}")
     args = parser.parse_args(argv)
     overrides = {key: getattr(args, key) for key in _FLAGS
                  if getattr(args, key, None) is not None}

@@ -139,30 +139,30 @@ def infection_stack(y: np.ndarray, params: EpidemicParams) -> np.ndarray:
     return params.beta * (b / (1.0 + b)) * s
 
 
-def density_rates(
-    y: np.ndarray, params: EpidemicParams, infection: Optional[np.ndarray] = None,
-    coefficients: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """The rates of the fourteen kinds per unit of renormalization on a
-    (..., 4, n) density stack: (..., 14, n), rows EventKind.  Row k is
-    ``_rate_coefficients(params)[k]`` times the density of the kind's rate
-    source; the infection row is ``infection_stack(y, params)`` unless
-    given.  Times the renormalization (H or K) of each kind's source, this
-    is each kind's count-form rate, the propensity ``simulate_ssa`` draws from.
-    ``coefficients``, the (14, 1) column of ``_rate_coefficients(params)``,
-    spares a caller that evaluates many stacks rebuilding it each time.
+def density_rates(params: EpidemicParams) -> Callable[..., np.ndarray]:
+    """The map (y, infection=None) -> the rates of the fourteen kinds per
+    unit of renormalization on a (..., 4, n) density stack: (..., 14, n),
+    rows EventKind.  Row k is ``_rate_coefficients(params)[k]`` times the
+    density of the kind's rate source; the infection row is
+    ``infection_stack(y, params)`` unless given.  Times the renormalization
+    (H or K) of each kind's source, this is each kind's count-form rate,
+    the propensity ``simulate_ssa`` draws from.  The (14, 1) column of
+    coefficients is built here, once, for every stack the map evaluates.
 
     No domain check: the integrator may probe infinitesimally negative
     values inside RK stages.  Every row is linear in y except infection, so
     the time integrals of y and of the infection term give the time
     integral of every rate.
     """
-    if coefficients is None:
-        coefficients = np.array(_rate_coefficients(params))[:, None]
-    rates = coefficients * y[..., list(_RATE_SOURCE), :]
-    rates[..., EventKind.INFECTION, :] = (
-        infection_stack(y, params) if infection is None else infection
-    )
+    coefficients = np.array(_rate_coefficients(params))[:, None]
+
+    def rates(y: np.ndarray, infection: Optional[np.ndarray] = None) -> np.ndarray:
+        out = coefficients * y[..., list(_RATE_SOURCE), :]
+        out[..., EventKind.INFECTION, :] = (
+            infection_stack(y, params) if infection is None else infection
+        )
+        return out
+
     return rates
 
 
@@ -173,7 +173,7 @@ def table_contraction(
     entry table such as STOICHIOMETRY of rate times value times weight, on
     a (..., 4, n_sites) density stack: (..., rows, n_sites).
 
-    The rates are ``density_rates(y, rf.params, infection)``.  The entry
+    The rates are ``density_rates(rf.params)(y, infection)``.  The entry
     (row, offset, value) of a kind firing at site j adds to ``row`` at site
     j + offset, periodic; ``row_compartments[row]`` is the compartment
     whose renormalization divides that row.  An entry that carries a
@@ -182,9 +182,10 @@ def table_contraction(
     jump-product table of ``diagnostics`` the square and cross amplitudes.
 
     Offsets are taken modulo n_sites, so on one site a hop lands where it
-    leaves and its entries cancel in the weights.  The weights and the
-    rate coefficients are built here, once; each call is one gather of the
-    rates over the table's site shifts and one matrix product.
+    leaves and its entries cancel in the weights.  The weights and, through
+    ``density_rates``, the rate coefficients are built here, once; each
+    call is one gather of the rates over the table's site shifts and one
+    matrix product.
     """
     b = COMPARTMENTS.index("B")
     entries = [
@@ -200,12 +201,11 @@ def table_contraction(
     weights = weights.reshape(len(row_compartments), -1)
     # gather[s, j]: the site whose kinds land on site j through shifts[s]
     gather = (np.arange(n_sites) - np.array(shifts)[:, None]) % n_sites
-    params = rf.params
-    coefficients = np.array(_rate_coefficients(params))[:, None]
+    rates_of = density_rates(rf.params)
 
     def contract(y: np.ndarray, infection: Optional[np.ndarray] = None) -> np.ndarray:
         # (..., 14, shifts, n)
-        rates = density_rates(y, params, infection, coefficients)[..., gather]
+        rates = rates_of(y, infection)[..., gather]
         return weights @ rates.reshape(rates.shape[:-3] + (-1, n_sites))
 
     return contract

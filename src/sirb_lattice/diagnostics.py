@@ -297,28 +297,32 @@ def sweep_log(
     )
 
 
-def replica_mean_se(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per cell, the replica mean and its standard error.  ``samples`` has
-    replicas on axis 0; remaining axes are cells."""
+def replica_mean_se(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per cell, the replica mean, its standard error and its z-score, the
+    mean over the standard error.  ``samples`` has replicas on axis 0;
+    remaining axes are cells.  A cell with zero spread has z-score 0 when
+    its mean is 0 and the sign of its mean times infinity otherwise (e.g.
+    every residual at t = 0 has z-score 0)."""
     n_rep = samples.shape[0]
     if n_rep < 2:
         raise ValueError("need at least two replicas for a standard error")
-    return samples.mean(axis=0), samples.std(axis=0, ddof=1) / math.sqrt(n_rep)
+    mean, se = samples.mean(axis=0), samples.std(axis=0, ddof=1) / math.sqrt(n_rep)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.where((mean == 0.0) & (se == 0.0), 0.0, mean / se)
+    return mean, se, z
 
 
 def pass_fractions(
     samples: np.ndarray, names: Sequence[str], sigma: float = 3.0
 ) -> dict[str, float]:
     """Per row of (n_replicas, n_times, rows, n) samples, the fraction of
-    its cells where the replica mean is within ``sigma`` standard errors of
-    zero (``replica_mean_se``), keyed by the rows' ``names``: COMPARTMENTS
-    for the residuals Z, FAMILIES for the compensated jump sums.  Cells with
-    zero variance pass iff their mean is exactly zero (e.g. every residual
-    at t = 0)."""
+    its cells whose z-score (``replica_mean_se``) is at most ``sigma`` in
+    magnitude, keyed by the rows' ``names``: COMPARTMENTS for the residuals
+    Z, FAMILIES for the compensated jump sums.  So a cell with zero spread
+    passes iff its mean is exactly zero."""
     if len(names) != samples.shape[2]:
         raise ValueError(f"{len(names)} names for {samples.shape[2]} rows")
-    mean, se = replica_mean_se(samples)
-    ok = np.where(se > 0.0, np.abs(mean) <= sigma * np.where(se > 0, se, 1.0), mean == 0.0)
+    ok = np.abs(replica_mean_se(samples)[2]) <= sigma
     return {name: float(ok[:, i].mean()) for i, name in enumerate(names)}
 
 

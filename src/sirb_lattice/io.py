@@ -435,12 +435,10 @@ def write_compensator_csv(path, times: Sequence[float], residuals: np.ndarray):
     from the (n_replicas, n_times, 6, n) observed minus predicted jump sums
     on the grid ``times``.
 
-    A cell with zero spread has z-score 0 when its mean is 0 and the sign of
-    its mean times infinity otherwise, so for every sigma such a cell has
-    |z| <= sigma exactly when ``pass_fractions`` passes it."""
-    mean, se = replica_mean_se(residuals)  # (n_times, 6, n)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.where((mean == 0.0) & (se == 0.0), 0.0, mean / se)
+    The z-scores are ``replica_mean_se``'s, the ones ``pass_fractions``
+    tests, so for every sigma a cell has |z| <= sigma exactly when
+    ``pass_fractions`` passes it."""
+    mean, se, z = replica_mean_se(residuals)  # (n_times, 6, n)
     values = np.stack([mean, se, z], axis=-1).transpose(1, 0, 2, 3)
     table = _sample_site_table(times, values)
     _write_csv(path, "time,site,family,mean_residual,stderr,zscore",

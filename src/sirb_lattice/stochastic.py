@@ -326,14 +326,6 @@ def _site_weights(params: EpidemicParams) -> tuple[tuple[float, ...], float]:
     return weights, coefficients[EventKind.INFECTION]
 
 
-def _site_total(weights, beta: float, kcap: float, s, i, r, b):
-    """Total propensity of a site, A_s*s + A_i*i + A_r*r + A_b*b + beta*s*b/(K+b),
-    left to right.  Count arrays give the totals of all sites elementwise,
-    with the bits the same expression gives on Python ints."""
-    a_s, a_i, a_r, a_b = weights
-    return a_s * s + a_i * i + a_r * r + a_b * b + beta * s * b / (kcap + b)
-
-
 def _check_compatible(n_sites: int, params: EpidemicParams, scaling: ScalingParams):
     if scaling.n_sites != n_sites:
         raise ValueError(f"state has {n_sites} sites but scaling expects {scaling.n_sites}")
@@ -459,22 +451,31 @@ _MAX_COUNT = 2 ** 52
 # at n = 48 and 3.43 against 3.15 at n = 64 (lists faster in 3 and 0).
 _LIST_SITES = 32
 
+# A site's total propensity, the draw-order contract's left-to-right
+# expression, with {0} to {3} standing for the site's S, I, R and B counts:
+# every total the loop writes, first for each site and then at each site an
+# event touches, is this template filled with that site's count names.
+_SITE_TOTAL = "a_s * {0} + a_i * {1} + a_r * {2} + a_b * {3} + beta * {0} * {3} / (kcap + {3})"
+
 _EVENT_LOOP_HEAD = """\
-def _event_loop(S, I, R, B, totals, weights, beta, kcap, coefficients, samples,
-                horizon, snapshots, rng, record):
+def _event_loop(S, I, R, B, weights, beta, kcap, coefficients, samples, horizon,
+                snapshots, rng, record):
     n, table, rows = len(S), STOICHIOMETRY.tolist(), (S, I, R, B)
     {coefficients} = coefficients
     {counters} = (0,) * N_EVENT_KINDS
     past_end = [0] * N_EVENT_KINDS
     a_s, a_i, a_r, a_b = weights
+    totals = []
+    for s, i, r, b in zip(S, I, R, B):
+        totals.append({site_total})
     # cum[j] is the sequential sum of totals[:j + 1]; the trailing
     # cum[n] = cum[-1] = 0.0 is the empty sum before site 0
     narrow = n <= _LIST_SITES
     if narrow:
-        totals, cum = totals.tolist(), [0.0] * (n + 1)
+        cum = [0.0] * (n + 1)
         suffixes = [range(j, n) for j in range(n)]
     else:
-        totals_array, cum_array = totals, np.zeros(n + 1)
+        totals_array, cum_array = np.array(totals), np.zeros(n + 1)
         cum_head, cumulate = cum_array[:n], np.add.accumulate
         totals, cum = memoryview(totals_array), memoryview(cum_array)
     search, log1p, inf = bisect_right, math.log1p, math.inf
@@ -535,7 +536,7 @@ for c, offset, delta in table[last]:
     j = (site + offset) % n
     if j < m: m = j
     rows[c][j] += delta
-    totals[j] = _site_total(weights, beta, kcap, S[j], I[j], R[j], B[j])
+    totals[j] = {site_total}
 past_end[last] += 1
 if record:
     times.append(t)
@@ -547,7 +548,7 @@ if record:
 def _site_update(offset: int, deltas: dict) -> list[str]:
     """Lines that add ``deltas`` (compartment -> count delta) at the site
     ``offset`` from the event site, periodic, lower m to that site, and
-    rewrite its total with ``_site_total``'s left-to-right expression."""
+    rewrite its total with ``_SITE_TOTAL``."""
     at, names, lines = "site", "sirb", []
     if offset:
         at, names = "j", ("s_", "i_", "r_", "b_")
@@ -557,9 +558,7 @@ def _site_update(offset: int, deltas: dict) -> list[str]:
     for c, delta in deltas.items():
         lines += [f"{names[c]} {'+-'[delta < 0]}= {float(abs(delta))}",
                   f"{COMPARTMENTS[c]}[{at}] = {names[c]}"]
-    s, i, r, b = names
-    return lines + [f"totals[{at}] = a_s * {s} + a_i * {i} + a_r * {r} + a_b * {b}"
-                    f" + beta * {s} * {b} / (kcap + {b})"]
+    return lines + [f"totals[{at}] = " + _SITE_TOTAL.format(*names)]
 
 
 def _rate(kind: int) -> str:
@@ -589,10 +588,12 @@ def _walk_step(kind: int) -> list[str]:
 
 
 _WALK = "".join(line + "\n" for kind in EventKind for line in _walk_step(kind))
-_TAIL = _EVENT_LOOP_TAIL.format(rates=", ".join(map(_rate, EventKind)))
+_TAIL = _EVENT_LOOP_TAIL.format(rates=", ".join(map(_rate, EventKind)),
+                                site_total=_SITE_TOTAL.format("S[j]", "I[j]", "R[j]", "B[j]"))
 EVENT_LOOP_SOURCE = _EVENT_LOOP_HEAD.format(
     block=2 * _UNIFORM_BLOCK, coefficients=", ".join(f"c{k}" for k in range(N_EVENT_KINDS)),
     counters=", ".join(f"f{k}" for k in range(N_EVENT_KINDS)),
+    site_total=_SITE_TOTAL.format(*"sirb"),
 ) + textwrap.indent(_WALK + _TAIL, " " * 8)
 _scope: dict = {}
 exec(compile(EVENT_LOOP_SOURCE, "<generated event loop>", "exec"), globals(), _scope)
@@ -639,7 +640,7 @@ def simulate_ssa(
     * ``A_c``, for compartment c, is the ``math.fsum`` of the coefficients
       of the kinds other than infection whose rate reads c;
     * a site's total is ``A_s*s + A_i*i + A_r*r + A_b*b + beta*s*b/(K+b)``,
-      evaluated left to right;
+      evaluated left to right (``_SITE_TOTAL``);
     * a kind's rate is its coefficient times its source count, and
       infection's is ``(beta*s)*b/(K+b)``;
     * both running sums, over the site totals and over a site's rates, are
@@ -685,9 +686,8 @@ def simulate_ssa(
     kcap = float(scaling.k)
     snapshots = np.empty((grid.size, 4, initial.n_sites), dtype=np.int64)
     fired, times, kinds, sites = _event_loop(
-        *initial.counts.astype(float).tolist(), _site_total(weights, beta, kcap, *initial.counts),
-        weights, beta, kcap, _rate_coefficients(params), grid.tolist() + [math.inf], horizon,
-        snapshots, replica_rng(seed, stream), record_events)
+        *initial.counts.astype(float).tolist(), weights, beta, kcap, _rate_coefficients(params),
+        grid.tolist() + [math.inf], horizon, snapshots, replica_rng(seed, stream), record_events)
     event_log = None
     if record_events:
         # views of the filled arrays, not copies: the log is held once

@@ -208,11 +208,77 @@ def test_bump_preset_wraps_any_centre():
     # the periodic distance is taken modulo 1, so a centre off [0, 1] is the
     # same bump as its image in [0, 1]
     x = np.linspace(0, 1, 101)
-    ref = cli._preset_fn(("bump", (0.2, 0.1, 1.0)))(x)
+    ref = cli._preset("b", "bump 0.2 0.1 1.0")(x)
     assert ref.max() == pytest.approx(1.0)
     for centre in (2.2, -1.8):
-        profile = cli._preset_fn(("bump", (centre, 0.1, 1.0)))(x)
+        profile = cli._preset("b", f"bump {centre} 0.1 1.0")(x)
         assert np.allclose(profile, ref, rtol=0, atol=1e-12), centre
+
+
+# Each refusal of a config value or flag: (mode, (text, replacement) in the
+# config file, flags, the message, which names the key or flag)
+REFUSALS = [
+    pytest.param("simulate", ("s = constant 0.9", "s ="), [], "initial.s: empty preset",
+                 id="empty preset"),
+    pytest.param("simulate", ("s = constant 0.9", "s = constant -0.1"), [],
+                 "initial.s: constant must be >= 0", id="negative constant"),
+    pytest.param("simulate", ("b = constant 0.5", "b = bump 0.5 0 0.9"), [],
+                 "initial.b: bump needs width > 0", id="bump width 0"),
+    pytest.param("simulate", ("i = constant 0.1", "i = fourier 1 0.02"), [],
+                 "initial.i: malformed arguments", id="malformed preset"),
+    pytest.param("simulate", ("r = constant 0.0", "r = gaussian 0.5 0.1"), [],
+                 "initial.r: unknown preset", id="unknown preset"),
+    pytest.param("converge", ("4:40:40", "4:40:4.5"), [], "scaling.ladder: rung '4:40:4.5'",
+                 id="non-integer rung"),
+    pytest.param("converge", ("ladder = 4:20:20, 4:40:40", "ladder = , ,"), [],
+                 "scaling.ladder: no rungs", id="ladder of commas"),
+    pytest.param("simulate", ("beta = 1.2", "beta = fast"), [], "params.beta: not a number",
+                 id="rate not a number"),
+    pytest.param("simulate", ("h = 20", "h = 2.5"), [], "scaling.h: not an integer",
+                 id="count not an integer"),
+    pytest.param("plot", None, [], "unknown mode 'plot'", id="unknown mode"),
+    pytest.param("simulate", ("[run]", ""), [], "no section headers", id="no section header"),
+    pytest.param("simulate", ("record_events = true", "record_events = maybe"), [],
+                 "run.record_events: not a boolean", id="record_events maybe"),
+    pytest.param("converge", ("[run]", "[run]\ntheorem = theorem3"), [],
+                 "run.theorem: expected theorem1 or theorem2", id="theorem3 in the file"),
+    pytest.param("pde", ("[initial]", "[pde]\ndt = 0\n\n[initial]"), [],
+                 "pde.dt: must be positive", id="pde dt 0"),
+    pytest.param("simulate", None, ["--seed", "x"], "--seed: not an integer", id="--seed x"),
+    pytest.param("simulate", None, ["--replicas", "1.5"], "--replicas: not an integer",
+                 id="--replicas 1.5"),
+    pytest.param("converge", None, ["--mode", "theorem3"],
+                 "--mode: expected theorem1 or theorem2", id="--mode theorem3"),
+]
+
+
+@pytest.mark.parametrize("mode, edit, flags, message", REFUSALS)
+def test_each_refusal_is_a_config_error_naming_its_key_or_flag(
+        tmp_path, monkeypatch, capsys, mode, edit, flags, message):
+    path = write_config(tmp_path, ladder="ladder = 4:20:20, 4:40:40")
+    if edit:
+        text = path.read_text()
+        assert edit[0] in text
+        path.write_text(text.replace(*edit))
+    if mode not in cli.MODES:
+        # argparse refuses an unknown subcommand before parse_config sees it
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(path, mode)
+        return
+    raised = []
+
+    def parse(*args, **kwargs):
+        try:
+            return parse_config(*args, **kwargs)
+        except ConfigError as exc:
+            raised.append(str(exc))
+            raise
+
+    monkeypatch.setattr(cli, "parse_config", parse)
+    assert main([mode, "--config", str(path), *flags]) == 2
+    assert len(raised) == 1 and message in raised[0]
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "run_out").exists()
 
 
 def test_schema_block_lists_the_defaults():

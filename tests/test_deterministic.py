@@ -11,6 +11,7 @@ from sirb_lattice.deterministic import (
     DeterministicState,
     IntegrationError,
     ReactionField,
+    auto_dt,
     density_rates,
     drift_field,
     growth_constant,
@@ -133,7 +134,7 @@ def test_density_rates_are_the_simulators_rates():
             *(rng.integers(0, 300, n) * (rng.random(n) < 0.7) for _ in range(4))
         )
         source_scale = _renormalization(scaling)[list(_RATE_SOURCE)]
-        got = density_rates(state.rescaled(scaling), params) * source_scale
+        got = density_rates(params)(state.rescaled(scaling)) * source_scale
         np.testing.assert_allclose(got, all_rates(state, params, scaling), rtol=1e-13, atol=0)
 
 
@@ -234,6 +235,38 @@ def test_integrate_positivity_with_clamp_counters():
     assert states.min() >= 0.0
     assert stats["min_value_seen"] >= -1e-12
     assert stats["clamped"] <= 0.001 * stats["n_entries"]
+
+
+def test_integrate_clamps_a_roundoff_dip_and_aborts_on_a_real_one():
+    # pure downstream transport over one RK4 step of 1.5, far past the
+    # stable step: from a spike at site 0, the step's polynomial dips below
+    # 0 by 0.28125 of the spike at one site
+    rates = dict.fromkeys(("mu", "alpha", "gamma", "rho", "beta", "p_over_w", "mu_b"), 0.0)
+    rf = ReactionField(make_params(n=8, ell=1.0, p_out=1.0, **rates), hk_ratio=1.0)
+
+    def spike(height):
+        zeros = np.zeros(8)
+        return DeterministicState(zeros, zeros, zeros, np.where(np.arange(8) == 0, height, 0.0))
+
+    stats = {}
+    out = integrate(spike(1e-12), 1.5, rf, dt=1.5, stats=stats)
+    assert stats["n_steps"] == 1 and stats["clamped"] == 1
+    assert stats["min_value_seen"] == pytest.approx(-2.8125e-13, rel=1e-9)
+    assert out.min() == 0.0
+    with pytest.raises(IntegrationError, match="went negative"):
+        integrate(spike(1.0), 1.5, rf, dt=1.5)
+
+
+def test_auto_dt_is_one_when_nothing_moves():
+    rates = dict.fromkeys(("mu", "alpha", "gamma", "rho", "beta", "p_over_w", "mu_b"), 0.0)
+    assert auto_dt(ReactionField(make_params(n=8, ell=0.0, **rates), hk_ratio=1.0)) == 1.0
+
+
+def test_with_lattice_keeps_a_still_reservoir_still():
+    # ell = 0 has zero diffusion and advection: from_continuum's branch for
+    # them rebuilds the transport as ell = 0 with an even split
+    params = make_params(n=8, ell=0.0, p_out=0.7).with_lattice(16)
+    assert params.transport == TransportCoefficients(0.0, 0.5, 16)
 
 
 def test_integrate_sup_norm_growth_bound():

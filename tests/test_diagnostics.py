@@ -573,6 +573,16 @@ def test_lln_rejects_unknown_mode():
                        horizon=0.1, replicas=1, seed=1, mode="theorem3")
 
 
+@pytest.mark.parametrize("ladder, replicas, message", [
+    pytest.param([], 1, "at least one", id="empty ladder"),
+    pytest.param([(4, 50, 50)], 0, "replicas must be >= 1", id="no replicas"),
+])
+def test_lln_rejects_an_empty_ladder_or_no_replicas(ladder, replicas, message):
+    with pytest.raises(ValueError, match=message):
+        lln_experiment(ladder, initial_profiles(), make_params(n=4),
+                       horizon=0.1, replicas=replicas, seed=1, mode="theorem1")
+
+
 def test_lln_distance_shrinks_along_small_ladder():
     params = make_params(n=4)
     report = lln_experiment([(4, 20, 20), (4, 2000, 2000)], initial_profiles(),

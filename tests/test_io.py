@@ -178,12 +178,29 @@ def test_missing_manifest_detected(tmp_path):
 def test_wrong_magic_detected(tmp_path):
     traj, params, scaling = sample_run()
     write_trajectory(tmp_path, traj, params, scaling)
-    # swap the two binary payloads: hashes still listed, magic now wrong
+    # swap the two binary payloads and rehash them, so the hash check passes
+    # and the magic check, which reads the snapshots first, is the one to fail
     ev = (tmp_path / "events.bin").read_bytes()
     sn = (tmp_path / "snapshots.bin").read_bytes()
     (tmp_path / "events.bin").write_bytes(sn)
     (tmp_path / "snapshots.bin").write_bytes(ev)
-    with pytest.raises(CorruptFileError):
+    rehash(tmp_path)
+    with pytest.raises(CorruptFileError, match="is not a snapshots file"):
+        read_trajectory(tmp_path)
+
+
+@pytest.mark.parametrize("name, label", [("snapshots.bin", "snapshots"),
+                                         ("events.bin", "event log")],
+                         ids=["snapshots.bin", "events.bin"])
+def test_unsupported_format_version_detected(tmp_path, name, label):
+    traj, params, scaling = sample_run()
+    write_trajectory(tmp_path, traj, params, scaling)
+    path = tmp_path / name
+    raw = bytearray(path.read_bytes())
+    raw[8] = 2  # the version byte, after the eight-byte magic
+    path.write_bytes(bytes(raw))
+    rehash(tmp_path)
+    with pytest.raises(CorruptFileError, match=f"unsupported {label} format version 2"):
         read_trajectory(tmp_path)
 
 

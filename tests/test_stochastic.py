@@ -696,6 +696,24 @@ def test_simulate_rejects_bad_sample_grid():
         simulate_ssa(state, 1.0, [0.0, 2.0], params, scaling, seed=1)
 
 
+def test_simulate_rejects_a_lattice_that_does_not_match():
+    state = uniform_state(4)
+    with pytest.raises(ValueError, match="state has 4 sites but scaling expects 5"):
+        simulate_ssa(state, 1.0, [0.0, 1.0], make_params(n=4), ScalingParams(5, 10, 10), seed=1)
+    with pytest.raises(ValueError, match="transport built for n=5, state has n=4"):
+        simulate_ssa(state, 1.0, [0.0, 1.0], make_params(n=5), ScalingParams(4, 10, 10), seed=1)
+
+
+@pytest.mark.parametrize("n, h, k, message", [
+    pytest.param(2, 10, 10, "n_sites must be an integer >= 3", id="n = 2"),
+    pytest.param(4, 0, 10, "h must be an integer >= 1", id="h = 0"),
+    pytest.param(4, 10, 10.0, "k must be an integer >= 1", id="float k"),
+])
+def test_scaling_params_rejects(n, h, k, message):
+    with pytest.raises(ValueError, match=message):
+        ScalingParams(n, h, k)
+
+
 def test_simulate_keeps_counts_floats_hold_exactly():
     """The event loop holds counts as floats: just below 2**52 a count comes
     back exact, and from 2**52 on the run is refused."""
